@@ -15,6 +15,7 @@ from .core import (
     Constraint,
     LincertError,
     LinearExpr,
+    NonHomogeneousError,
     Point,
     Provenance,
     Relation,
@@ -33,10 +34,6 @@ class PrimalCone:
     system: System
     z_index: int
     row_origin: tuple[tuple[int, int], ...]  # (cone row id, primal main row id)
-
-
-class NonHomogeneousError(LincertError):
-    pass
 
 
 def _fresh_name(taken, base="z"):

@@ -48,6 +48,15 @@ class InfeasibleSystemError(LincertError):
     """Raised by queries that are undefined on infeasible systems."""
 
 
+class NonHomogeneousError(LincertError):
+    """A cone operation met a row with a nonzero right side."""
+
+
+class InvariantError(LincertError):
+    """lincert's own evidence failed its check: a bug, never a property of
+    the input.  Harnesses re-raise it instead of recording an error result."""
+
+
 def rat(value, den=None) -> Fraction:
     """Exact rational from ints, Fractions, or 'p/q' strings. Floats are refused."""
     if isinstance(value, float) or isinstance(den, float):

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .core import (
     Constraint,
+    InvariantError,
     LincertError,
     LinearExpr,
     MultiplierVector,
@@ -148,7 +149,7 @@ def extension_status(dual: ElementaryDual) -> ExtensionStatus:
         return ExtensionStatus(False, witness=verdict.witness)
     lam = verdict.certificate
     if lam.get(dual.extension_id) <= 0 or not check_multiplier_certificate(dual.system, lam):
-        raise LincertError("extension probe certificate failed verification")  # pragma: no cover
+        raise InvariantError("extension probe certificate failed verification")  # pragma: no cover
     return ExtensionStatus(True, certificate=lam)
 
 

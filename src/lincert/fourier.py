@@ -8,8 +8,11 @@ procedure self-certifying: an infeasible system eventually produces a row
 multipliers over the input rows (a Farkas certificate).  A feasible system
 yields an exact witness by back-substitution.
 
-No acceleration (subsumption, redundancy pruning beyond exact duplicates) is
-attempted; the point is trust at desk scale, not speed.
+Three rules keep the rows in check, and none changes a solution set:
+derived tautologies are dropped, exact duplicates merge, and within a chain
+of eliminations Chernikov's history rule skips every pair whose derived row
+is redundant before the pair is combined (see _History).  Every elimination
+chain runs through one loop, _chain.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from math import gcd, lcm
 
 from .core import (
     Constraint,
+    InvariantError,
     LincertError,
     LinearExpr,
     MultiplierVector,
@@ -98,46 +102,67 @@ def normalized_key(constraint: Constraint) -> tuple:
     return (expr.terms, constraint.relation, rhs)
 
 
-def _direction(row: Constraint) -> tuple[tuple, Fraction]:
-    """Scaling class of the left side plus the rescaled bound.
+class _History:
+    """Chernikov's history rule for one elimination chain (Kohler 1967).
 
-    Two rows constrain the same halfspace direction exactly when their keys
-    match; comparing the rescaled bounds then decides implication.
+    Each chain row carries its histories: per derivation, the set of chain
+    inputs its multipliers are positive on.  After k eliminations a pair is
+    skipped before it is combined when every union of its parents' histories
+    has more than k + 1 ids.  Imbert's 1990 refinement is not used.
+
+    Why the solution set stays exact.  A chain row combines the inputs by a
+    lambda in C_k = {lambda >= 0 : lambda A = 0}, A being the input columns
+    of the eliminated variables, and a history is lambda's support.  An
+    extreme ray of C_k has minimal support: at most rank(A) + 1 <= k + 1
+    rows.  Each is an extreme ray of C_(k-1) that misses the new variable or
+    a positive mix of two of opposite sign on it, so by induction every
+    extreme ray's row is produced and never skipped.  A skipped row's lambda
+    is not extreme: lambda = sum mu_j e_j over extreme rays with supports
+    inside lambda's, whose rows weighted by mu_j have the same left and right
+    sides, so they imply it.  If it is strict, some strict input i has
+    lambda_i > 0, so some e_j with mu_j > 0 has e_j[i] > 0: that row is
+    strict and so is the sum.  Dropped tautologies (0 <= t, t >= 0; 0 < t,
+    t > 0) only lower the sum's right side.  So an infeasible chain still
+    reaches a contradiction row, and every fiber stays exact.
+
+    A merged duplicate keeps every history it arrived with.  One row can
+    have several lambdas and only one may be extreme; extreme rays built on
+    the row later need that one's support.  Keeping only the first or the
+    smallest history can skip them and leave back-substitution an empty
+    interval.
     """
-    if row.expr.is_zero:
-        return (), row.rhs
-    expr, _, content = _normalize_row(row.expr, ZERO)
-    return expr.terms, row.rhs / content
+
+    def __init__(self, system: System):
+        self.depth = 0
+        self.of = {c.cid: {frozenset((c.cid,))} for c in system.constraints}
 
 
-def _tighter(a: tuple[Fraction, Relation], b: tuple[Fraction, Relation]) -> bool:
-    """Does bound a imply bound b along one direction?"""
-    if a[0] != b[0]:
-        return a[0] < b[0]
-    return a[1] is Relation.LT or b[1] is not Relation.LT
-
-
-def eliminate_var(system: System, var: int, start_id: int | None = None) -> tuple[System, EliminationTrace]:
+def eliminate_var(
+    system: System, var: int, start_id: int | None = None, *, history: _History | None = None
+) -> tuple[System, EliminationTrace]:
     """Project the system onto the remaining variables.
 
     Rows without the variable pass through unchanged (same ids).  Each
     positive/negative pair contributes one derived row, normalized to a
-    coprime integer vector.  Rows the step would leave mutually redundant are
-    pruned: derived tautologies are dropped, exact duplicates merge (all
-    parent combinations kept in the trace), and of several rows with the same
-    left-side direction only the tightest survives.  The pruning is
-    solution-set-exact and every surviving derived row keeps its full
+    coprime integer vector.  Derived tautologies are dropped, exact
+    duplicates merge (all parent combinations kept in the trace), and pairs
+    redundant by Chernikov's rule are skipped (see _History).  None of this
+    changes the solution set, and every derived row keeps its full
     derivation, so certificates are unaffected.
 
-    Multi-step drivers pass start_id, a floor for fresh constraint ids, so
-    that ids stay unique across a whole elimination chain even when pruning
-    shrinks an intermediate system below earlier id ranges.
+    The chain loop passes start_id, a floor for fresh ids that keeps ids
+    unique across the chain, and the chain's history.  A lone call needs
+    neither: every pair then has a 2-id history, within the limit 1 + 1.
     """
     if not 0 <= var < len(system.variables):
         raise UnknownVariableError(f"no variable index {var}")
     for c in system.constraints:
         if c.relation is Relation.EQ:
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
+    if history is None:
+        history = _History(system)
+    history.depth += 1
+    limit = history.depth + 1
 
     passthrough = []
     positive = []
@@ -152,79 +177,72 @@ def eliminate_var(system: System, var: int, start_id: int | None = None) -> tupl
             negative.append((c, -a))
 
     rows = list(passthrough)
-    bounds = []  # (rescaled bound, relation) per position in rows
+    histories = {c.cid: history.of[c.cid] for c in passthrough}
     derivations_of: dict[int, tuple[Derivation, ...]] = {}
-    by_key: dict[tuple, int] = {}  # (terms, rel, rhs) -> position in rows
-    by_dir: dict[tuple, int] = {}  # direction terms -> position of the tightest row
-    for i, c in enumerate(passthrough):
-        direction, beta = _direction(c)
-        by_key[(c.expr.terms, c.relation, c.rhs)] = i
-        bounds.append((beta, c.relation))
-        best = by_dir.get(direction)
-        if best is None or _tighter(bounds[i], bounds[best]):
-            by_dir[direction] = i
+    by_key = {(c.expr.terms, c.relation, c.rhs): c.cid for c in passthrough}
     next_id = system.next_id() if start_id is None else max(start_id, system.next_id())
     for pos, a in positive:
+        pos_histories = history.of[pos.cid]
         for neg, b in negative:
+            fits = {u for h in pos_histories for g in history.of[neg.cid] if len(u := h | g) <= limit}
+            if not fits:
+                continue  # redundant by Chernikov's rule
             coeff_pos = 1 / a
             coeff_neg = 1 / b
             expr = pos.expr.scale(coeff_pos) + neg.expr.scale(coeff_neg)
             rhs = pos.rhs * coeff_pos + neg.rhs * coeff_neg
             expr, rhs, factor = _normalize_row(expr, rhs)
             rel = Relation.LT if Relation.LT in (pos.relation, neg.relation) else Relation.LE
-            key = (expr.terms, rel, rhs)
             if expr.is_zero and rel.holds(ZERO, rhs):
                 continue  # derived tautology: var-free, never binds, never certifies
             derivation: Derivation = ((pos.cid, coeff_pos / factor), (neg.cid, coeff_neg / factor))
-            if key in by_key:
-                idx = by_key[key]
-                if rows[idx].cid in derivations_of:
-                    derivations_of[rows[idx].cid] += (derivation,)
+            key = (expr.terms, rel, rhs)
+            cid = by_key.get(key)
+            if cid is not None:
+                histories[cid] = histories[cid] | fits
+                if cid in derivations_of:
+                    derivations_of[cid] += (derivation,)
                 continue
-            row = Constraint(next_id, expr, rel, rhs, Provenance.derived((pos.cid, neg.cid)))
-            direction, beta = _direction(row)
-            bound = (beta, rel)
-            best = by_dir.get(direction)
-            if best is not None and _tighter(bounds[best], bound):
-                continue  # an existing row in this direction already implies it
-            rows.append(row)
-            bounds.append(bound)
+            rows.append(Constraint(next_id, expr, rel, rhs, Provenance.derived((pos.cid, neg.cid))))
+            histories[next_id] = fits
             derivations_of[next_id] = (derivation,)
-            by_key[key] = len(rows) - 1
-            if best is None or _tighter(bound, bounds[best]):
-                by_dir[direction] = len(rows) - 1
+            by_key[key] = next_id
             next_id += 1
 
-    # Keep only the tightest row per direction (ties were resolved above).
-    survivors = [row for i, row in enumerate(rows) if by_dir[_direction(row)[0]] == i]
-    produced = tuple(
-        ProducedRow(row.cid, derivations_of[row.cid])
-        for row in survivors
-        if row.cid in derivations_of
-    )
-    new_system = system.with_rows(survivors)
+    history.of = histories
+    produced = tuple(ProducedRow(cid, d) for cid, d in derivations_of.items())
     step = EliminationStep(var, produced)
-    return new_system, EliminationTrace(frozenset(system.ids()), (step,))
+    return system.with_rows(rows), EliminationTrace(frozenset(system.ids()), (step,))
 
 
-def _chain(system: System, order: list[int]) -> tuple[list[System], EliminationTrace]:
+def _chain(
+    system: System, order: list[int], greedy: bool = False, stop_at_contradiction: bool = True
+) -> tuple[list[System], list[int], EliminationTrace, int | None]:
+    """The one elimination loop: eliminate `order` in turn (greedy: the
+    cheapest remaining variable each step), threading the id floor and the
+    chain's history through eliminate_var.  Returns the systems (input
+    first), the variables as eliminated, the trace, and the id of a
+    contradiction row in the last system or None; by default it stops at the
+    first contradiction."""
+    history = _History(system)
     trace = EliminationTrace(frozenset(system.ids()))
     chain = [system]
-    current = system
+    chosen: list[int] = []
+    pending = list(order)
     floor = system.next_id()
-    for var in order:
-        current, step_trace = eliminate_var(current, var, start_id=floor)
+    while True:
+        current = chain[-1]
+        contradictions = (c.cid for c in current.constraints if is_zero_row(c) is RowClass.CONTRADICTION)
+        bad = next(contradictions, None)
+        if not pending or (bad is not None and stop_at_contradiction):
+            return chain, chosen, trace, bad
+        var = _cheapest_var(current, pending) if greedy else pending[0]
+        pending.remove(var)
+        chosen.append(var)
+        current, step_trace = eliminate_var(current, var, floor, history=history)
         floor = max(floor, current.next_id())
         trace = trace.extend(step_trace.steps[0])
         chain.append(current)
-    return chain, trace
-
-
-def _first_contradiction(system: System) -> int | None:
-    for c in system.constraints:
-        if is_zero_row(c) is RowClass.CONTRADICTION:
-            return c.cid
-    return None
 
 
 def _bounds_for(system: System, var: int, known: dict[int, Fraction]):
@@ -254,7 +272,7 @@ def _pick_midpoint(lo, lo_strict, hi, hi_strict) -> Fraction:
             return (lo + hi) / 2
         if lo == hi and not lo_strict and not hi_strict:
             return lo
-        raise LincertError("empty interval during back-substitution")  # pragma: no cover
+        raise InvariantError("empty interval during back-substitution")  # pragma: no cover
     if lo is not None:
         return lo + 1
     if hi is not None:
@@ -301,23 +319,9 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     what the flag-only probes in the cone and implicit modules use.
     """
     greedy = order == "greedy"
-    pending = list(range(len(system.variables))) if (order is None or greedy) else list(order)
-    trace = EliminationTrace(frozenset(system.ids()))
-    chain = [system]
-    chosen: list[int] = []
-    current = system
-    floor = system.next_id()
-    bad = _first_contradiction(current)
-    remaining = set(pending)
-    while remaining and bad is None:
-        var = _cheapest_var(current, remaining) if greedy else pending[len(chosen)]
-        remaining.discard(var)
-        chosen.append(var)
-        current, step_trace = eliminate_var(current, var, start_id=floor)
-        floor = max(floor, current.next_id())
-        trace = trace.extend(step_trace.steps[0])
-        chain.append(current)
-        bad = _first_contradiction(current)
+    if order is None or greedy:
+        order = list(range(len(system.variables)))
+    chain, chosen, trace, bad = _chain(system, order, greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
     witness = _back_substitute(chain, chosen)
@@ -336,8 +340,8 @@ def sample_point(system: System, rng: random.Random) -> Point:
     infeasible; check feasibility first when unsure.
     """
     order = list(range(len(system.variables)))
-    chain, trace = _chain(system, order)
-    if _first_contradiction(chain[-1]) is not None:
+    chain, _, _, bad = _chain(system, order)
+    if bad is not None:
         raise LincertError("cannot sample from an infeasible system")
 
     def pick(lo, lo_strict, hi, hi_strict) -> Fraction:
@@ -361,13 +365,8 @@ def project(system: System, keep: set[int] | frozenset[int]) -> System:
     for v in keep:
         if not 0 <= v < len(system.variables):
             raise UnknownVariableError(f"no variable index {v}")
-    current = system
-    floor = system.next_id()
-    for var in range(len(system.variables)):
-        if var not in keep:
-            current, _ = eliminate_var(current, var, start_id=floor)
-            floor = max(floor, current.next_id())
-    return current
+    order = [v for v in range(len(system.variables)) if v not in keep]
+    return _chain(system, order, stop_at_contradiction=False)[0][-1]
 
 
 def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:

@@ -26,9 +26,11 @@ from fractions import Fraction
 
 from .core import (
     Constraint,
+    InvariantError,
     LincertError,
     LinearExpr,
     MultiplierVector,
+    NonHomogeneousError,
     Provenance,
     Relation,
     RelationError,
@@ -39,10 +41,6 @@ from .core import (
 
 
 class PivotError(LincertError):
-    pass
-
-
-class NonHomogeneousError(LincertError):
     pass
 
 
@@ -269,5 +267,5 @@ def redundancy_witness(cls: PivotClassification, mu_new: MultiplierVector) -> Mu
         total = total + row.expr.scale(w)
         rhs += row.rhs * w
     if total != pivot.expr or rhs != pivot.rhs:
-        raise LincertError("redundancy witness failed verification")  # pragma: no cover
+        raise InvariantError("redundancy witness failed verification")  # pragma: no cover
     return witness

@@ -15,7 +15,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .core import LincertError, System, evaluate, make_system
+from .core import InvariantError, LincertError, System, evaluate, make_system
 from .cone import is_bounded, is_reduced_to_origin
 from .fourier import feasibility, is_infeasibility_certificate
 from .pipeline import ExploreBudgetExceeded, MAIN_ROWS_FIRST, explore, run
@@ -197,10 +197,10 @@ def oracle_verdict(system: System) -> bool:
     verdict = feasibility(system)
     if verdict.feasible:
         if not all(evaluate(c, verdict.witness) for c in system.constraints):
-            raise LincertError("oracle witness failed verification")  # pragma: no cover
+            raise InvariantError("oracle witness failed verification")
     else:
         if not is_infeasibility_certificate(system, verdict.certificate):
-            raise LincertError("oracle certificate failed verification")  # pragma: no cover
+            raise InvariantError("oracle certificate failed verification")  # pragma: no cover
     return verdict.feasible
 
 
@@ -249,6 +249,8 @@ def run_trial(
             interval=trace.interval.describe(),
             detail=detail,
         )
+    except InvariantError:
+        raise  # a lincert bug, not a data point
     except LincertError as exc:
         return TrialReport(index=index, system_text=text, status="error", error=str(exc))
 

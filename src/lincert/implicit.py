@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (
     Constraint,
     InfeasibleSystemError,
-    LincertError,
+    InvariantError,
     MultiplierVector,
     Relation,
     RelationError,
@@ -70,7 +70,7 @@ def _probe(system: System, cid: int) -> tuple[bool, MultiplierVector | None]:
     # On a feasible base system the contradiction must lean on the strict row
     # with zero combined right side, which is exactly an equality certificate.
     if lam.get(cid) <= 0 or not check_multiplier_certificate(system, lam):
-        raise LincertError("strict-probe certificate failed verification")  # pragma: no cover
+        raise InvariantError("strict-probe certificate failed verification")  # pragma: no cover
     return True, lam
 
 
@@ -126,6 +126,6 @@ def nonzero_multiplier_exists(system: System) -> tuple[bool, MultiplierVector | 
             weights = {rows[j].cid: verdict.witness.value(j) for j in range(len(rows))}
             lam = MultiplierVector.of(weights)
             if lam.is_zero or not check_multiplier_certificate(system, lam):
-                raise LincertError("multiplier-cone witness failed verification")  # pragma: no cover
+                raise InvariantError("multiplier-cone witness failed verification")  # pragma: no cover
             return True, lam
     return False, None

@@ -32,6 +32,7 @@ from lincert.harness import CounterStream, GenParams, generate_bounded, run_diff
 from lincert.implicit import implicit_set
 from lincert.pipeline import explore, pivot_sequence, run
 from lincert.cone import has_solution_at_infinity
+from lincert.sysfile import parse
 
 REPO = Path(__file__).resolve().parents[1]
 BASELINE = REPO / "baseline" / "difftest-seed42-trials500.json"
@@ -208,6 +209,32 @@ def test_criterion_6_oracle_self_certification():
             else:
                 assert not verdict.certificate.is_zero
                 assert is_infeasibility_certificate(system, verdict.certificate)
+
+
+# Planted at (1, 3, 3, 2, 3); 4 of the 10 rows are strict.  Elimination
+# without history pruning ran past 30 s on this system.
+FIVE_BY_TEN = """vars: x1 x2 x3 x4 x5
+-2*x1 + 3*x2 - x3 - 4*x4 - 5*x5 <= -19
+3*x1 + 5*x2 + 3*x3 + x4 + x5 < 36
+-2*x1 + 5*x2 - 2*x3 - 2*x4 + 2*x5 < 10
+3*x1 + x2 + 3*x3 + 2*x4 + 2*x5 < 29
+2*x1 - 3*x2 + x3 + 3*x4 - x5 <= 1
+-2*x1 - 3*x2 + 4*x3 - 3*x4 - 4*x5 <= -13
+-2*x1 - 4*x2 + x3 + 2*x4 - 4*x5 <= -15
+3*x1 + 4*x2 - 5*x3 + 4*x4 + 3*x5 <= 20
+-5*x1 - 2*x2 - 3*x3 - 3*x4 - 2*x5 <= -29
+4*x1 - 3*x2 - 2*x3 - 3*x4 + 3*x5 < -4
+"""
+
+
+def test_five_variable_reach():
+    with Budget("reach: 5 variables, 10 rows, 4 strict", 5.0):
+        system = parse(FIVE_BY_TEN)
+        assert len(system.variables) == 5 and len(system.constraints) == 10
+        for order in (None, "greedy"):
+            verdict = feasibility(system, order=order)
+            assert verdict.feasible
+            assert all(evaluate(c, verdict.witness) for c in system.constraints)
 
 
 def _random_standard(stream, max_vars=4, max_rows=6, bound=5, homogeneous=False):

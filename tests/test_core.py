@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lincert import cone, gauss
 from lincert.core import (
     Constraint,
     LinearExpr,
     MultiplierVector,
     NegativeMultiplierError,
+    NonHomogeneousError,
     Point,
     Relation,
     RelationError,
@@ -33,6 +35,10 @@ def section2_primal(rhs1=2, rhs2=-1):
         mains=[({"x": -1, "y": 1}, "<=", rhs1), ({"x": 1, "y": -1}, "<=", rhs2)],
         nonneg="all",
     )
+
+
+def test_non_homogeneous_error_is_shared():
+    assert gauss.NonHomogeneousError is cone.NonHomogeneousError is NonHomogeneousError
 
 
 def test_rat_rejects_floats():

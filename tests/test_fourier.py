@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincert.core import (
+    Constraint,
+    LinearExpr,
     MultiplierVector,
     Point,
+    Provenance,
     Relation,
     RelationError,
     UnknownConstraintError,
@@ -24,6 +27,8 @@ from lincert.fourier import (
     project,
     sample_point,
 )
+from lincert.implicit import strict_variant
+from lincert.sysfile import parse
 
 
 def section2_primal(rhs1=2, rhs2=-1):
@@ -192,13 +197,13 @@ def test_farkas_multi_step_chain():
     assert verdict.certificate == MultiplierVector.of({0: 1, 1: 1, 2: 1})
 
 
-def _random_system(rng, max_vars=3, max_rows=4, bound=3):
+def _random_system(rng, max_vars=3, max_rows=4, bound=3, relations=("<=",)):
     nvars = rng.randint(1, max_vars)
     names = [f"x{i}" for i in range(nvars)]
     rows = []
     for _ in range(rng.randint(1, max_rows)):
         coeffs = {n: rng.randint(-bound, bound) for n in names}
-        rows.append((coeffs, "<=", rng.randint(-bound, bound)))
+        rows.append((coeffs, rng.choice(relations), rng.randint(-bound, bound)))
     return make_system(names, mains=rows)
 
 
@@ -307,20 +312,95 @@ def test_certificate_survives_heavy_pruning():
     assert is_infeasibility_certificate(sys, verdict.certificate)
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_certificates_always_verify(data):
-    nvars = data.draw(st.integers(1, 3))
+def _draw_mixed_rows(data, max_vars=3, max_rows=4):
+    nvars = data.draw(st.integers(1, max_vars))
     names = [f"x{i}" for i in range(nvars)]
-    nrows = data.draw(st.integers(1, 4))
     rows = []
-    for _ in range(nrows):
+    for _ in range(data.draw(st.integers(1, max_rows))):
         coeffs = {n: data.draw(st.integers(-3, 3)) for n in names}
         rel = data.draw(st.sampled_from(["<=", "<"]))
         rows.append((coeffs, rel, data.draw(st.integers(-3, 3))))
-    sys = make_system(names, mains=rows)
-    verdict = feasibility(sys)
+    return names, rows
+
+
+def _evidence_holds(system, verdict):
     if verdict.feasible:
-        assert satisfies_all(sys, verdict.witness)
-    else:
-        assert is_infeasibility_certificate(sys, verdict.certificate)
+        return satisfies_all(system, verdict.witness)
+    return is_infeasibility_certificate(system, verdict.certificate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certificates_always_verify(data):
+    names, rows = _draw_mixed_rows(data)
+    sys = make_system(names, mains=rows)
+    assert _evidence_holds(sys, feasibility(sys))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verdict_is_invariant_under_order_permutation_and_scaling(data):
+    names, rows = _draw_mixed_rows(data, max_vars=4, max_rows=6)
+    base = make_system(names, mains=rows)
+    expected = feasibility(base)
+    assert _evidence_holds(base, expected)
+    order = data.draw(st.permutations(range(len(names))))
+    permuted = make_system(names, mains=data.draw(st.permutations(rows)))
+    scales = [Fraction(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))) for _ in rows]
+    scaled = make_system(
+        names,
+        mains=[({n: c * k for n, c in coeffs.items()}, rel, rhs * k) for (coeffs, rel, rhs), k in zip(rows, scales)],
+    )
+    for sys in (base, permuted, scaled):
+        for how in (None, "greedy", list(order)):
+            verdict = feasibility(sys, order=how)
+            assert verdict.feasible == expected.feasible
+            assert _evidence_holds(sys, verdict)
+
+
+def test_merged_duplicate_keeps_every_history():
+    # The row x3 < 2 is derived twice, from inputs {3, 4, 5} and from
+    # {0, 3, 4}.  The only 4-row certificate, {0, 1, 3, 4}, is built on the
+    # second history: keeping only the first (or only the smallest) history
+    # skips it, and back-substitution then meets an empty interval.
+    base = parse(
+        "vars: x1 x2 x3\n"
+        "-x1 - 3*x2 - 2*x3 <= -4\n"
+        "-5*x1 + 2*x2 - 5*x3 <= -10\n"
+        "4*x1 - 3*x2 + 5*x3 <= 11\n"
+        "x1 + x2 + x3 <= 2\n"
+        "nonneg: all\n"
+    )
+    sys = strict_variant(base, 4)  # the x1 sign row, made strict
+    verdict = feasibility(sys, order="greedy")
+    assert not verdict.feasible
+    assert is_infeasibility_certificate(sys, verdict.certificate)
+
+
+def _pinned(system, values):
+    """The system plus rows fixing each variable in `values`."""
+    pins = []
+    for v, x in values.items():
+        pins += [(LinearExpr.from_terms({v: 1}), x), (LinearExpr.from_terms({v: -1}), -x)]
+    first = system.next_id()
+    extra = (Constraint(first + i, e, Relation.LE, r, Provenance.main()) for i, (e, r) in enumerate(pins))
+    return system.with_rows(system.constraints + tuple(extra))
+
+
+def test_multi_step_projection_is_exact_on_grid():
+    # The projection holds at a grid point exactly when the system pinned
+    # there is feasible; that verdict is trusted only with its evidence.
+    rng = random.Random(11)
+    grid = [Fraction(k, 2) for k in range(-6, 7)]
+    for _ in range(40):
+        sys = _random_system(rng, max_vars=4, max_rows=6, bound=3, relations=("<=", "<"))
+        n = len(sys.variables)
+        keep = set(rng.sample(range(n), rng.randint(0, n - 1)))
+        out = project(sys, keep)
+        assert all(set(c.expr.variables()) <= keep for c in out.constraints)
+        for _ in range(12):
+            values = {v: rng.choice(grid) for v in keep}
+            pinned = _pinned(sys, values)
+            verdict = feasibility(pinned)
+            assert _evidence_holds(pinned, verdict)
+            assert satisfies_all(out, Point.of(values)) == verdict.feasible

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from lincert.core import LincertError, evaluate, make_system
+from lincert import harness
+from lincert.core import InvariantError, LincertError, Point, evaluate, make_system
 from lincert.cone import is_bounded
-from lincert.fourier import feasibility, is_infeasibility_certificate
+from lincert.fourier import FeasibilityVerdict, feasibility, is_infeasibility_certificate
 from lincert.harness import (
     CounterStream,
     GenParams,
@@ -159,3 +160,12 @@ def test_oracle_evidence_is_rechecked_per_trial():
             assert all(evaluate(c, verdict.witness) for c in sys.constraints)
         else:
             assert is_infeasibility_certificate(sys, verdict.certificate)
+
+
+def test_run_trial_raises_when_oracle_evidence_fails(monkeypatch):
+    # A witness that fails its check is a lincert bug, not a trial result.
+    system = make_system(["x"], mains=[({"x": 1}, "<=", 1)], nonneg="all")
+    bad = FeasibilityVerdict(True, witness=Point.of({0: 5}))
+    monkeypatch.setattr(harness, "feasibility", lambda system, order=None: bad)
+    with pytest.raises(InvariantError):
+        run_trial(0, system)
