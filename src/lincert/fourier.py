@@ -316,21 +316,18 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     By default variables go in table order, which keeps witnesses stable;
     order="greedy" picks the cheapest variable each step instead (same
     verdicts and valid evidence, different intermediate growth), which is
-    what the flag-only probes in the cone and implicit modules use.
+    what the flag-only probes in the cone and implicit modules use.  An
+    explicit order must list each variable exactly once.
     """
     greedy = order == "greedy"
     if order is None or greedy:
         order = list(range(len(system.variables)))
+    elif sorted(order) != list(range(len(system.variables))):
+        raise LincertError("elimination order must list each variable exactly once")
     chain, chosen, trace, bad = _chain(system, order, greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
-    witness = _back_substitute(chain, chosen)
-    # Variables outside the elimination order would be unassigned; the default
-    # order covers the whole table, explicit orders must too.
-    for v in range(len(system.variables)):
-        if not witness.has(v):
-            raise LincertError("elimination order must cover every variable")
-    return FeasibilityVerdict(True, witness=witness)
+    return FeasibilityVerdict(True, witness=_back_substitute(chain, chosen))
 
 
 def sample_point(system: System, rng: random.Random) -> Point:

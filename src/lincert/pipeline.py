@@ -13,15 +13,20 @@ point {1}.
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
 makes the choice explicit and reproducible, and `explore` enumerates the
-whole pivot tree to quantify the sensitivity.  Whether the verdict agrees
-with direct elimination on the input is measured, never assumed; see the
-harness module.
+whole pivot tree to quantify the sensitivity.  `run` works on Fraction
+systems, because its steps are printed and replayed; `explore` only needs
+the verdicts, so it walks the tree on coprime integer rows, substitutes
+without fractions (as in Bareiss 1968), and merges states that differ only
+by positive row scaling.  Whether the verdict agrees with direct
+elimination on the input is measured, never assumed; see the harness
+module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import (
     Constraint,
@@ -29,15 +34,14 @@ from .core import (
     LinearExpr,
     Provenance,
     Relation,
-    RowClass,
     System,
     ZERO,
-    is_zero_row,
     rat,
     validate_standard_shape,
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
 from .dual import strong_elementary_dual
+from .fourier import normalized_key
 from .gauss import substitute_through
 
 
@@ -101,9 +105,7 @@ class Interval:
 
 def terminal_interval(system: System, var: int) -> Interval:
     """Exact feasible interval of a one-variable system."""
-    lo = hi = None
-    lo_open = hi_open = False
-    empty = False
+    rows = []
     for c in system.constraints:
         extra = [v for v, _ in c.expr.terms if v != var]
         if extra:
@@ -111,13 +113,22 @@ def terminal_interval(system: System, var: int) -> Interval:
             raise LincertError(f"terminal system still mentions {names}")
         if c.relation is Relation.EQ:
             raise LincertError(f"terminal system contains an equality row {c.cid}")
-        a = c.expr.coeff(var)
+        rows.append((c.expr.coeff(var), c.rhs, c.relation is Relation.LT))
+    return _interval(rows)
+
+
+def _interval(rows) -> Interval:
+    """The solution set of rows a*l <= rhs (a*l < rhs when strict) given as
+    (a, rhs, strict) triples of ints or Fractions."""
+    lo = hi = None
+    lo_open = hi_open = False
+    empty = False
+    for a, rhs, strict in rows:
         if a == 0:
-            if is_zero_row(c) is RowClass.CONTRADICTION:
+            if rhs < 0 or (strict and rhs == 0):
                 empty = True
             continue
-        bound = c.rhs / a
-        strict = c.relation is Relation.LT
+        bound = Fraction(rhs, a)
         if a > 0:
             if hi is None or bound < hi or (bound == hi and strict):
                 hi, hi_open = bound, strict
@@ -353,57 +364,126 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
     """Walk every admissible pivot sequence (all lambda orders, all eligible
     rows; the zero fallback only when no row is eligible).
 
-    States reached by different label-preserving paths are merged, so the
-    walk is a DAG traversal; `state_budget` caps the number of distinct
-    states and a LincertError subclass is raised beyond it.  The input is
-    pivot-sensitive when two sequences end in different verdicts.
+    States reached by different paths are merged, so the walk is a DAG
+    traversal; `state_budget` caps the number of distinct states and a
+    LincertError subclass is raised beyond it.  The input is pivot-sensitive
+    when two sequences end in different verdicts.
+
+    The walk runs on integer rows (label, coefficients, rhs, strict,
+    pivotable), each the coprime integer multiple of its working-system row,
+    kept in constraint-id order.  Pivoting on row p (coefficient a0 on the
+    variable) maps each other row with coefficient a != 0 to
+    |a0|*row - a*sign(a0)*p, divided by its gcd.  That is |a|*|a0| times
+    the row `substitute_through` emits, the promoted sign row -l <= 0
+    included, so the walk meets the same states up to positive row scaling.
+    Scaling changes nothing the walk reads: which rows mention a variable
+    (eligibility), which rows are pivotable (sign and extension rows are
+    not; every rewritten row is), the sign pattern the next move works
+    from, and each terminal bound rhs/a.  States equal up to that scaling
+    therefore have the same subtree, and because rows are kept coprime the
+    key (remaining variables, rows) merges them with no normalising pass.
+    The key carries labels, not constraint ids: the working system fixes a
+    one-to-one map between the two, so an id adds nothing, and the rows'
+    id order is the order candidates are tried in.  Fractions are built
+    only for the terminal interval.
     """
     ws = build_working_system(primal, sigma=sigma)
     lambda_one = ws.lambda_one
     names = ws.system.variables
+    labels = dict(ws.labels)
     memo: dict = {}
     states = 0
 
-    def state_key(system: System, labels: dict[int, str], remaining: frozenset[int]):
-        rows = tuple(
-            sorted((labels.get(c.cid, ""), c.expr.terms, c.relation.value, c.rhs) for c in system.constraints)
-        )
-        return (remaining, rows)
+    start = []
+    for c in sorted(ws.system.constraints, key=lambda c: c.cid):
+        terms, relation, rhs = normalized_key(c)
+        if relation is Relation.EQ:
+            raise LincertError(f"working system contains an equality row {c.cid}")
+        coeffs = [0] * len(names)
+        for v, a in terms:
+            coeffs[v] = a.numerator
+        pivotable = c.provenance.kind not in ("sign", "extension")
+        start.append((labels[c.cid], tuple(coeffs), rhs.numerator, relation is Relation.LT, pivotable))
 
-    def visit(system: System, labels: dict[int, str], remaining: frozenset[int]):
+    def visit(rows: tuple, remaining: frozenset[int]):
         nonlocal states
-        key = state_key(system, labels, remaining)
-        if key in memo:
-            return memo[key]
+        key = (remaining, rows)
+        found = memo.get(key)
+        if found is not None:
+            return found
         states += 1
         if states > state_budget:
             raise ExploreBudgetExceeded(f"pivot tree exceeds {state_budget} distinct states")
         if not remaining:
-            interval = terminal_interval(system, lambda_one)
+            interval = _interval((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
             verdict = "solvable" if interval.is_point(1) else "unsolvable"
-            result = ({(interval, verdict): ()}, 1)
-            memo[key] = result
-            return result
+            memo[key] = ({(interval, verdict): ()}, 1)
+            return memo[key]
         outcomes: dict = {}
         count = 0
         for var in sorted(remaining):
-            candidates = _eligible_pivots(system, var)
-            moves = [(var, c) for c in sorted(candidates, key=lambda c: c.cid)] or [(var, None)]
-            for mvar, pivot in moves:
-                new_system, new_labels, step = _apply_step(system, labels, mvar, pivot)
-                sub_outcomes, sub_count = visit(new_system, new_labels, remaining - {mvar})
+            rest = remaining - {var}
+            moves = [
+                (row[0], _pivot_integer_rows(rows, i, var))
+                for i, row in enumerate(rows)
+                if row[4] and row[1][var]
+            ]
+            for label, new_rows in moves or [("zero", _drop_sign_row(rows, var))]:
+                sub_outcomes, sub_count = visit(new_rows, rest)
                 count += sub_count
-                head = (names[mvar], step.pivot_label if pivot is not None else "zero")
+                head = (names[var], label)
                 for outcome_key, suffix in sub_outcomes.items():
                     outcomes.setdefault(outcome_key, (head,) + suffix)
         memo[key] = (outcomes, count)
         return memo[key]
 
     remaining = frozenset(v for v in range(len(names)) if v != lambda_one)
-    outcomes, count = visit(ws.system, dict(ws.labels), remaining)
+    outcomes, count = visit(tuple(start), remaining)
     ordered = sorted(
         (ExploreOutcome(interval, verdict, seq) for (interval, verdict), seq in outcomes.items()),
         key=lambda o: (o.verdict, o.interval.describe(), o.sequence),
     )
     verdicts = {o.verdict for o in ordered}
     return ExploreResult(tuple(ordered), count, len(verdicts) > 1, states)
+
+
+def _pivot_integer_rows(rows: tuple, p: int, var: int) -> tuple:
+    """Substitute `var` out through integer row p set to equality."""
+    _, pivot, pivot_rhs, _, _ = rows[p]
+    a0 = pivot[var]
+    m0 = abs(a0)
+    s0 = 1 if a0 > 0 else -1
+    out = []
+    for i, row in enumerate(rows):
+        if i == p:
+            continue
+        label, coeffs, rhs, strict, _ = row
+        a = coeffs[var]
+        if not a:
+            out.append(row)
+            continue
+        f = a * s0
+        new = [m0 * x - f * y for x, y in zip(coeffs, pivot)]
+        new_rhs = m0 * rhs - f * pivot_rhs
+        g = gcd(*new, new_rhs)
+        if g > 1:
+            new = [x // g for x in new]
+            new_rhs //= g
+        out.append((label, tuple(new), new_rhs, strict, True))
+    return tuple(out)
+
+
+def _drop_sign_row(rows: tuple, var: int) -> tuple:
+    """The zero fallback on integer rows: drop the sign row -var <= 0; no
+    other row may mention var."""
+    sign = tuple(-1 if v == var else 0 for v in range(len(rows[0][1])))
+    out = []
+    dropped = False
+    for row in rows:
+        if row[1][var]:
+            if not dropped and not row[4] and row[1] == sign:
+                dropped = True
+                continue
+            raise LincertError("fallback hit a row that still mentions the variable")  # pragma: no cover
+        out.append(row)
+    return tuple(out)

@@ -237,6 +237,17 @@ def test_five_variable_reach():
             assert all(evaluate(c, verdict.witness) for c in system.constraints)
 
 
+def test_explore_reach_heavy_class():
+    # Seed-42 trial 229, 3 variables and 2 drawn rows: its pivot tree used to
+    # pass the default 4000-state budget after about 4 s; scale-merged
+    # integer states finish it in a few hundred.
+    with Budget("reach: explore on seed-42 trial 229", 5.0):
+        system = generate_bounded(CounterStream(42, "trial-229"), GenParams(seed=42))
+        assert len(system.variables) == 3 and len(system.main_rows()) == 5
+        result = explore(system)
+        assert result.pivot_sensitive
+
+
 def _random_standard(stream, max_vars=4, max_rows=6, bound=5, homogeneous=False):
     nvars = stream.randint(1, max_vars)
     names = [f"x{i + 1}" for i in range(nvars)]
@@ -329,7 +340,7 @@ def test_criterion_9_transfer_round_trip():
 
 
 def test_criterion_10_differential_baseline():
-    with Budget("criterion 10: differential baseline, seed 42, 500 trials", 300.0):
+    with Budget("criterion 10: differential baseline, seed 42, 500 trials", 60.0):
         assert BASELINE.exists(), "baseline report is committed with the repository"
         report = run_difftest(GenParams(seed=42), 500)
         fresh = report.to_dict(include_wall_clock=False)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lincert.core import (
     Constraint,
+    LincertError,
     LinearExpr,
     MultiplierVector,
     Point,
@@ -128,6 +129,15 @@ def test_feasibility_infeasible_variant_certifies():
     assert is_infeasibility_certificate(sys, lam)
     # Rows 1 + 2 alone already force [0] <= -1.
     assert lam == MultiplierVector.of({0: 1, 1: 1})
+
+
+def test_explicit_order_must_list_each_variable_once():
+    # Both verdicts refuse a partial order, before any elimination.
+    for sys in (section2_primal(), section2_primal(rhs1=-2, rhs2=1)):
+        for order in ([0], [0, 0], [0, 1, 2]):
+            with pytest.raises(LincertError, match="exactly once"):
+                feasibility(sys, order=order)
+        assert feasibility(sys, order=[1, 0]).feasible == feasibility(sys).feasible
 
 
 def test_feasibility_empty_system():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lincert.core import (
+    Constraint,
     LinearExpr,
     Point,
     Relation,
@@ -13,12 +15,15 @@ from lincert.cone import is_reduced_to_origin
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
 from lincert.fourier import normalized_key
 from lincert.gauss import substitute_through, transfer_multipliers, classify
+from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.pipeline import (
     ExploreBudgetExceeded,
     Interval,
     MAIN_ROWS_FIRST,
     PivotRuleError,
     UnboundedInputError,
+    _apply_step,
+    _eligible_pivots,
     build_working_system,
     explicit_order,
     explore,
@@ -327,3 +332,69 @@ def test_sigma_is_configurable():
     assert ext.rhs == 4
     trace = run(solvable_cone(), MAIN_SEQUENCE, sigma=4)
     assert trace.verdict == "solvable"
+
+def reference_explore(primal):
+    """Every pivot sequence walked with no memo through the Fraction
+    `_apply_step`: the first witness per outcome in walk order, and the
+    number of sequences."""
+    ws = build_working_system(primal)
+    names = ws.system.variables
+    outcomes = {}
+    count = 0
+
+    def walk(system, labels, remaining, prefix):
+        nonlocal count
+        if not remaining:
+            interval = terminal_interval(system, ws.lambda_one)
+            verdict = "solvable" if interval.is_point(1) else "unsolvable"
+            outcomes.setdefault((interval, verdict), prefix)
+            count += 1
+            return
+        for var in sorted(remaining):
+            for pivot in sorted(_eligible_pivots(system, var), key=lambda c: c.cid) or [None]:
+                new_system, new_labels, step = _apply_step(system, labels, var, pivot)
+                head = (names[var], step.pivot_label or "zero")
+                walk(new_system, new_labels, remaining - {var}, prefix + (head,))
+
+    walk(ws.system, dict(ws.labels), frozenset(v for v in range(len(names)) if v != ws.lambda_one), ())
+    return outcomes, count
+
+
+def small_draws(seed, wanted, max_multipliers):
+    draws = []
+    i = 0
+    while len(draws) < wanted:
+        system = generate_bounded(CounterStream(seed, f"draw-{i}"), GenParams(seed=seed))
+        i += 1
+        if len(build_working_system(system).system.variables) <= max_multipliers:
+            draws.append(system)
+    return draws
+
+
+def test_explore_matches_unmemoized_fraction_walk():
+    sensitive = 0
+    for system in small_draws(3, 30, 5):
+        outcomes, count = reference_explore(system)
+        result = explore(system)
+        assert {(o.interval, o.verdict): o.sequence for o in result.outcomes} == outcomes
+        assert result.sequence_count == count
+        assert result.pivot_sensitive == (len({verdict for _, verdict in outcomes}) > 1)
+        sensitive += result.pivot_sensitive
+    assert 0 < sensitive < 30  # both kinds of input are covered
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_explore_is_invariant_under_positive_row_scaling(seed, data):
+    # Scaling a primal row scales one multiplier's column of the working
+    # system, so every pivot state maps to a positive rescaling of itself.
+    system = generate_bounded(CounterStream(seed, "scaling"), GenParams(max_vars=3, max_cons=3, seed=seed))
+    if len(build_working_system(system).system.variables) > 6:
+        return
+    rows = []
+    for c in system.constraints:
+        k = 1 if c.provenance.kind == "sign" else data.draw(st.integers(1, 7))
+        rows.append(Constraint(c.cid, c.expr.scale(k), c.relation, c.rhs * k, c.provenance))
+    base, scaled = explore(system), explore(system.with_rows(rows))
+    assert scaled.outcomes == base.outcomes
+    assert scaled.sequence_count == base.sequence_count
