@@ -10,6 +10,7 @@ differential testing).  Every subcommand takes --json for machine output and
     check:   0 feasible, 1 infeasible, 2 error
     solve9:  0 solvable, 1 unsolvable, 2 error, 3 pivot-sensitive (--explore)
     others:  0 ok, 2 error
+    all:     4 internal error (lincert's own evidence failed its check)
 
 Rationals are always serialized as exact 'p/q' strings, never floats.
 """
@@ -21,6 +22,7 @@ import json
 import sys
 
 from .core import (
+    InvariantError,
     LincertError,
     MultiplierVector,
     Point,
@@ -394,6 +396,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (LincertError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

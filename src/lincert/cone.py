@@ -80,20 +80,27 @@ def recession_system(system: System) -> System:
 
 
 def has_solution_at_infinity(system: System) -> tuple[bool, Point | None]:
-    """Search the recession cone for a nonzero ray, one coordinate probe at a
-    time (x_j >= 1, and x_j <= -1 when x_j carries no sign row)."""
+    """Search the recession cone for a nonzero ray.
+
+    One probe, sum(x_j) >= 1 over the sign-constrained coordinates, finds a
+    ray whenever one has a signed coordinate off zero: those coordinates are
+    >= 0 on the cone, so such a ray scales to meet the probe.  Only when it
+    fails are the unsigned coordinates probed one at a time (x_v >= 1, then
+    x_v <= -1).  Every ray left has its signed coordinates at zero, so a
+    nonzero one is nonzero on some unsigned coordinate, and scaling makes
+    that coordinate reach 1 or -1: the search stays exact."""
     recession = recession_system(system)
     signed = {v for v in range(len(system.variables)) if recession.sign_row_for(v) is not None}
-    cid = recession.next_id()
+    probes = [LinearExpr.from_terms({v: -1 for v in signed})] if signed else []
     for v in range(len(system.variables)):
-        probes = [LinearExpr.from_terms({v: -1})]
         if v not in signed:
-            probes.append(LinearExpr.from_terms({v: 1}))
-        for expr in probes:
-            probe_row = Constraint(cid, expr, Relation.LE, ZERO - 1, Provenance.main())
-            verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
-            if verdict.feasible:
-                return True, verdict.witness
+            probes += [LinearExpr.from_terms({v: -1}), LinearExpr.from_terms({v: 1})]
+    cid = recession.next_id()
+    for expr in probes:
+        probe_row = Constraint(cid, expr, Relation.LE, ZERO - 1, Provenance.main())
+        verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
+        if verdict.feasible:
+            return True, verdict.witness
     return False, None
 
 

@@ -6,6 +6,17 @@ the elimination oracle; infeasibility of the strict variant is exactly the
 implicit-equality condition, and the resulting contradiction certificate is a
 nonnegative multiplier vector summing the ORIGINAL rows to [0] with zero right
 side and positive weight on the target row.
+
+One certificate settles many rows at once.  Let the system be feasible at
+x*, and let lam refute a variant in which some <= rows are made strict: lam
+sums the left sides to [0] and the right sides to some r, with r < 0, or
+r <= 0 when a strict row carries weight.  Since the left sides cancel, r is
+the sum of lam_i * (b_i - a_i x*), and every term is >= 0 because x*
+satisfies the original rows.  So r = 0 and every term is zero: each row lam
+weights is tight at x*.  As x* was any feasible point, every weighted row is
+an implicit equality, lam weights no row that is strict in the input (such
+a row has slack at x*), and lam sums the original rows to [0] <= 0.
+implicit_set builds on this.
 """
 
 from __future__ import annotations
@@ -59,10 +70,6 @@ def is_implicit_equality(system: System, cid: int) -> tuple[bool, MultiplierVect
         raise RelationError(f"constraint {cid} has relation {target.relation.value!r}; expected '<='")
     if not feasibility(system, order="greedy").feasible:
         raise InfeasibleSystemError("implicit equalities are undefined on an infeasible system")
-    return _probe(system, cid)
-
-
-def _probe(system: System, cid: int) -> tuple[bool, MultiplierVector | None]:
     verdict = feasibility(strict_variant(system, cid), order="greedy")
     if verdict.feasible:
         return False, None
@@ -75,23 +82,44 @@ def _probe(system: System, cid: int) -> tuple[bool, MultiplierVector | None]:
 
 
 def implicit_set(system: System) -> ImplicitReport:
-    """Strict-probe every <= row; the joint certificate is the sum of the
-    per-row certificates.  Infeasible input yields feasible=False and an
-    empty set instead of an error."""
+    """Every implicit equality among the <= rows, with one joint certificate.
+
+    Keeps an open set of the <= rows not yet known to be implicit and probes
+    the system with every open row strict.  A feasible probe shows that no
+    open row is implicit.  An infeasible one yields a certificate lam.  The
+    system is feasible at some x*, so sum(lam_i * (b_i - a_i x*)) = 0 with
+    every term >= 0 (module docstring): every row lam weights is tight at
+    every feasible point, lam weights no input strict row, and it must weight
+    at least one open row, or rows that all hold at x* would refute the
+    probe.  Those rows leave the open set and lam joins the joint
+    certificate, a sum of per-round certificates that is positive on every
+    reported row.  After the base check that is one probe per round plus at
+    most one feasible probe, not one per row.  Infeasible input yields
+    feasible=False and an empty set instead of an error."""
     for c in system.constraints:
         if c.relation is Relation.EQ:
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
     if not feasibility(system, order="greedy").feasible:
         return ImplicitReport(False, frozenset(), MultiplierVector())
-    ids = []
+    # A strict input row can never hold with equality.
+    open_ids = {c.cid for c in system.constraints if c.relation is Relation.LE}
+    ids: set[int] = set()
     joint = MultiplierVector()
-    for c in system.constraints:
-        if c.relation is not Relation.LE:
-            continue  # a strict row can never hold with equality
-        flag, lam = _probe(system, c.cid)
-        if flag:
-            ids.append(c.cid)
-            joint = joint + lam
+    while open_ids:
+        probe = system.with_rows(
+            Constraint(c.cid, c.expr, Relation.LT, c.rhs, c.provenance) if c.cid in open_ids else c
+            for c in system.constraints
+        )
+        verdict = feasibility(probe, order="greedy")
+        if verdict.feasible:
+            break
+        lam = verdict.certificate
+        moved = open_ids.intersection(lam.ids())
+        if not moved or not check_multiplier_certificate(system, lam):
+            raise InvariantError("strict-probe certificate failed verification")  # pragma: no cover
+        open_ids -= moved
+        ids |= moved
+        joint = joint + lam
     return ImplicitReport(True, frozenset(ids), joint)
 
 
@@ -99,10 +127,11 @@ def nonzero_multiplier_exists(system: System) -> tuple[bool, MultiplierVector | 
     """Does some nonzero nonnegative weighting sum the rows to [0] with zero
     right side?
 
-    Decided by feasibility probes on the multiplier cone: one auxiliary
-    variable per row, equality rows pinning each variable's total coefficient
-    and the total right side to zero, then one probe per row asking for
-    weight >= 1 there (scaling freedom makes 1 harmless).
+    Decided by one feasibility probe on the multiplier cone: one auxiliary
+    variable u_i >= 0 per row, equality rows pinning each variable's total
+    coefficient and the total right side to zero, and sum(u) >= 1.  A
+    nonzero point of the cone scales to one with sum(u) >= 1, so the probe
+    is feasible exactly when such a weighting exists.
     """
     rows = list(system.constraints)
     for c in rows:
@@ -118,14 +147,11 @@ def nonzero_multiplier_exists(system: System) -> tuple[bool, MultiplierVector | 
     eqs.append((rhs_coeffs, "<=", 0))
     eqs.append(({n: -c for n, c in rhs_coeffs.items()}, "<=", 0))
 
-    for i in range(len(rows)):
-        probe = eqs + [({names[i]: -1}, "<=", -1)]
-        cone = make_system(names, mains=probe, nonneg="all")
-        verdict = feasibility(cone, order="greedy")
-        if verdict.feasible:
-            weights = {rows[j].cid: verdict.witness.value(j) for j in range(len(rows))}
-            lam = MultiplierVector.of(weights)
-            if lam.is_zero or not check_multiplier_certificate(system, lam):
-                raise InvariantError("multiplier-cone witness failed verification")  # pragma: no cover
-            return True, lam
-    return False, None
+    probe = eqs + [({n: -1 for n in names}, "<=", -1)]
+    verdict = feasibility(make_system(names, mains=probe, nonneg="all"), order="greedy")
+    if not verdict.feasible:
+        return False, None
+    lam = MultiplierVector.of({rows[j].cid: verdict.witness.value(j) for j in range(len(rows))})
+    if lam.is_zero or not check_multiplier_certificate(system, lam):
+        raise InvariantError("multiplier-cone witness failed verification")  # pragma: no cover
+    return True, lam

@@ -77,6 +77,18 @@ def test_check_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):
+    import lincert.cli
+    from lincert.core import InvariantError
+
+    def broken(system, order=None):
+        raise InvariantError("oracle witness failed verification")
+
+    monkeypatch.setattr(lincert.cli, "feasibility", broken)
+    assert main(["check", files["sec2"]]) == 4
+    assert capsys.readouterr().err == "internal error: oracle witness failed verification\n"
+
+
 def test_fourier_projection(files, capsys):
     code, data = run_json(capsys, ["fourier", files["sec2"], "--eliminate", "x"])
     assert code == 0

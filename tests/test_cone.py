@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lincert.core import LincertError, evaluate, make_system
+import lincert.cone
+from lincert.core import Constraint, LincertError, LinearExpr, Provenance, Relation, evaluate, make_system
 from lincert.cone import (
     NonHomogeneousError,
     dehomogenize,
@@ -12,6 +14,7 @@ from lincert.cone import (
     is_full_dimensional,
     is_reduced_to_origin,
     primal_cone,
+    recession_system,
 )
 from lincert.fourier import feasibility
 from lincert.implicit import nonzero_multiplier_exists
@@ -180,3 +183,54 @@ def test_dual_of_full_dimensional_primal_is_origin_only():
         done += 1
         dual = elementary_dual(primal)
         assert is_reduced_to_origin(dual.system)
+
+
+def _ray_by_coordinate(system):
+    """Reference: probe x_v >= 1 for every coordinate, and x_v <= -1 for the
+    unsigned ones, one at a time."""
+    recession = recession_system(system)
+    probes = []
+    for v in range(len(system.variables)):
+        probes.append({v: -1})
+        if recession.sign_row_for(v) is None:
+            probes.append({v: 1})
+    for terms in probes:
+        expr = LinearExpr.from_terms(terms)
+        row = Constraint(recession.next_id(), expr, Relation.LE, Fraction(-1), Provenance.main())
+        if feasibility(recession.with_rows(recession.constraints + (row,))).feasible:
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_solution_at_infinity_matches_per_coordinate_probes(data):
+    names = [f"x{i}" for i in range(data.draw(st.integers(1, 3)))]
+    coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
+    row = st.tuples(coeffs | st.just({}), st.sampled_from(["<=", "<"]), st.integers(-2, 2))
+    rows = data.draw(st.lists(row, max_size=4))
+    if data.draw(st.booleans()):
+        a, b = data.draw(coeffs), data.draw(st.integers(-2, 2))
+        rows += [(a, "<=", b), ({n: -c for n, c in a.items()}, "<=", -b)]
+    sys = make_system(names, mains=rows, nonneg=[n for n in names if data.draw(st.booleans())])
+    flag, ray = has_solution_at_infinity(sys)
+    assert flag == _ray_by_coordinate(sys)
+    if flag:
+        assert any(x != 0 for _, x in ray.values)
+        assert all(evaluate(c, ray) for c in recession_system(sys).constraints)
+    else:
+        assert ray is None
+
+
+def test_is_bounded_on_signed_system_makes_one_probe(monkeypatch):
+    calls = []
+
+    def counted(system, order=None):
+        calls.append(order)
+        return feasibility(system, order)
+
+    monkeypatch.setattr(lincert.cone, "feasibility", counted)
+    assert is_bounded(interval_primal())
+    assert len(calls) == 1
+    assert not is_bounded(section2_primal())
+    assert len(calls) == 2

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lincert.implicit
 from lincert.core import (
     InfeasibleSystemError,
     MultiplierVector,
     Point,
+    Relation,
     check_multiplier_certificate,
     evaluate,
     make_system,
@@ -134,3 +137,99 @@ def test_full_dimensional_systems_have_no_implicit_rows():
     sys = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 3)], nonneg="all")
     assert is_full_dimensional(sys)
     assert implicit_set(sys).implicit_ids == frozenset()
+
+
+@st.composite
+def small_systems(draw, relations=("<=", "<=", "<")):
+    """Up to 3 variables, some unsigned; random rows with strict and zero
+    rows mixed in, and sometimes a pinned pair a <= b, -a <= -b.  Draws may
+    be infeasible."""
+    names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
+    coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
+    rows = [
+        (draw(coeffs | st.just({})), draw(st.sampled_from(relations)), draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if draw(st.booleans()):
+        a, b = draw(coeffs), draw(st.integers(-2, 2))
+        rows += [(a, "<=", b), ({n: -c for n, c in a.items()}, "<=", -b)]
+    nonneg = [n for n in names if draw(st.booleans())]
+    return make_system(names, mains=draw(st.permutations(rows)), nonneg=nonneg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=small_systems())
+def test_implicit_set_matches_per_row_probes(sys):
+    report = implicit_set(sys)
+    assert report.feasible == feasibility(sys).feasible
+    if not report.feasible:
+        assert report.implicit_ids == frozenset() and report.certificate.is_zero
+        return
+    per_row = {
+        c.cid for c in sys.constraints if c.relation is Relation.LE and is_implicit_equality(sys, c.cid)[0]
+    }
+    assert report.implicit_ids == per_row
+    assert check_multiplier_certificate(sys, report.certificate)
+    assert set(report.certificate.ids()) == per_row
+
+
+def _nonzero_multiplier_by_row(system):
+    """Reference: one multiplier-cone probe per row, asking for u_i >= 1."""
+    rows = system.constraints
+    names = [f"u{i}" for i in range(len(rows))]
+    eqs = []
+    for var in range(len(system.variables)):
+        coeffs = {names[i]: rows[i].expr.coeff(var) for i in range(len(rows))}
+        eqs += [(coeffs, "<=", 0), ({n: -c for n, c in coeffs.items()}, "<=", 0)]
+    rhs = {names[i]: rows[i].rhs for i in range(len(rows))}
+    eqs += [(rhs, "<=", 0), ({n: -c for n, c in rhs.items()}, "<=", 0)]
+    return any(
+        feasibility(make_system(names, mains=eqs + [({n: -1}, "<=", -1)], nonneg="all")).feasible
+        for n in names
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=small_systems(relations=("<=",)))
+def test_nonzero_multiplier_exists_matches_per_row_probes(sys):
+    flag, lam = nonzero_multiplier_exists(sys)
+    assert flag == _nonzero_multiplier_by_row(sys)
+    if flag:
+        assert not lam.is_zero and check_multiplier_certificate(sys, lam)
+    else:
+        assert lam is None
+
+
+def _count_feasibility_calls(monkeypatch):
+    calls = []
+
+    def counted(system, order=None):
+        calls.append(order)
+        return feasibility(system, order)
+
+    monkeypatch.setattr(lincert.implicit, "feasibility", counted)
+    return calls
+
+
+def test_implicit_set_probe_counts(monkeypatch):
+    calls = _count_feasibility_calls(monkeypatch)
+    # Full-dimensional: the base check and one feasible all-strict probe.
+    triangle = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 3)], nonneg="all")
+    assert implicit_set(triangle).implicit_ids == frozenset()
+    assert len(calls) == 2
+    calls.clear()
+    # Pinned: one refuted probe settles both rows of the pair, then the
+    # sign rows pass strict.
+    pinned = make_system(
+        ["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 2), ({"x": -1, "y": -1}, "<=", -2)], nonneg="all"
+    )
+    assert implicit_set(pinned).implicit_ids == {0, 1}
+    assert len(calls) == 3
+
+
+def test_nonzero_multiplier_exists_makes_one_probe(monkeypatch):
+    calls = _count_feasibility_calls(monkeypatch)
+    pair = make_system(["x", "y"], mains=[({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"y": 1}, "<=", 1)])
+    flag, lam = nonzero_multiplier_exists(pair)
+    assert flag and lam.ids() == (0, 1)
+    assert len(calls) == 1
