@@ -4,7 +4,8 @@ Homogenizing AX <= b with a fresh sign-constrained variable z (column -b,
 right-hand sides zeroed) gives the primal cone.  For bounded inputs the cone
 is reduced to the origin exactly when the input is unsolvable, and a cone
 point with z > 0 dehomogenizes to a primal solution; those two facts drive
-both the test suite and the solvability pipeline.
+both the test suite and the solvability pipeline.  Full dimension is read
+off the implicit equalities of one elimination (fourier.feasibility).
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from .core import (
     Provenance,
     Relation,
     RelationError,
-    RowClass,
     System,
     ZERO,
-    is_zero_row,
     validate_standard_shape,
 )
 from .fourier import feasibility
@@ -133,22 +132,11 @@ def is_reduced_to_origin(cone: System) -> bool:
     return not feasibility(cone.with_rows(cone.constraints + (probe,)), order="greedy").feasible
 
 
-def strictened(system: System) -> System:
-    """Every informative <= row becomes <; tautology rows stay as they are."""
-    rows = []
-    for c in system.constraints:
-        if c.relation is Relation.EQ:
-            raise RelationError(f"constraint {c.cid} is an equality; expand it first")
-        if c.relation is Relation.LE and is_zero_row(c) is not RowClass.TAUTOLOGY:
-            rows.append(Constraint(c.cid, c.expr, Relation.LT, c.rhs, c.provenance))
-        else:
-            rows.append(c)
-    return system.with_rows(rows)
-
-
 def is_full_dimensional(system: System) -> bool:
-    """Feasibility of the all-strict variant: an interior point exists."""
-    return feasibility(strictened(system), order="greedy").feasible
+    """An interior point exists: the system is feasible and every implicit
+    equality has an all-zero left side ([0] <= 0 cuts no dimension)."""
+    verdict = feasibility(system, order="greedy")
+    return verdict.feasible and all(system.constraint(cid).expr.is_zero for cid in verdict.implicit_ids)
 
 
 def dehomogenize(cone: PrimalCone, point: Point) -> Point:

@@ -9,7 +9,9 @@ Feasible primal points map onto dual multiplier certificates: weight x_j on
 the dual row of variable j, the slack r_i - L_i x on the sign row of l_i, and
 1 on the extension; recession rays do the same with zero extension weight.
 The extension's implicit-equality status therefore encodes primal
-solvability, and its strict-probe witness is a Farkas certificate carrier.
+solvability.  When the extension is not implicit, the dual witness of
+fourier.feasibility has positive extension slack and carries a Farkas
+certificate for the primal.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 
 from .core import (
     Constraint,
-    InvariantError,
+    InfeasibleSystemError,
     LincertError,
     LinearExpr,
     MultiplierVector,
@@ -28,12 +30,10 @@ from .core import (
     Relation,
     System,
     ZERO,
-    check_multiplier_certificate,
     rat,
     validate_standard_shape,
 )
 from .fourier import feasibility
-from .implicit import strict_variant
 
 
 @dataclass(frozen=True)
@@ -137,20 +137,20 @@ def strong_elementary_dual(
 
 
 def extension_status(dual: ElementaryDual) -> ExtensionStatus:
-    """Implicit-equality status of the extension row, with evidence.
+    """Implicit-equality status of the extension row, with evidence, from
+    one table-order feasibility call.
 
-    Implicit: a multiplier certificate with positive weight on the extension
-    (the primal is solvable).  Not implicit: a dual-feasible point whose
-    extension slack is strictly positive (a Farkas certificate for the
-    primal, up to orientation).
+    Implicit: the joint equality certificate, positive on the extension (the
+    primal is solvable).  Not implicit: the dual witness, a relative-interior
+    point, so its extension slack is strictly positive (a Farkas certificate
+    for the primal, up to orientation).
     """
-    verdict = feasibility(strict_variant(dual.system, dual.extension_id))
-    if verdict.feasible:
-        return ExtensionStatus(False, witness=verdict.witness)
-    lam = verdict.certificate
-    if lam.get(dual.extension_id) <= 0 or not check_multiplier_certificate(dual.system, lam):
-        raise InvariantError("extension probe certificate failed verification")  # pragma: no cover
-    return ExtensionStatus(True, certificate=lam)
+    verdict = feasibility(dual.system)
+    if not verdict.feasible:
+        raise InfeasibleSystemError("implicit equalities are undefined on an infeasible dual")
+    if dual.extension_id in verdict.implicit_ids:
+        return ExtensionStatus(True, certificate=verdict.equality_certificate)
+    return ExtensionStatus(False, witness=verdict.witness)
 
 
 def multipliers_from_primal_solution(

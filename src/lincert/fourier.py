@@ -8,6 +8,10 @@ procedure self-certifying: an infeasible system eventually produces a row
 multipliers over the input rows (a Farkas certificate).  A feasible system
 yields an exact witness by back-substitution.
 
+The implicit equalities, <= rows tight at every feasible point, come from
+the same elimination: they are the rows tight at the witness, and the
+derived [0] <= 0 rows, dropped but kept in the trace, certify them.
+
 Three rules keep the rows in check, and none changes a solution set:
 derived tautologies are dropped, exact duplicates merge, and within a chain
 of eliminations Chernikov's history rule skips every pair whose derived row
@@ -24,6 +28,7 @@ from math import gcd, lcm
 
 from .core import (
     Constraint,
+    InfeasibleSystemError,
     InvariantError,
     LincertError,
     LinearExpr,
@@ -37,6 +42,7 @@ from .core import (
     UnknownConstraintError,
     UnknownVariableError,
     ZERO,
+    check_multiplier_certificate,
     combine,
     is_zero_row,
 )
@@ -54,7 +60,9 @@ class ProducedRow:
 @dataclass(frozen=True)
 class EliminationStep:
     var: int
-    produced: tuple[ProducedRow, ...]
+    produced: tuple[ProducedRow, ...]  # new rows only
+    zero_rows: tuple[Derivation, ...] = ()  # derived [0] <= 0 rows, dropped
+    merged: tuple[tuple[int, Derivation], ...] = ()  # extra derivations of pass-through rows
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,9 @@ class EliminationTrace:
 class FeasibilityVerdict:
     feasible: bool
     witness: Point | None = None
-    certificate: MultiplierVector | None = None
+    certificate: MultiplierVector | None = None  # infeasible: Farkas multipliers
+    implicit_ids: frozenset[int] = frozenset()  # feasible: the implicit equalities
+    equality_certificate: MultiplierVector | None = None  # feasible: positive on exactly those
 
 
 def _normalize_row(expr: LinearExpr, rhs: Fraction) -> tuple[LinearExpr, Fraction, Fraction]:
@@ -148,7 +158,8 @@ def eliminate_var(
     duplicates merge (all parent combinations kept in the trace), and pairs
     redundant by Chernikov's rule are skipped (see _History).  None of this
     changes the solution set, and every derived row keeps its full
-    derivation, so certificates are unaffected.
+    derivation, so certificates are unaffected.  The step also records dropped
+    [0] <= 0 rows and duplicates of pass-through rows (equality_certificate).
 
     The chain loop passes start_id, a floor for fresh ids that keeps ids
     unique across the chain, and the chain's history.  A lone call needs
@@ -179,6 +190,8 @@ def eliminate_var(
     rows = list(passthrough)
     histories = {c.cid: history.of[c.cid] for c in passthrough}
     derivations_of: dict[int, tuple[Derivation, ...]] = {}
+    zero_rows: list[Derivation] = []
+    merged: list[tuple[int, Derivation]] = []
     by_key = {(c.expr.terms, c.relation, c.rhs): c.cid for c in passthrough}
     next_id = system.next_id() if start_id is None else max(start_id, system.next_id())
     for pos, a in positive:
@@ -194,7 +207,9 @@ def eliminate_var(
             expr, rhs, factor = _normalize_row(expr, rhs)
             rel = Relation.LT if Relation.LT in (pos.relation, neg.relation) else Relation.LE
             if expr.is_zero and rel.holds(ZERO, rhs):
-                continue  # derived tautology: var-free, never binds, never certifies
+                if rhs == 0:  # factor is 1
+                    zero_rows.append(((pos.cid, coeff_pos), (neg.cid, coeff_neg)))
+                continue  # derived tautology: var-free, never binds
             derivation: Derivation = ((pos.cid, coeff_pos / factor), (neg.cid, coeff_neg / factor))
             key = (expr.terms, rel, rhs)
             cid = by_key.get(key)
@@ -202,6 +217,8 @@ def eliminate_var(
                 histories[cid] = histories[cid] | fits
                 if cid in derivations_of:
                     derivations_of[cid] += (derivation,)
+                else:
+                    merged.append((cid, derivation))
                 continue
             rows.append(Constraint(next_id, expr, rel, rhs, Provenance.derived((pos.cid, neg.cid))))
             histories[next_id] = fits
@@ -211,7 +228,7 @@ def eliminate_var(
 
     history.of = histories
     produced = tuple(ProducedRow(cid, d) for cid, d in derivations_of.items())
-    step = EliminationStep(var, produced)
+    step = EliminationStep(var, produced, tuple(zero_rows), tuple(merged))
     return system.with_rows(rows), EliminationTrace(frozenset(system.ids()), (step,))
 
 
@@ -267,6 +284,8 @@ def _bounds_for(system: System, var: int, known: dict[int, Fraction]):
 
 
 def _pick_midpoint(lo, lo_strict, hi, hi_strict) -> Fraction:
+    """A point in the relative interior of the fiber; implicit-equality
+    detection rests on this (see _back_substitute)."""
     if lo is not None and hi is not None:
         if lo < hi:
             return (lo + hi) / 2
@@ -281,6 +300,13 @@ def _pick_midpoint(lo, lo_strict, hi, hi_strict) -> Fraction:
 
 
 def _back_substitute(chain: list[System], order: list[int], pick=_pick_midpoint) -> Point:
+    """Fix the variables last-eliminated first, each in its fiber.
+
+    Each chain system is an exact projection of the one before, so with
+    _pick_midpoint the point lies in the relative interior of the solution
+    set (Rockafellar, Convex Analysis, Thm 6.8, by induction down the chain):
+    a <= row is tight there iff it is tight at every feasible point.
+    """
     known: dict[int, Fraction] = {}
     for i in range(len(order) - 1, -1, -1):
         var = order[i]
@@ -309,15 +335,17 @@ def _cheapest_var(system: System, remaining) -> int:
 def feasibility(system: System, order: list[int] | str | None = None) -> FeasibilityVerdict:
     """Decide the system exactly, with evidence either way.
 
-    Feasible verdicts carry a witness point (midpoint back-substitution);
-    infeasible verdicts carry nonnegative multipliers over the input rows
-    whose combination is a contradiction row.
+    Feasible verdicts carry a witness point (midpoint back-substitution),
+    the implicit equalities (the <= rows tight there) and a certificate
+    weighting exactly them; a mismatch raises InvariantError.  Infeasible
+    verdicts carry nonnegative multipliers over the input rows whose
+    combination is a contradiction row.
 
     By default variables go in table order, which keeps witnesses stable;
     order="greedy" picks the cheapest variable each step instead (same
-    verdicts and valid evidence, different intermediate growth), which is
-    what the flag-only probes in the cone and implicit modules use.  An
-    explicit order must list each variable exactly once.
+    verdicts, implicit ids and valid evidence, different intermediate
+    growth), which the cone and implicit modules use.  An explicit order
+    must list each variable exactly once.
     """
     greedy = order == "greedy"
     if order is None or greedy:
@@ -327,19 +355,26 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     chain, chosen, trace, bad = _chain(system, order, greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
-    return FeasibilityVerdict(True, witness=_back_substitute(chain, chosen))
+    witness = _back_substitute(chain, chosen)
+    implicit = frozenset(
+        c.cid for c in system.constraints if c.relation is Relation.LE and c.expr.value_at(witness) == c.rhs
+    )
+    lam = equality_certificate(system, trace)
+    if set(lam.ids()) != implicit or not check_multiplier_certificate(system, lam):
+        raise InvariantError("equality certificate does not match the rows tight at the witness")
+    return FeasibilityVerdict(True, witness=witness, implicit_ids=implicit, equality_certificate=lam)
 
 
 def sample_point(system: System, rng: random.Random) -> Point:
     """Random feasible point via perturbed back-substitution.
 
-    Raises InfeasibleSystemError-style LincertError if the system is
-    infeasible; check feasibility first when unsure.
+    Raises InfeasibleSystemError if the system is infeasible; check
+    feasibility first when unsure.
     """
     order = list(range(len(system.variables)))
     chain, _, _, bad = _chain(system, order)
     if bad is not None:
-        raise LincertError("cannot sample from an infeasible system")
+        raise InfeasibleSystemError("cannot sample from an infeasible system")
 
     def pick(lo, lo_strict, hi, hi_strict) -> Fraction:
         if lo is not None and hi is not None:
@@ -370,8 +405,9 @@ def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:
     """Replay a derived contradiction row back to input-row multipliers.
 
     Weights flow from the target row down through the first recorded
-    derivation of each intermediate row; ids increase along derivations, so a
-    single descending pass suffices.
+    derivation of each intermediate row (merged duplicates only append
+    later ones); ids increase along derivations, so a single descending
+    pass suffices.
     """
     derivations = trace.derivation_map()
     if cid in trace.input_ids:
@@ -397,6 +433,45 @@ def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:
                 raise UnknownConstraintError(f"constraint {current} is not recorded in the trace")
             result[current] = result.get(current, ZERO) + w
     return MultiplierVector.of(result)
+
+
+def equality_certificate(system: System, trace: EliminationTrace) -> MultiplierVector:
+    """Sum of the replays of every [0] <= 0 row of a full elimination.
+
+    On a feasible system it weights exactly the implicit equalities.  Any
+    lambda >= 0 with lambda A = 0, lambda b = 0 weights only those, and each
+    extreme ray of that cone is a derivation of a chain row (the _History
+    argument), perhaps an extra one, so a row's weight is split evenly over
+    all its derivations, an input row counting as one of its own.  A step's
+    derivations use rows that die at that step, after every step deriving
+    them, so one pass over the steps, last first, suffices.
+    """
+    ways = {cid: 1 for cid in trace.input_ids}
+    for step in trace.steps:
+        for row in step.produced:
+            ways[row.cid] = len(row.derivations)
+        for cid, _ in step.merged:
+            ways[cid] += 1
+    weights = {
+        c.cid: Fraction(1) for c in system.constraints if c.relation is Relation.LE and c.expr.is_zero and c.rhs == 0
+    }
+
+    def spread(derivation: Derivation, w: Fraction) -> None:
+        for parent, coeff in derivation:
+            weights[parent] = weights.get(parent, ZERO) + w * coeff
+
+    for step in reversed(trace.steps):
+        for derivation in step.zero_rows:
+            spread(derivation, Fraction(1))
+        for cid, derivation in step.merged:
+            if cid in weights:
+                spread(derivation, weights[cid] / ways[cid])
+        for row in step.produced:
+            w = weights.pop(row.cid, None)
+            if w is not None:
+                for derivation in row.derivations:
+                    spread(derivation, w / ways[row.cid])
+    return MultiplierVector.of((cid, w / ways[cid]) for cid, w in weights.items())
 
 
 def is_infeasibility_certificate(system: System, lam: MultiplierVector) -> bool:

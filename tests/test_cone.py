@@ -222,7 +222,7 @@ def test_solution_at_infinity_matches_per_coordinate_probes(data):
         assert ray is None
 
 
-def test_is_bounded_on_signed_system_makes_one_probe(monkeypatch):
+def _count_feasibility_calls(monkeypatch):
     calls = []
 
     def counted(system, order=None):
@@ -230,7 +230,21 @@ def test_is_bounded_on_signed_system_makes_one_probe(monkeypatch):
         return feasibility(system, order)
 
     monkeypatch.setattr(lincert.cone, "feasibility", counted)
+    return calls
+
+
+def test_is_bounded_on_signed_system_makes_one_probe(monkeypatch):
+    calls = _count_feasibility_calls(monkeypatch)
     assert is_bounded(interval_primal())
     assert len(calls) == 1
     assert not is_bounded(section2_primal())
+    assert len(calls) == 2
+
+
+def test_is_full_dimensional_makes_one_probe(monkeypatch):
+    calls = _count_feasibility_calls(monkeypatch)
+    assert is_full_dimensional(interval_primal())
+    assert len(calls) == 1
+    point_only = make_system(["x"], mains=[({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0)])
+    assert not is_full_dimensional(point_only)
     assert len(calls) == 2

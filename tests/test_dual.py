@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import lincert.dual
 from lincert.core import (
+    InfeasibleSystemError,
     LinearExpr,
     Point,
     ShapeError,
@@ -146,6 +148,28 @@ def test_extension_status_of_unsolvable_primal():
     assert status.witness == Point.of({0: 1, 1: 1})
     ext = dual.system.constraint(dual.extension_id)
     assert -ext.expr.value_at(status.witness) == 1
+
+
+def test_extension_status_makes_one_probe(monkeypatch):
+    calls = []
+
+    def counted(system, order=None):
+        calls.append(order)
+        return feasibility(system, order)
+
+    monkeypatch.setattr(lincert.dual, "feasibility", counted)
+    assert extension_status(elementary_dual(section2_primal())).implicit
+    assert calls == [None]
+    assert not extension_status(elementary_dual(section2_primal(rhs1=-2, rhs2=1))).implicit
+    assert calls == [None, None]
+
+
+def test_extension_status_of_infeasible_strong_dual_is_an_error():
+    # l >= 1 from the objective, but the extension caps l at sigma = 0.
+    primal = make_system(["x"], mains=[({"x": 1}, "<=", 1)], nonneg="all")
+    strong = strong_elementary_dual(primal, LinearExpr.from_terms({0: 1}), sigma=0)
+    with pytest.raises(InfeasibleSystemError):
+        extension_status(strong)
 
 
 def test_extension_status_of_empty_primal_dual():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lincert.core import (
     Constraint,
+    InfeasibleSystemError,
     LincertError,
     LinearExpr,
     MultiplierVector,
@@ -28,7 +29,6 @@ from lincert.fourier import (
     project,
     sample_point,
 )
-from lincert.implicit import strict_variant
 from lincert.sysfile import parse
 
 
@@ -296,7 +296,7 @@ def test_sample_point_produces_feasible_variety():
 
 def test_sample_point_refuses_infeasible_input():
     sys = section2_primal(rhs1=-2, rhs2=1)
-    with pytest.raises(Exception):
+    with pytest.raises(InfeasibleSystemError):
         sample_point(sys, random.Random(0))
 
 
@@ -381,7 +381,10 @@ def test_merged_duplicate_keeps_every_history():
         "x1 + x2 + x3 <= 2\n"
         "nonneg: all\n"
     )
-    sys = strict_variant(base, 4)  # the x1 sign row, made strict
+    # The x1 sign row (id 4), made strict.
+    sys = base.with_rows(
+        Constraint(c.cid, c.expr, Relation.LT, c.rhs, c.provenance) if c.cid == 4 else c for c in base.constraints
+    )
     verdict = feasibility(sys, order="greedy")
     assert not verdict.feasible
     assert is_infeasibility_certificate(sys, verdict.certificate)

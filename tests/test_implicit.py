@@ -3,18 +3,24 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lincert.fourier
 import lincert.implicit
+from lincert.cone import is_full_dimensional
 from lincert.core import (
-    InfeasibleSystemError,
+    Constraint,
+    InvariantError,
+    LinearExpr,
     MultiplierVector,
     Point,
     Relation,
+    System,
     check_multiplier_certificate,
     evaluate,
     make_system,
 )
-from lincert.fourier import feasibility, sample_point
-from lincert.implicit import implicit_set, is_implicit_equality, nonzero_multiplier_exists
+from lincert.dual import elementary_dual, extension_status
+from lincert.fourier import feasibility, is_infeasibility_certificate, sample_point
+from lincert.implicit import implicit_set, nonzero_multiplier_exists
 
 
 def section2_primal(rhs1=2, rhs2=-1):
@@ -25,32 +31,50 @@ def section2_primal(rhs1=2, rhs2=-1):
     )
 
 
+def _strict(system, ids):
+    """The system with the rows in `ids` made strict."""
+    return system.with_rows(
+        Constraint(c.cid, c.expr, Relation.LT, c.rhs, c.provenance) if c.cid in ids else c for c in system.constraints
+    )
+
+
+def _implicit_by_row(system):
+    """Reference for a feasible system: one strict probe per <= row.  A row
+    is an implicit equality iff making it strict leaves no solution."""
+    return {
+        c.cid
+        for c in system.constraints
+        if c.relation is Relation.LE and not feasibility(_strict(system, {c.cid}), order="greedy").feasible
+    }
+
+
 def test_explicit_equality_pair():
     sys = make_system(["x"], mains=[({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0)])
-    flag, lam = is_implicit_equality(sys, 0)
-    assert flag
-    assert lam == MultiplierVector.of({0: 1, 1: 1})
+    report = implicit_set(sys)
+    assert report.implicit_ids == {0, 1} == _implicit_by_row(sys)
+    lam = report.certificate
+    assert lam.get(0) == lam.get(1) > 0
     assert check_multiplier_certificate(sys, lam)
 
 
 def test_worked_example_rows_are_not_implicit():
     sys = section2_primal()
     # (0, 1) satisfies -x + y <= 2 with slack 1, so row 0 cannot be implicit.
-    flag, lam = is_implicit_equality(sys, 0)
-    assert not flag and lam is None
+    assert evaluate(sys.constraint(0), Point.from_names(sys, {"x": 0, "y": 1}))
     # (0, 2) satisfies x - y <= -1 with slack 1, so row 1 is not implicit either.
     assert evaluate(sys.constraint(1), Point.from_names(sys, {"x": 0, "y": 2}))
-    flag, _ = is_implicit_equality(sys, 1)
-    assert not flag
+    report = implicit_set(sys)
+    assert report.feasible
+    assert report.implicit_ids == frozenset() == _implicit_by_row(sys)
 
 
 def test_infeasible_input_is_a_distinct_error():
     sys = section2_primal(rhs1=-2, rhs2=1)
-    with pytest.raises(InfeasibleSystemError):
-        is_implicit_equality(sys, 0)
     report = implicit_set(sys)
     assert not report.feasible
     assert report.implicit_ids == frozenset()
+    verdict = feasibility(sys)
+    assert verdict.implicit_ids == frozenset() and verdict.equality_certificate is None
 
 
 def test_implicit_set_of_fourier_projection_is_empty():
@@ -132,18 +156,16 @@ def test_reported_rows_are_tight_at_sampled_witnesses():
 
 
 def test_full_dimensional_systems_have_no_implicit_rows():
-    from lincert.cone import is_full_dimensional
-
     sys = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 3)], nonneg="all")
     assert is_full_dimensional(sys)
     assert implicit_set(sys).implicit_ids == frozenset()
 
 
 @st.composite
-def small_systems(draw, relations=("<=", "<=", "<")):
-    """Up to 3 variables, some unsigned; random rows with strict and zero
-    rows mixed in, and sometimes a pinned pair a <= b, -a <= -b.  Draws may
-    be infeasible."""
+def small_systems(draw, relations=("<=", "<=", "<"), all_signed=False):
+    """Up to 3 variables, some unsigned unless all_signed; random rows with
+    strict and zero rows mixed in, and sometimes a pinned pair a <= b,
+    -a <= -b.  Draws may be infeasible."""
     names = [f"x{i}" for i in range(draw(st.integers(1, 3)))]
     coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
     rows = [
@@ -153,7 +175,7 @@ def small_systems(draw, relations=("<=", "<=", "<")):
     if draw(st.booleans()):
         a, b = draw(coeffs), draw(st.integers(-2, 2))
         rows += [(a, "<=", b), ({n: -c for n, c in a.items()}, "<=", -b)]
-    nonneg = [n for n in names if draw(st.booleans())]
+    nonneg = names if all_signed else [n for n in names if draw(st.booleans())]
     return make_system(names, mains=draw(st.permutations(rows)), nonneg=nonneg)
 
 
@@ -165,9 +187,7 @@ def test_implicit_set_matches_per_row_probes(sys):
     if not report.feasible:
         assert report.implicit_ids == frozenset() and report.certificate.is_zero
         return
-    per_row = {
-        c.cid for c in sys.constraints if c.relation is Relation.LE and is_implicit_equality(sys, c.cid)[0]
-    }
+    per_row = _implicit_by_row(sys)
     assert report.implicit_ids == per_row
     assert check_multiplier_certificate(sys, report.certificate)
     assert set(report.certificate.ids()) == per_row
@@ -213,18 +233,25 @@ def _count_feasibility_calls(monkeypatch):
 
 def test_implicit_set_probe_counts(monkeypatch):
     calls = _count_feasibility_calls(monkeypatch)
-    # Full-dimensional: the base check and one feasible all-strict probe.
     triangle = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 3)], nonneg="all")
     assert implicit_set(triangle).implicit_ids == frozenset()
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
-    # Pinned: one refuted probe settles both rows of the pair, then the
-    # sign rows pass strict.
     pinned = make_system(
         ["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 2), ({"x": -1, "y": -1}, "<=", -2)], nonneg="all"
     )
     assert implicit_set(pinned).implicit_ids == {0, 1}
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_equality_certificate_mismatch_is_an_invariant_error(monkeypatch):
+    # The certificate and the rows tight at the witness are found apart; a
+    # certificate that misses a tight row must never be reported.
+    monkeypatch.setattr(lincert.fourier, "equality_certificate", lambda system, trace: MultiplierVector())
+    pinned = make_system(["x"], mains=[({"x": 1}, "<=", 1), ({"x": -1}, "<=", -1)])
+    with pytest.raises(InvariantError):
+        implicit_set(pinned)
+    assert feasibility(make_system(["x"], mains=[({"x": 1}, "<=", 1)])).implicit_ids == frozenset()
 
 
 def test_nonzero_multiplier_exists_makes_one_probe(monkeypatch):
@@ -233,3 +260,67 @@ def test_nonzero_multiplier_exists_makes_one_probe(monkeypatch):
     flag, lam = nonzero_multiplier_exists(pair)
     assert flag and lam.ids() == (0, 1)
     assert len(calls) == 1
+
+
+def _tight_rows(system, point):
+    return {c.cid for c in system.constraints if c.relation is Relation.LE and c.expr.value_at(point) == c.rhs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=small_systems(), data=st.data())
+def test_rows_tight_at_the_witness_are_the_implicit_equalities(sys, data):
+    # The witness lies in the relative interior of the solution set, so under
+    # any elimination order the rows tight there are the implicit equalities.
+    if not feasibility(sys).feasible:
+        return
+    per_row = _implicit_by_row(sys)
+    permutation = data.draw(st.permutations(range(len(sys.variables))))
+    for order in (None, "greedy", list(permutation)):
+        verdict = feasibility(sys, order=order)
+        assert verdict.feasible
+        assert _tight_rows(sys, verdict.witness) == verdict.implicit_ids == per_row
+        lam = verdict.equality_certificate
+        assert set(lam.ids()) == per_row and check_multiplier_certificate(sys, lam)
+
+
+def _renamed(system, permutation):
+    """The same system with its variable table permuted: variable v moves to
+    position permutation.index(v); row ids stay."""
+    where = {v: i for i, v in enumerate(permutation)}
+    rows = []
+    for c in system.constraints:
+        expr = LinearExpr.from_terms({where[v]: a for v, a in c.expr.terms})
+        rows.append(Constraint(c.cid, expr, c.relation, c.rhs, c.provenance))
+    return System(tuple(system.variables[v] for v in permutation), tuple(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=small_systems(), data=st.data())
+def test_renaming_variables_keeps_verdict_and_implicit_equalities(sys, data):
+    renamed = _renamed(sys, data.draw(st.permutations(range(len(sys.variables)))))
+    expected = feasibility(sys)
+    verdict = feasibility(renamed)
+    assert verdict.feasible == expected.feasible
+    assert verdict.implicit_ids == expected.implicit_ids
+    assert is_full_dimensional(renamed) == is_full_dimensional(sys)
+    if verdict.feasible:
+        assert all(evaluate(c, verdict.witness) for c in renamed.constraints)
+        lam = verdict.equality_certificate
+        assert set(lam.ids()) == verdict.implicit_ids and check_multiplier_certificate(renamed, lam)
+    else:
+        assert is_infeasibility_certificate(renamed, verdict.certificate)
+
+
+@settings(max_examples=150, deadline=None)
+@given(primal=small_systems(relations=("<=",), all_signed=True))
+def test_extension_status_matches_strict_probe(primal):
+    dual = elementary_dual(primal)
+    ext = dual.extension_id
+    status = extension_status(dual)
+    assert status.implicit == (not feasibility(_strict(dual.system, {ext})).feasible)
+    assert status.implicit == feasibility(primal).feasible
+    if status.implicit:
+        lam = status.certificate
+        assert lam.get(ext) > 0 and check_multiplier_certificate(dual.system, lam)
+    else:
+        assert all(evaluate(c, status.witness) for c in _strict(dual.system, {ext}).constraints)
