@@ -63,8 +63,6 @@ def rat(value, den=None) -> Fraction:
         raise TypeError("floats are not exact; pass ints, Fractions, or 'p/q' strings")
     if den is not None:
         return Fraction(value) / Fraction(den)
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 

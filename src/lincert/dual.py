@@ -75,31 +75,11 @@ class ExtensionStatus:
     witness: Point | None = None                 # not implicit: dual point with positive slack
 
 
-def _dual_parts(primal: System):
-    mains, _ = validate_standard_shape(primal)
-    lam_names = tuple(f"l{i + 1}" for i in range(len(mains)))
-    return mains, lam_names
-
-
 def elementary_dual(primal: System) -> ElementaryDual:
-    mains, lam_names = _dual_parts(primal)
-    rows = []
-    row_origin = []
-    nvars = len(primal.variables)
-    for j in range(nvars):
-        expr = LinearExpr.from_terms({i: -mains[i].expr.coeff(j) for i in range(len(mains))})
-        rows.append(Constraint(j, expr, Relation.LE, ZERO, Provenance.main()))
-        row_origin.append((j, j))
-    ext_id = nvars
-    ext_expr = LinearExpr.from_terms({i: mains[i].rhs for i in range(len(mains))})
-    rows.append(Constraint(ext_id, ext_expr, Relation.LE, ZERO, Provenance.extension()))
-    for i in range(len(mains)):
-        rows.append(
-            Constraint(ext_id + 1 + i, LinearExpr.from_terms({i: -1}), Relation.LE, ZERO, Provenance.sign())
-        )
-    system = System(lam_names, tuple(rows))
-    origin = tuple((i, mains[i].cid) for i in range(len(mains)))
-    return ElementaryDual(system, ext_id, origin, tuple(row_origin))
+    """The strong dual with a zero objective and sigma = 0: A^T L >= 0,
+    -sum(l_i r_i) >= 0 and l >= 0."""
+    sd = strong_elementary_dual(primal, LinearExpr(), sigma=0)
+    return ElementaryDual(sd.system, sd.extension_id, sd.lambda_origin, sd.row_origin)
 
 
 def strong_elementary_dual(
@@ -107,8 +87,9 @@ def strong_elementary_dual(
 ) -> StrongElementaryDual:
     """Dual rows A^T L >= c; extension -sum(l_i r_i) >= -sigma when sigma is
     given, else the symbolic mixed form over (lambda, x) variables."""
-    mains, lam_names = _dual_parts(primal)
+    mains, _ = validate_standard_shape(primal)
     nlam = len(mains)
+    lam_names = tuple(f"l{i + 1}" for i in range(nlam))
     nvars = len(primal.variables)
     sigma = rat(sigma) if sigma is not None else None
     variables = lam_names if sigma is not None else lam_names + primal.variables

@@ -15,6 +15,9 @@ recovers the pivot's weight.  A negative reconstruction is exactly the
 parasite case, and rearranging the identity then exhibits the pivot row as a
 nonnegative combination of the others (the pivot was redundant).
 
+`substitute_through` makes the new system and nothing else.  `classify`
+groups the rows around a pivot for the certificate side: `transfer_multipliers`,
+`reverse_multipliers` and `redundancy_witness` work from its grouping.
 Transformed rows keep their constraint ids (the pivot's id disappears), so
 multiplier vectors on the old and new systems share a key space.
 """
@@ -63,16 +66,6 @@ class PivotClassification:
             if i == cid:
                 return s
         raise LincertError(f"constraint {cid} carries no scale factor")
-
-
-@dataclass(frozen=True)
-class SubstitutionRecord:
-    var: int
-    pivot_id: int
-    substitution: LinearExpr          # x0 = substitution + constant
-    constant: Fraction
-    new_to_old: tuple[tuple[int, int], ...]  # ids are stable; promoted row keeps its sign-row id
-    classification: PivotClassification
 
 
 @dataclass(frozen=True)
@@ -137,54 +130,41 @@ def classify(system: System, var: int, pivot_id: int, homogeneous: bool = True) 
     )
 
 
-def substitute_through(system: System, var: int, pivot_id: int, homogeneous: bool = False):
-    """Substitute var out through the pivot-set-to-equality; general right sides.
+def substitute_through(system: System, var: int, pivot_id: int) -> System:
+    """Substitute var out through the pivot row set to equality.
 
-    Rows with the variable are emitted in the scaled form
-        -+ (1/a0)(L0 - r0-part) + (1/|a|)(L - r-part) <= ...
-    matching the transfer table; rows without it pass through unchanged; the
-    variable's sign row becomes the main row (1/a0)L0 <= (1/a0)r0.
+    Each other row a*x0 + L <= r with a != 0 becomes
+        (1/|a|)L - (sign(a)/a0)L0 <= r/|a| - sign(a)*r0/a0,
+    the substituted row divided by |a|, matching the transfer table.  The
+    variable's sign row -x0 <= 0 thereby becomes the main row
+    (1/a0)L0 <= r0/a0.  Rows without x0 pass through unchanged and every row
+    keeps its id.  Right sides may be nonzero.  Only what the substitution
+    needs is checked: every row is '<=' and the pivot mentions x0; `classify`
+    carries the certificate bookkeeping.
     """
-    cls = classify(system, var, pivot_id, homogeneous=homogeneous)
     pivot = system.constraint(pivot_id)
-    a0 = cls.pivot_scale * cls.pivot_sign
+    for c in system.constraints:
+        if c.relation is not Relation.LE:
+            raise RelationError(f"constraint {c.cid} has relation {c.relation.value!r}; expected '<='")
+    a0 = pivot.expr.coeff(var)
+    if a0 == 0:
+        raise PivotError(f"pivot row {pivot_id} has no {system.variables[var]!r} term")
     l0 = pivot.expr.drop(var)
     r0 = pivot.rhs
 
     rows = []
-    id_map = []
     for c in system.constraints:
         if c.cid == pivot_id:
             continue
         a = c.expr.coeff(var)
         if a == 0:
             rows.append(c)
-            id_map.append((c.cid, c.cid))
             continue
-        if c.cid == cls.var_sign_id:
-            expr = l0.scale(1 / a0)
-            rhs = r0 / a0
-        else:
-            s = 1 if a > 0 else -1
-            expr = c.expr.drop(var).scale(1 / abs(a)) - l0.scale(Fraction(s, 1) / a0)
-            rhs = c.rhs / abs(a) - r0 * s / a0
+        s = 1 if a > 0 else -1
+        expr = c.expr.drop(var).scale(1 / abs(a)) - l0.scale(Fraction(s, 1) / a0)
+        rhs = c.rhs / abs(a) - r0 * s / a0
         rows.append(Constraint(c.cid, expr, c.relation, rhs, Provenance.derived((c.cid, pivot_id))))
-        id_map.append((c.cid, c.cid))
-    new_system = system.with_rows(rows)
-    record = SubstitutionRecord(
-        var=var,
-        pivot_id=pivot_id,
-        substitution=l0.scale(Fraction(-1) / a0),
-        constant=r0 / a0,
-        new_to_old=tuple(id_map),
-        classification=cls,
-    )
-    return new_system, record
-
-
-def substitute_eliminate(system: System, var: int, pivot_id: int):
-    """Homogeneous-cone variant of substitute_through (the classic setting)."""
-    return substitute_through(system, var, pivot_id, homogeneous=True)
+    return system.with_rows(rows)
 
 
 def transfer_multipliers(cls: PivotClassification, mu: MultiplierVector) -> MultiplierVector:
@@ -227,14 +207,12 @@ def _reconstruct(cls: PivotClassification, mu_new: MultiplierVector):
 def reverse_multipliers(cls: PivotClassification, mu_new: MultiplierVector) -> ReversalResult:
     """Lift a certificate on the substituted system back, or report Parasite.
 
-    Legitimate means the reconstructed pivot weight is nonnegative and the
-    full reconstructed vector certifies on the source system; anything else
-    is a parasite weighting (and a redundancy witness for the pivot row when
-    the reconstructed weight is negative).
+    Legitimate means the reconstructed pivot weight is nonnegative; the
+    transfer identity then makes the reconstructed vector a certificate on
+    the source system, and a failed check is an InvariantError.  A negative
+    weight is a parasite weighting and a redundancy witness for the pivot row.
     """
-    new_system, _ = substitute_through(
-        cls.system, cls.var, cls.pivot_id, homogeneous=False
-    )
+    new_system = substitute_through(cls.system, cls.var, cls.pivot_id)
     if not check_multiplier_certificate(new_system, mu_new):
         raise LincertError("multipliers are not a valid certificate on the substituted system")
     pivot_weight, weights = _reconstruct(cls, mu_new)
@@ -242,18 +220,16 @@ def reverse_multipliers(cls: PivotClassification, mu_new: MultiplierVector) -> R
         return ReversalResult(False, None, pivot_weight)
     lifted = MultiplierVector.of(weights)
     if not check_multiplier_certificate(cls.system, lifted):
-        return ReversalResult(False, None, pivot_weight)  # pragma: no cover
+        raise InvariantError("lifted multipliers failed their check on the source system")
     return ReversalResult(True, lifted, pivot_weight)
 
 
-def redundancy_witness(cls: PivotClassification, mu_new: MultiplierVector) -> MultiplierVector | None:
+def redundancy_witness(cls: PivotClassification, mu_new: MultiplierVector) -> MultiplierVector:
     """For a parasite weighting, express the pivot row as a nonnegative
-    combination of the other rows; None when no rearrangement applies."""
+    combination of the other rows."""
     result = reverse_multipliers(cls, mu_new)
     if result.legitimate:
         raise LincertError("pivot row is not redundant: the multipliers lift back")
-    if result.pivot_weight >= 0:
-        return None  # pragma: no cover
     _, weights = _reconstruct(cls, mu_new)
     scale = -result.pivot_weight
     witness = MultiplierVector.of(

@@ -30,6 +30,7 @@ from math import gcd
 
 from .core import (
     Constraint,
+    InvariantError,
     LincertError,
     LinearExpr,
     Provenance,
@@ -198,14 +199,13 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
                 )
         cone = primal
     else:
-        validate_standard_shape(primal)
+        cone = primal_cone(primal).system  # validates the input's shape
         if not is_bounded(primal):
             raise UnboundedInputError(
                 "input has a solution at infinity; the verdict rule needs a bounded system"
             )
-        cone = primal_cone(primal).system
 
-    mains, _ = validate_standard_shape(cone)
+    mains = cone.main_rows()
     nvars = len(cone.variables)
     rows = [
         Constraint(
@@ -262,8 +262,8 @@ def _fallback_zero(system: System, var: int) -> System:
     sign_row = system.sign_row_for(var)
     rows = [c for c in system.constraints if sign_row is None or c.cid != sign_row.cid]
     for c in rows:
-        if c.expr.coeff(var) != 0:  # pragma: no cover - structural invariant
-            raise LincertError("fallback hit a row that still mentions the variable")
+        if c.expr.coeff(var) != 0:
+            raise InvariantError("fallback hit a row that still mentions the variable")
     return system.with_rows(rows)
 
 
@@ -273,7 +273,7 @@ def _apply_step(system: System, labels: dict[int, str], var: int, pivot: Constra
         new_system = _fallback_zero(system, var)
         step = PipelineStep(var, var_name, None, None, "fallback-zero", new_system)
         return new_system, labels, step
-    new_system, _ = substitute_through(system, var, pivot.cid, homogeneous=False)
+    new_system = substitute_through(system, var, pivot.cid)
     new_labels = {cid: lab for cid, lab in labels.items() if cid != pivot.cid}
     label = labels[pivot.cid]
     step = PipelineStep(var, var_name, pivot.cid, label, _pivot_kind(label), new_system)
@@ -289,6 +289,39 @@ def _choose_main_first(system: System, labels: dict[int, str], var: int) -> Cons
     return min(pool, key=lambda c: c.cid)
 
 
+def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
+    """The rule as (variable index, row label or None) moves; None lets
+    `_choose_main_first` pick the pivot."""
+    if rule.kind == "main-first":
+        return [(var, None) for var in remaining]
+    if rule.kind == "paper-seq":
+        named, what = rule.sequence, "pivot sequence"
+    elif rule.kind == "explicit-order":
+        named, what = [(lname, None) for lname in rule.order], "explicit order"
+    else:
+        raise PivotRuleError(f"unknown pivot rule kind {rule.kind!r}")
+    plan = []
+    for lname, row_label in named:
+        if lname not in variables:
+            raise PivotRuleError(f"no multiplier variable named {lname!r}")
+        plan.append((variables.index(lname), row_label))
+    if sorted(var for var, _ in plan) != remaining:
+        raise PivotRuleError(f"{what} must eliminate every multiplier except l1 exactly once")
+    return plan
+
+
+def _labeled_pivot(system: System, labels: dict[int, str], var: int, row_label: str) -> Constraint:
+    by_label = {labels[c.cid]: c for c in system.constraints}
+    if row_label not in by_label:
+        raise PivotRuleError(f"no row labeled {row_label!r} at this step")
+    pivot = by_label[row_label]
+    if pivot.provenance.kind in ("sign", "extension"):
+        raise PivotRuleError(f"row {row_label!r} is not an admissible pivot")
+    if pivot.expr.coeff(var) == 0:
+        raise PivotRuleError(f"row {row_label!r} does not mention {system.variables[var]}")
+    return pivot
+
+
 def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST, sigma=2) -> PipelineTrace:
     """Run the elimination loop to a one-variable verdict on l1."""
     ws = build_working_system(primal, sigma=sigma)
@@ -296,50 +329,13 @@ def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST, sigma=2) -> PipelineT
     labels = dict(ws.labels)
     remaining = [v for v in range(len(system.variables)) if v != ws.lambda_one]
     steps: list[PipelineStep] = []
-
-    if rule.kind == "paper-seq":
-        plan = list(rule.sequence)
-        planned = []
-        for lname, _ in plan:
-            if lname not in system.variables:
-                raise PivotRuleError(f"no multiplier variable named {lname!r}")
-            planned.append(system.variables.index(lname))
-        if sorted(planned) != sorted(remaining):
-            raise PivotRuleError(
-                "pivot sequence must eliminate every multiplier except l1 exactly once"
-            )
-        for lname, row_label in plan:
-            var = system.variables.index(lname)
-            by_label = {labels[c.cid]: c for c in system.constraints if c.cid in labels}
-            if row_label not in by_label:
-                raise PivotRuleError(f"no row labeled {row_label!r} at this step")
-            pivot = by_label[row_label]
-            if pivot.provenance.kind in ("sign", "extension"):
-                raise PivotRuleError(f"row {row_label!r} is not an admissible pivot")
-            if pivot.expr.coeff(var) == 0:
-                raise PivotRuleError(f"row {row_label!r} does not mention {lname}")
-            system, labels, step = _apply_step(system, labels, var, pivot)
-            steps.append(step)
-    else:
-        if rule.kind == "explicit-order":
-            order = []
-            for lname in rule.order:
-                if lname not in system.variables:
-                    raise PivotRuleError(f"no multiplier variable named {lname!r}")
-                order.append(system.variables.index(lname))
-            if sorted(order) != sorted(remaining):
-                raise PivotRuleError(
-                    "explicit order must list every multiplier except l1 exactly once"
-                )
-        elif rule.kind == "main-first":
-            order = remaining
-        else:
-            raise PivotRuleError(f"unknown pivot rule kind {rule.kind!r}")
-        for var in order:
+    for var, row_label in _plan(rule, system.variables, remaining):
+        if row_label is None:
             pivot = _choose_main_first(system, labels, var)
-            system, labels, step = _apply_step(system, labels, var, pivot)
-            steps.append(step)
-
+        else:
+            pivot = _labeled_pivot(system, labels, var, row_label)
+        system, labels, step = _apply_step(system, labels, var, pivot)
+        steps.append(step)
     interval = terminal_interval(system, ws.lambda_one)
     verdict = "solvable" if interval.is_point(1) else "unsolvable"
     return PipelineTrace(ws, tuple(steps), system, interval, verdict)
@@ -484,6 +480,6 @@ def _drop_sign_row(rows: tuple, var: int) -> tuple:
             if not dropped and not row[4] and row[1] == sign:
                 dropped = True
                 continue
-            raise LincertError("fallback hit a row that still mentions the variable")  # pragma: no cover
+            raise InvariantError("fallback hit a row that still mentions the variable")
         out.append(row)
     return tuple(out)

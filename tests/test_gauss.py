@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from lincert import gauss
 from lincert.core import (
-    LinearExpr,
+    InvariantError,
     MultiplierVector,
     RelationError,
+    UnknownConstraintError,
     check_multiplier_certificate,
     make_system,
 )
@@ -16,7 +18,6 @@ from lincert.gauss import (
     classify,
     redundancy_witness,
     reverse_multipliers,
-    substitute_eliminate,
     substitute_through,
     transfer_multipliers,
 )
@@ -83,28 +84,35 @@ def test_classify_errors():
         classify(make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<", 0)]), 0, 0)
 
 
+def test_substitute_through_checks_its_own_inputs():
+    with pytest.raises(RelationError):
+        substitute_through(make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 0), ({"x": 1}, "<", 1)]), 0, 0)
+    with pytest.raises(PivotError):
+        substitute_through(make_system(["x", "y"], mains=[({"y": 1}, "<=", 0), ({"x": 1, "y": 1}, "<=", 0)]), 0, 0)
+    with pytest.raises(UnknownConstraintError):
+        substitute_through(parasite_cone(), 0, 7)
+
+
 def test_substitute_parasite_cone_rows():
-    out, record = substitute_eliminate(parasite_cone(), 0, 0)
+    out = substitute_through(parasite_cone(), 0, 0)
     # Same-sign row scaled: -(1/1)y + (1/2)(-y) = -(3/2)y; opposite: y + 2y.
     rows = {c.cid: c for c in out.constraints}
     assert dict(rows[1].expr.terms) == {1: Fraction(-3, 2)}
     assert dict(rows[2].expr.terms) == {1: Fraction(3)}
     assert all(c.rhs == 0 for c in out.constraints)
-    assert record.substitution == LinearExpr.from_terms({1: -1})  # x = -y
-    assert record.constant == 0
 
 
 def test_substituted_set_admits_multipliers_where_projection_does_not():
     fm_like = make_system(["y"], mains=[({"y": 1}, "<=", 0), ({"y": 3}, "<=", 0)])
     assert not nonzero_multiplier_exists(fm_like)[0]
-    out, _ = substitute_eliminate(parasite_cone(), 0, 0)
+    out = substitute_through(parasite_cone(), 0, 0)
     flag, lam = nonzero_multiplier_exists(out)
     assert flag and not lam.is_zero
 
 
 def test_substitute_through_equality_pair_keeps_solutions():
     sys = make_system(["x", "y"], mains=[({"x": 1, "y": -1}, "<=", 0), ({"x": -1, "y": 1}, "<=", 0)])
-    out, _ = substitute_eliminate(sys, 0, 0)
+    out = substitute_through(sys, 0, 0)
     # x = y substituted into the opposite row gives the zero row.
     assert [c.expr.is_zero for c in out.constraints] == [True]
     assert out.constraint(1).rhs == 0
@@ -116,7 +124,7 @@ def test_substitute_through_inhomogeneous_rows():
         mains=[({"a": 1, "b": 1}, "<=", 4), ({"a": 2, "b": -1}, "<=", 2)],
         nonneg="all",
     )
-    out, record = substitute_through(sys, 0, 0)
+    out = substitute_through(sys, 0, 0)
     # a = 4 - b; second row: 2(4 - b) - b <= 2 -> scaled by 1/2.
     row = out.constraint(1)
     assert dict(row.expr.terms) == {1: Fraction(-3, 2)}
@@ -125,7 +133,6 @@ def test_substitute_through_inhomogeneous_rows():
     assert dict(promoted.expr.terms) == {1: Fraction(1)}
     assert promoted.rhs == 4
     assert promoted.provenance.kind == "derived"
-    assert record.constant == 4
 
 
 def test_transfer_of_zero_certificate_is_zero():
@@ -186,7 +193,7 @@ def test_transfer_and_reverse_round_trip_on_planted_instances():
         var, pid = pivots[rng.randrange(len(pivots))]
         cls = classify(sys, var, pid)
         moved = transfer_multipliers(cls, mu)
-        out, _ = substitute_eliminate(sys, var, pid)
+        out = substitute_through(sys, var, pid)
         assert check_multiplier_certificate(out, moved)
         result = reverse_multipliers(cls, moved)
         assert result.legitimate
@@ -197,7 +204,7 @@ def test_transfer_and_reverse_round_trip_on_planted_instances():
 def test_parasite_detection_on_worked_example():
     sys = parasite_cone()
     cls = classify(sys, 0, 0)
-    out, _ = substitute_eliminate(sys, 0, 0)
+    out = substitute_through(sys, 0, 0)
     report = implicit_set(out)
     assert report.implicit_ids == {1, 2}
     result = reverse_multipliers(cls, report.certificate)
@@ -216,7 +223,7 @@ def test_all_zero_new_certificate_is_legitimate():
 def test_redundancy_witness_on_worked_example():
     sys = parasite_cone()
     cls = classify(sys, 0, 0)
-    out, _ = substitute_eliminate(sys, 0, 0)
+    out = substitute_through(sys, 0, 0)
     witness = redundancy_witness(cls, implicit_set(out).certificate)
     # x + y is recovered as 1*(2x - y) + 1*(-x + 2y), exactly.
     assert witness == MultiplierVector.of({1: 1, 2: 1})
@@ -226,6 +233,15 @@ def test_redundancy_witness_rejects_legitimate_input():
     cls = classify(parasite_cone(), 0, 0)
     with pytest.raises(Exception):
         redundancy_witness(cls, MultiplierVector.of({}))
+
+
+def test_reverse_multipliers_raises_when_a_nonnegative_lift_fails(monkeypatch):
+    # A nonnegative pivot weight lifts to a certificate by the transfer
+    # identity; a lift that fails its check is a bug, not a parasite.
+    cls = classify(parasite_cone(), 0, 0)
+    monkeypatch.setattr(gauss, "_reconstruct", lambda cls, mu_new: (Fraction(1), {0: Fraction(1)}))
+    with pytest.raises(InvariantError):
+        reverse_multipliers(cls, MultiplierVector.of({}))
 
 
 def _independent(r1, r2, names):
@@ -257,7 +273,7 @@ def test_redundancy_witness_recovers_planted_combination():
         if not pivot_vars:
             continue
         var = pivot_vars[0]
-        out, _ = substitute_eliminate(sys, var, 0)
+        out = substitute_through(sys, var, 0)
         flag, lam = nonzero_multiplier_exists(out)
         if not flag:
             continue

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from lincert.core import (
     Constraint,
+    InvariantError,
     LinearExpr,
     Point,
+    Provenance,
     Relation,
+    System,
+    ZERO,
     check_multiplier_certificate,
     make_system,
 )
@@ -20,10 +25,13 @@ from lincert.pipeline import (
     ExploreBudgetExceeded,
     Interval,
     MAIN_ROWS_FIRST,
+    PivotRule,
     PivotRuleError,
     UnboundedInputError,
     _apply_step,
+    _drop_sign_row,
     _eligible_pivots,
+    _fallback_zero,
     build_working_system,
     explicit_order,
     explore,
@@ -213,7 +221,7 @@ def test_trace_steps_replay_exactly():
     for step in trace.steps:
         if step.pivot_id is None:
             continue
-        replayed, _ = substitute_through(system, step.var, step.pivot_id, homogeneous=False)
+        replayed = substitute_through(system, step.var, step.pivot_id)
         assert replayed == step.system
         system = replayed
 
@@ -237,7 +245,7 @@ def test_sigma_certificate_survives_each_step():
         pivot = next(c for c in system.constraints if labels.get(c.cid) == row_label)
         cls = classify(system, var, pivot.cid, homogeneous=False)
         lam = transfer_multipliers(cls, lam)
-        system, _ = substitute_through(system, var, pivot.cid, homogeneous=False)
+        system = substitute_through(system, var, pivot.cid)
         assert check_multiplier_certificate(system, lam)
         assert lam.get(ws.extension_id) == 1
 
@@ -276,12 +284,59 @@ def test_paper_sequence_validation():
         run(solvable_cone(), explicit_order(["l2", "l2", "l3"]))
 
 
+@pytest.mark.parametrize(
+    "primal, rule, message",
+    [
+        (solvable_cone(), pivot_sequence([("l9", "row-x"), ("l2", "row-y"), ("l4", "sign-l3")]), "no multiplier variable named 'l9'"),
+        (solvable_cone(), explicit_order(["l9", "l3", "l2"]), "no multiplier variable named 'l9'"),
+        (solvable_cone(), pivot_sequence([("l3", "row-x")]), "exactly once"),
+        (solvable_cone(), pivot_sequence([("l3", "row-x"), ("l3", "row-y"), ("l4", "sign-l3")]), "exactly once"),
+        (solvable_cone(), explicit_order(["l2", "l2", "l3"]), "exactly once"),
+        (solvable_cone(), explicit_order(["l1", "l2", "l3", "l4"]), "exactly once"),
+        (solvable_cone(), pivot_sequence([("l3", "row-q"), ("l2", "row-y"), ("l4", "sign-l3")]), "no row labeled 'row-q'"),
+        (solvable_cone(), pivot_sequence([("l3", "sign-l3"), ("l2", "row-y"), ("l4", "row-x")]), "'sign-l3' is not an admissible pivot"),
+        (solvable_cone(), pivot_sequence([("l3", "extension"), ("l2", "row-y"), ("l4", "row-x")]), "'extension' is not an admissible pivot"),
+        (pinched_cone(), pivot_sequence([("l3", "row-x"), ("l2", "row-y")]), "'row-y' does not mention l2"),
+        (solvable_cone(), PivotRule("tallest-first"), "unknown pivot rule kind 'tallest-first'"),
+    ],
+)
+def test_run_rejects_bad_rules(primal, rule, message):
+    with pytest.raises(PivotRuleError, match=re.escape(message)):
+        run(primal, rule)
+
+
 def test_fallback_zero_kind():
     degenerate = make_system(["x"], mains=[({"x": 0}, "<=", 0)], nonneg="all", is_cone=True)
     trace = run(degenerate)
     kinds = {s.kind for s in trace.steps}
     assert "fallback-zero" in kinds
     assert trace.verdict == "solvable"
+
+
+def test_fallback_zero_refuses_a_row_that_still_mentions_the_variable():
+    # No pivotable row mentions l2, so the fallback runs, but the
+    # (non-pivotable) extension row still does: a broken working system.
+    system = System(
+        ("l1", "l2"),
+        (
+            Constraint(0, LinearExpr.from_terms({0: 2, 1: 1}), Relation.LE, Fraction(2), Provenance.extension()),
+            Constraint(1, LinearExpr.from_terms({0: -1}), Relation.LE, ZERO, Provenance.sign()),
+            Constraint(2, LinearExpr.from_terms({1: -1}), Relation.LE, ZERO, Provenance.sign()),
+        ),
+    )
+    with pytest.raises(InvariantError, match="still mentions"):
+        _fallback_zero(system, 1)
+
+
+def test_drop_sign_row_refuses_a_row_that_still_mentions_the_variable():
+    rows = (
+        ("extension", (2, 1), 2, False, False),
+        ("sign-l1", (-1, 0), 0, False, False),
+        ("sign-l2", (0, -1), 0, False, False),
+    )
+    assert _drop_sign_row(rows[1:], 1) == rows[1:2]
+    with pytest.raises(InvariantError, match="still mentions"):
+        _drop_sign_row(rows, 1)
 
 
 def test_explore_finds_pivot_sensitivity_of_pinched_cone():
