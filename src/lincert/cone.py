@@ -6,6 +6,12 @@ is reduced to the origin exactly when the input is unsolvable, and a cone
 point with z > 0 dehomogenizes to a primal solution; those two facts drive
 both the test suite and the solvability pipeline.  Full dimension is read
 off the implicit equalities of one elimination (fourier.feasibility).
+
+Boundedness and the origin-only test are settled without elimination when
+capping rows cover every variable: for x >= 0 with Ax <= 0, a sum y'A of
+rows with no negative coefficient that is positive on every variable gives
+0 >= y'Ax = sum_j (A'y)_j x_j >= 0, so x = 0.  Only otherwise does a greedy
+Fourier probe run.
 """
 
 from __future__ import annotations
@@ -78,58 +84,78 @@ def recession_system(system: System) -> System:
     return system.with_rows(rows)
 
 
+def _signed_ray(system: System, signed: set[int]) -> Point | None:
+    """A point of `system` with sum(x_v for v in signed) >= 1, or None.
+
+    No elimination runs when the capping rows settle it (module docstring):
+    every variable signed, every row <= or < with a right side <= 0 (so the
+    points satisfy x >= 0 and Ax <= 0), and the main rows with no negative
+    coefficient mentioning every variable.  Otherwise one greedy Fourier
+    probe decides."""
+    rows = system.constraints
+    nvars = len(system.variables)
+    if len(signed) == nvars and all(c.relation is not Relation.EQ and c.rhs <= 0 for c in rows):
+        caps = [c.expr.terms for c in system.main_rows() if all(a > 0 for _, a in c.expr.terms)]
+        if len({v for terms in caps for v, _ in terms}) == nvars:
+            return None
+    expr = LinearExpr.from_terms({v: -1 for v in signed})
+    probe = Constraint(system.next_id(), expr, Relation.LE, ZERO - 1, Provenance.main())
+    verdict = feasibility(system.with_rows(rows + (probe,)), order="greedy")
+    return verdict.witness if verdict.feasible else None
+
+
 def has_solution_at_infinity(system: System) -> tuple[bool, Point | None]:
     """Search the recession cone for a nonzero ray.
 
     One probe, sum(x_j) >= 1 over the sign-constrained coordinates, finds a
     ray whenever one has a signed coordinate off zero: those coordinates are
-    >= 0 on the cone, so such a ray scales to meet the probe.  Only when it
-    fails are the unsigned coordinates probed one at a time (x_v >= 1, then
-    x_v <= -1).  Every ray left has its signed coordinates at zero, so a
-    nonzero one is nonzero on some unsigned coordinate, and scaling makes
-    that coordinate reach 1 or -1: the search stays exact."""
+    >= 0 on the cone, so such a ray scales to meet the probe.  When every
+    coordinate is signed and the rows with no negative coefficient cap each
+    of them, x >= 0 and Ax <= 0 force x = 0 and the probe is skipped
+    (_signed_ray).  Only when the probe fails are the unsigned coordinates
+    probed one at a time (x_v >= 1, then x_v <= -1).  Every ray left has its
+    signed coordinates at zero, so a nonzero one is nonzero on some unsigned
+    coordinate, and scaling makes that coordinate reach 1 or -1: the search
+    stays exact."""
     recession = recession_system(system)
     signed = {v for v in range(len(system.variables)) if recession.sign_row_for(v) is not None}
-    probes = [LinearExpr.from_terms({v: -1 for v in signed})] if signed else []
-    for v in range(len(system.variables)):
-        if v not in signed:
-            probes += [LinearExpr.from_terms({v: -1}), LinearExpr.from_terms({v: 1})]
+    if signed:
+        ray = _signed_ray(recession, signed)
+        if ray is not None:
+            return True, ray
     cid = recession.next_id()
-    for expr in probes:
-        probe_row = Constraint(cid, expr, Relation.LE, ZERO - 1, Provenance.main())
-        verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
-        if verdict.feasible:
-            return True, verdict.witness
+    for v in range(len(system.variables)):
+        if v in signed:
+            continue
+        for expr in (LinearExpr.from_terms({v: -1}), LinearExpr.from_terms({v: 1})):
+            probe_row = Constraint(cid, expr, Relation.LE, ZERO - 1, Provenance.main())
+            verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
+            if verdict.feasible:
+                return True, verdict.witness
     return False, None
 
 
 def is_bounded(system: System) -> bool:
-    """Bounded means no solutions at infinity (trivial recession cone)."""
+    """Bounded means no solutions at infinity (trivial recession cone).
+
+    A system whose rows with no negative coefficient cap every variable,
+    all of them signed, is bounded without elimination: for x >= 0 with
+    Ax <= 0, 0 >= y'Ax = sum_j (A'y)_j x_j >= 0 forces x = 0."""
     return not has_solution_at_infinity(system)[0]
 
 
 def is_reduced_to_origin(cone: System) -> bool:
     """For a homogeneous, fully sign-constrained system: is the origin the
-    only point?  Under x >= 0 the single probe sum(x) >= 1 decides it."""
-    unsigned = []
+    only point?  Under x >= 0 the single probe sum(x) >= 1 decides it, and
+    capping rows that cover every variable settle it first, with no probe:
+    0 >= y'Ax = sum_j (A'y)_j x_j >= 0 forces x = 0."""
     for c in cone.constraints:
         if c.rhs != 0:
             raise NonHomogeneousError(f"constraint {c.cid} has nonzero right side {c.rhs}")
-    for v in range(len(cone.variables)):
-        if cone.sign_row_for(v) is None:
-            unsigned.append(cone.variables[v])
+    unsigned = [name for v, name in enumerate(cone.variables) if cone.sign_row_for(v) is None]
     if unsigned:
         raise LincertError("variables without sign rows: " + ", ".join(unsigned))
-    if not cone.variables:
-        return True
-    probe = Constraint(
-        cone.next_id(),
-        LinearExpr.from_terms({v: -1 for v in range(len(cone.variables))}),
-        Relation.LE,
-        ZERO - 1,
-        Provenance.main(),
-    )
-    return not feasibility(cone.with_rows(cone.constraints + (probe,)), order="greedy").feasible
+    return _signed_ray(cone, set(range(len(cone.variables)))) is None
 
 
 def is_full_dimensional(system: System) -> bool:

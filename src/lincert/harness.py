@@ -83,7 +83,8 @@ def generate_bounded(stream: CounterStream, params: GenParams) -> System:
     """One random bounded standard-shape system.
 
     Box mode appends a cap x_j <= U_j per variable, which forces a trivial
-    recession cone outright; filter mode rejection-samples on is_bounded and
+    recession cone outright; those caps are also what let is_bounded answer
+    without a Fourier probe.  Filter mode rejection-samples on is_bounded and
     errors out after 1000 rejections.
     """
     nvars = stream.randint(1, params.max_vars)

@@ -14,6 +14,10 @@ SECTION2 = "vars: x y\n-x + y <= 2\nx - y <= -1\nnonneg: all\n"
 SECTION2_INFEASIBLE = "vars: x y\n-x + y <= -2\nx - y <= 1\nnonneg: all\n"
 SOLVABLE_CONE = "vars: x y\ncone\nx - 2*y <= 0\nx - y <= 0\nx - 3*y <= 0\nnonneg: all\n"
 PINCHED_CONE = "vars: x y\ncone\nx + y <= 0\n-x - y <= 0\nnonneg: all\n"
+# Bounded, but every row has a negative coefficient: is_bounded probes.
+UNCAPPED_BOUNDED = "vars: x y\n2*x - y <= 2\n-x + y <= 1\nnonneg: all\n"
+# Bounded by x + y <= 4, a row with no negative coefficient: no probe.
+CAPPED = "vars: x y\nx - y <= 1\nx + y <= 4\nnonneg: all\n"
 
 
 @pytest.fixture
@@ -24,6 +28,8 @@ def files(tmp_path):
         ("sec2_inf", SECTION2_INFEASIBLE),
         ("solvable", SOLVABLE_CONE),
         ("pinched", PINCHED_CONE),
+        ("uncapped", UNCAPPED_BOUNDED),
+        ("capped", CAPPED),
     ]:
         p = tmp_path / f"{name}.sys"
         p.write_text(text)
@@ -147,6 +153,17 @@ def test_cone_analyze(files, capsys):
     assert data["z"] == "z"
     assert data["analysis"] == {
         "bounded": False,
+        "reduced_to_origin": False,
+        "full_dimensional": True,
+    }
+
+
+@pytest.mark.parametrize("name", ["uncapped", "capped"])
+def test_cone_analyze_bounded(files, capsys, name):
+    code, data = run_json(capsys, ["cone", files[name], "--analyze"])
+    assert code == 0
+    assert data["analysis"] == {
+        "bounded": True,
         "reduced_to_origin": False,
         "full_dimensional": True,
     }

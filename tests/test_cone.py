@@ -1,11 +1,22 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lincert.cone
-from lincert.core import Constraint, LincertError, LinearExpr, Provenance, Relation, evaluate, make_system
+from lincert.core import (
+    Constraint,
+    LincertError,
+    LinearExpr,
+    Provenance,
+    Relation,
+    RelationError,
+    evaluate,
+    make_system,
+)
 from lincert.cone import (
     NonHomogeneousError,
     dehomogenize,
@@ -17,7 +28,11 @@ from lincert.cone import (
     recession_system,
 )
 from lincert.fourier import feasibility
+from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.implicit import nonzero_multiplier_exists
+from lincert.sysfile import parse
+
+BASELINE = Path(__file__).resolve().parents[1] / "baseline" / "difftest-seed42-trials500.json"
 
 
 def section2_primal(rhs1=2, rhs2=-1):
@@ -30,6 +45,23 @@ def section2_primal(rhs1=2, rhs2=-1):
 
 def interval_primal():
     return make_system(["x"], mains=[({"x": 1}, "<=", 1)], nonneg="all")
+
+
+def uncapped_bounded_primal():
+    """Bounded, but no row without a negative coefficient caps it."""
+    return make_system(
+        ["x", "y"],
+        mains=[({"x": 2, "y": -1}, "<=", 2), ({"x": -1, "y": 1}, "<=", 1)],
+        nonneg="all",
+    )
+
+
+def pinched_cone():
+    return make_system(
+        ["x", "y"],
+        mains=[({"x": 1, "y": 1}, "<=", 0), ({"x": -1, "y": -1}, "<=", 0)],
+        nonneg="all",
+    )
 
 
 def test_primal_cone_of_interval():
@@ -78,12 +110,7 @@ def test_halfplane_cone_has_a_ray():
 
 
 def test_reduced_to_origin_cases():
-    pinched = make_system(
-        ["x", "y"],
-        mains=[({"x": 1, "y": 1}, "<=", 0), ({"x": -1, "y": -1}, "<=", 0)],
-        nonneg="all",
-    )
-    assert is_reduced_to_origin(pinched)
+    assert is_reduced_to_origin(pinched_cone())
 
     halfplane = make_system(["x", "y"], mains=[({"x": 1, "y": -1}, "<=", 0)], nonneg="all")
     assert not is_reduced_to_origin(halfplane)
@@ -235,10 +262,147 @@ def _count_feasibility_calls(monkeypatch):
 
 def test_is_bounded_on_signed_system_makes_one_probe(monkeypatch):
     calls = _count_feasibility_calls(monkeypatch)
-    assert is_bounded(interval_primal())
+    assert is_bounded(uncapped_bounded_primal())
     assert len(calls) == 1
     assert not is_bounded(section2_primal())
     assert len(calls) == 2
+
+
+def test_capped_systems_make_no_probe(monkeypatch):
+    analyze_style = make_system(
+        ["x1", "x2", "x3"],
+        mains=[
+            ({"x1": 2, "x2": -1, "x3": 3}, "<=", 4),
+            ({"x1": -1, "x2": 2, "x3": -2}, "<=", 1),
+            ({"x1": 1, "x2": 1, "x3": 1}, "<=", 5),
+        ],
+        nonneg="all",
+    )
+    box_draw = generate_bounded(CounterStream(42, "trial-0"), GenParams(seed=42))
+    calls = _count_feasibility_calls(monkeypatch)
+    for system in (interval_primal(), box_draw, analyze_style):
+        assert is_bounded(system)
+        assert has_solution_at_infinity(system) == (False, None)
+    assert is_reduced_to_origin(pinched_cone())
+    assert calls == []
+
+
+def test_errors_come_before_the_capping_rows():
+    caps = [({"x": 1}, "<=", 1), ({"y": 1}, "<=", 1)]
+    with pytest.raises(RelationError):
+        is_bounded(make_system(["x", "y"], mains=caps + [({"x": 1, "y": -1}, "=", 0)], nonneg="all"))
+    with pytest.raises(NonHomogeneousError):
+        is_reduced_to_origin(make_system(["x", "y"], mains=caps, nonneg="all"))
+    homogeneous = [({"x": 1}, "<=", 0), ({"y": 1}, "<=", 0)]
+    with pytest.raises(LincertError, match="sign rows: y"):
+        is_reduced_to_origin(make_system(["x", "y"], mains=homogeneous, nonneg=["x"]))
+    with pytest.raises(RelationError):
+        is_reduced_to_origin(make_system(["x", "y"], mains=homogeneous + [({"x": 1}, "=", 0)], nonneg="all"))
+
+
+def test_capping_rows_need_sign_rows_that_pin_x_at_zero():
+    # recession_system keeps the sign row -x <= 3, which allows x < 0, so the
+    # cap 2x + y <= 0 settles nothing and the probe must run.
+    capped = make_system(["x", "y"], mains=[({"x": 2, "y": 1}, "<=", 0)], nonneg="all")
+    sign_x = capped.sign_row_for(0)
+    loose = Constraint(sign_x.cid, sign_x.expr, Relation.LE, Fraction(3), sign_x.provenance)
+    system = capped.with_rows(loose if c is sign_x else c for c in capped.constraints)
+    assert has_solution_at_infinity(system) == _probing_solution_at_infinity(system)
+
+
+# Reference: the cone tests as they were before capping rows were read, with
+# a Fourier probe every time.
+
+
+def _probing_solution_at_infinity(system):
+    recession = recession_system(system)
+    signed = {v for v in range(len(system.variables)) if recession.sign_row_for(v) is not None}
+    probes = [LinearExpr.from_terms({v: -1 for v in signed})] if signed else []
+    for v in range(len(system.variables)):
+        if v not in signed:
+            probes += [LinearExpr.from_terms({v: -1}), LinearExpr.from_terms({v: 1})]
+    cid = recession.next_id()
+    for expr in probes:
+        probe_row = Constraint(cid, expr, Relation.LE, Fraction(-1), Provenance.main())
+        verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
+        if verdict.feasible:
+            return True, verdict.witness
+    return False, None
+
+
+def _probing_bounded(system):
+    return not _probing_solution_at_infinity(system)[0]
+
+
+def _probing_reduced_to_origin(cone):
+    unsigned = []
+    for c in cone.constraints:
+        if c.rhs != 0:
+            raise NonHomogeneousError(f"constraint {c.cid} has nonzero right side {c.rhs}")
+    for v in range(len(cone.variables)):
+        if cone.sign_row_for(v) is None:
+            unsigned.append(cone.variables[v])
+    if unsigned:
+        raise LincertError("variables without sign rows: " + ", ".join(unsigned))
+    if not cone.variables:
+        return True
+    probe = Constraint(
+        cone.next_id(),
+        LinearExpr.from_terms({v: -1 for v in range(len(cone.variables))}),
+        Relation.LE,
+        Fraction(-1),
+        Provenance.main(),
+    )
+    return not feasibility(cone.with_rows(cone.constraints + (probe,)), order="greedy").feasible
+
+
+def _outcome(fn, system):
+    try:
+        return fn(system)
+    except LincertError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_probing(system):
+    assert _outcome(has_solution_at_infinity, system) == _outcome(_probing_solution_at_infinity, system)
+    assert _outcome(is_bounded, system) == _outcome(_probing_bounded, system)
+    assert _outcome(is_reduced_to_origin, system) == _outcome(_probing_reduced_to_origin, system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_capping_rows_agree_with_the_probe(data):
+    names = [f"x{i}" for i in range(data.draw(st.integers(0, 3)))]
+    homogeneous = data.draw(st.booleans())
+    rhs = st.just(0) if homogeneous else st.integers(-2, 2)
+    coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
+    caps = st.fixed_dictionaries({n: st.integers(0, 3) for n in names})
+    relation = st.sampled_from(["<=", "<", "<=", "<", "="] if data.draw(st.booleans()) else ["<=", "<"])
+    row = st.tuples(coeffs | caps | st.just({}), relation, rhs)
+    rows = data.draw(st.lists(row, max_size=4))
+    if data.draw(st.booleans()):
+        rows += [({n: 1}, "<=", data.draw(rhs)) for n in names]
+    nonneg = "all" if data.draw(st.booleans()) else [n for n in names if data.draw(st.booleans())]
+    system = make_system(names, mains=rows, nonneg=nonneg)
+    if data.draw(st.booleans()):  # sign rows -x <= r with r != 0
+        r = Fraction(data.draw(st.sampled_from([-1, 1])))
+        system = system.with_rows(
+            Constraint(c.cid, c.expr, c.relation, r, c.provenance) if c.provenance.kind == "sign" else c
+            for c in system.constraints
+        )
+    _assert_matches_probing(system)
+
+
+def test_capping_rows_agree_with_the_probe_on_the_baseline():
+    trials = json.loads(BASELINE.read_text())["trials"]
+    assert len(trials) == 500
+    for trial in trials:
+        primal = parse(trial["system"])
+        ray = has_solution_at_infinity(primal)
+        assert ray == _probing_solution_at_infinity(primal)
+        assert is_bounded(primal) == (not ray[0])
+        cone = primal_cone(primal).system
+        assert is_reduced_to_origin(cone) == _probing_reduced_to_origin(cone)
 
 
 def test_is_full_dimensional_makes_one_probe(monkeypatch):
