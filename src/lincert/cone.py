@@ -72,15 +72,13 @@ def primal_cone(primal: System) -> PrimalCone:
 
 
 def recession_system(system: System) -> System:
-    """Zero the right-hand sides and relax strict rows; sign rows unchanged."""
+    """Zero every right-hand side, sign rows included, and relax strict
+    rows: the directions d with A d <= 0 along which the solutions recede."""
     rows = []
     for c in system.constraints:
         if c.relation is Relation.EQ:
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
-        if c.provenance.kind == "sign":
-            rows.append(c)
-        else:
-            rows.append(Constraint(c.cid, c.expr, Relation.LE, ZERO, c.provenance))
+        rows.append(Constraint(c.cid, c.expr, Relation.LE, ZERO, c.provenance))
     return system.with_rows(rows)
 
 

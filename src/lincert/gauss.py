@@ -15,17 +15,29 @@ recovers the pivot's weight.  A negative reconstruction is exactly the
 parasite case, and rearranging the identity then exhibits the pivot row as a
 nonnegative combination of the others (the pivot was redundant).
 
-`substitute_through` makes the new system and nothing else.  `classify`
-groups the rows around a pivot for the certificate side: `transfer_multipliers`,
-`reverse_multipliers` and `redundancy_witness` work from its grouping.
-Transformed rows keep their constraint ids (the pivot's id disappears), so
-multiplier vectors on the old and new systems share a key space.
+The substitution itself runs once, on integer rows, in the fraction-free
+style of Bareiss (1968).  Each row is held as a positive integer multiple R
+of its `Fraction` row; with A and A0 the coefficients of x0 on R and on the
+pivot's integer row P,
+
+    N = |A0|*R - A*sign(A0)*P
+
+has no x0 term, and N / (|A|*|A0|) is exactly the row the Fraction formula
+below emits: the scales of R and P cancel.  `pivot_integer_rows` computes N
+and keeps it divided by its gcd; `pivot_system` also returns the `Fraction`
+system, one Fraction(N_v, |A|*|A0|) per entry, and `substitute_through` is
+that on a `System`.  `classify` groups the rows around a pivot for the
+certificate side: `transfer_multipliers`, `reverse_multipliers` and
+`redundancy_witness` work from its grouping.  Transformed rows keep their
+constraint ids (the pivot's id disappears), so multiplier vectors on the old
+and new systems share a key space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import (
     Constraint,
@@ -130,6 +142,86 @@ def classify(system: System, var: int, pivot_id: int, homogeneous: bool = True) 
     )
 
 
+def integer_rows(system: System) -> tuple:
+    """The rows of `system` as (cid, coefficients, rhs, strict, pivotable),
+    in system order: the coefficients are a dense tuple over the variables
+    and, with rhs, the coprime integer positive multiple of the row.  Sign
+    and extension rows are not pivotable."""
+    rows = []
+    nvars = len(system.variables)
+    for c in system.constraints:
+        if c.relation is Relation.EQ:
+            raise RelationError(f"constraint {c.cid} is an equality; expand it first")
+        den = lcm(c.rhs.denominator, *(a.denominator for _, a in c.expr.terms))
+        coeffs = [0] * nvars
+        for v, a in c.expr.terms:
+            coeffs[v] = a.numerator * (den // a.denominator)
+        rhs = c.rhs.numerator * (den // c.rhs.denominator)
+        g = gcd(*coeffs, rhs)
+        if g > 1:
+            coeffs = [x // g for x in coeffs]
+            rhs //= g
+        pivotable = c.provenance.kind not in ("sign", "extension")
+        rows.append((c.cid, tuple(coeffs), rhs, c.relation is Relation.LT, pivotable))
+    return tuple(rows)
+
+
+def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = None) -> tuple:
+    """Substitute `var` out through integer row p set to equality.
+
+    Row p is dropped, rows without `var` pass through as the same objects,
+    and every other row becomes N = |a0|*row - a*sign(a0)*pivot divided by
+    its gcd, pivotable.  When `unreduced` is a list, each rewritten row's
+    (N, N's rhs) before that division is appended to it, in row order."""
+    _, pivot, pivot_rhs, _, _ = rows[p]
+    a0 = pivot[var]
+    m0 = abs(a0)
+    s0 = 1 if a0 > 0 else -1
+    out = []
+    for i, row in enumerate(rows):
+        if i == p:
+            continue
+        cid, coeffs, rhs, strict, _ = row
+        a = coeffs[var]
+        if not a:
+            out.append(row)
+            continue
+        f = a * s0
+        new = [m0 * x - f * y for x, y in zip(coeffs, pivot)]
+        new_rhs = m0 * rhs - f * pivot_rhs
+        if unreduced is not None:
+            unreduced.append((new, new_rhs))
+        g = gcd(*new, new_rhs)
+        if g > 1:
+            new = [x // g for x in new]
+            new_rhs //= g
+        out.append((cid, tuple(new), new_rhs, strict, True))
+    return tuple(out)
+
+
+def pivot_system(system: System, rows: tuple, p: int, var: int) -> tuple[tuple, System]:
+    """Pivot on row p of `rows`, the integer rows of `system` in its order:
+    the new integer rows and the new `System`.  A rewritten row is
+    N / (|a|*|a0|) with a and a0 read off the integer rows (module
+    docstring); a row without `var` keeps its Constraint object."""
+    unreduced: list = []
+    new_rows = pivot_integer_rows(rows, p, var, unreduced)
+    pivot_id = rows[p][0]
+    m0 = abs(rows[p][1][var])
+    pending = iter(unreduced)
+    out = []
+    for c, row in zip(system.constraints, rows):
+        a = row[1][var]
+        if not a:
+            out.append(c)
+        elif c.cid != pivot_id:
+            coeffs, rhs = next(pending)
+            d = m0 * abs(a)
+            expr = LinearExpr(tuple((v, Fraction(x, d)) for v, x in enumerate(coeffs) if x))
+            out.append(Constraint(c.cid, expr, c.relation, Fraction(rhs, d), Provenance.derived((c.cid, pivot_id))))
+    return new_rows, system.with_rows(out)
+
+
 def substitute_through(system: System, var: int, pivot_id: int) -> System:
     """Substitute var out through the pivot row set to equality.
 
@@ -141,30 +233,19 @@ def substitute_through(system: System, var: int, pivot_id: int) -> System:
     keeps its id.  Right sides may be nonzero.  Only what the substitution
     needs is checked: every row is '<=' and the pivot mentions x0; `classify`
     carries the certificate bookkeeping.
+
+    The rows are computed on integer rows (`pivot_system`): with R and P
+    the coprime integer rows of a row and of the pivot, and A, A0 their x0
+    coefficients, the row above is exactly (|A0|*R - A*sign(A0)*P) / (|A|*|A0|).
     """
     pivot = system.constraint(pivot_id)
     for c in system.constraints:
         if c.relation is not Relation.LE:
             raise RelationError(f"constraint {c.cid} has relation {c.relation.value!r}; expected '<='")
-    a0 = pivot.expr.coeff(var)
-    if a0 == 0:
+    if pivot.expr.coeff(var) == 0:
         raise PivotError(f"pivot row {pivot_id} has no {system.variables[var]!r} term")
-    l0 = pivot.expr.drop(var)
-    r0 = pivot.rhs
-
-    rows = []
-    for c in system.constraints:
-        if c.cid == pivot_id:
-            continue
-        a = c.expr.coeff(var)
-        if a == 0:
-            rows.append(c)
-            continue
-        s = 1 if a > 0 else -1
-        expr = c.expr.drop(var).scale(1 / abs(a)) - l0.scale(Fraction(s, 1) / a0)
-        rhs = c.rhs / abs(a) - r0 * s / a0
-        rows.append(Constraint(c.cid, expr, c.relation, rhs, Provenance.derived((c.cid, pivot_id))))
-    return system.with_rows(rows)
+    p = system.constraints.index(pivot)
+    return pivot_system(system, integer_rows(system), p, var)[1]
 
 
 def transfer_multipliers(cls: PivotClassification, mu: MultiplierVector) -> MultiplierVector:

@@ -13,20 +13,19 @@ point {1}.
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
 makes the choice explicit and reproducible, and `explore` enumerates the
-whole pivot tree to quantify the sensitivity.  `run` works on Fraction
-systems, because its steps are printed and replayed; `explore` only needs
-the verdicts, so it walks the tree on coprime integer rows, substitutes
-without fractions (as in Bareiss 1968), and merges states that differ only
-by positive row scaling.  Whether the verdict agrees with direct
-elimination on the input is measured, never assumed; see the harness
-module.
+whole pivot tree to quantify the sensitivity.  Both pivot on coprime
+integer rows through `gauss.pivot_integer_rows`, without fractions (as in
+Bareiss 1968).  `run` also builds each step's `Fraction` system, because
+its steps are printed and replayed; `explore` only needs the verdicts, and
+merges states that differ only by positive row scaling.  Whether the
+verdict agrees with direct elimination on the input is measured, never
+assumed; see the harness module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .core import (
     Constraint,
@@ -42,8 +41,7 @@ from .core import (
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
 from .dual import strong_elementary_dual
-from .fourier import normalized_key
-from .gauss import substitute_through
+from .gauss import integer_rows, pivot_integer_rows, pivot_system
 
 
 class UnboundedInputError(LincertError):
@@ -244,49 +242,18 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
     )
 
 
-def _eligible_pivots(system: System, var: int):
-    out = []
-    for c in system.constraints:
-        if c.provenance.kind in ("sign", "extension"):
-            continue
-        if c.expr.coeff(var) != 0:
-            out.append(c)
-    return out
-
-
 def _pivot_kind(label: str) -> str:
     return "original-main" if label.startswith("row-") else "converted-sign"
 
 
-def _fallback_zero(system: System, var: int) -> System:
-    sign_row = system.sign_row_for(var)
-    rows = [c for c in system.constraints if sign_row is None or c.cid != sign_row.cid]
-    for c in rows:
-        if c.expr.coeff(var) != 0:
-            raise InvariantError("fallback hit a row that still mentions the variable")
-    return system.with_rows(rows)
-
-
-def _apply_step(system: System, labels: dict[int, str], var: int, pivot: Constraint | None):
-    var_name = system.variables[var]
-    if pivot is None:
-        new_system = _fallback_zero(system, var)
-        step = PipelineStep(var, var_name, None, None, "fallback-zero", new_system)
-        return new_system, labels, step
-    new_system = substitute_through(system, var, pivot.cid)
-    new_labels = {cid: lab for cid, lab in labels.items() if cid != pivot.cid}
-    label = labels[pivot.cid]
-    step = PipelineStep(var, var_name, pivot.cid, label, _pivot_kind(label), new_system)
-    return new_system, new_labels, step
-
-
-def _choose_main_first(system: System, labels: dict[int, str], var: int) -> Constraint | None:
-    candidates = _eligible_pivots(system, var)
+def _main_first(rows: tuple, labels: dict[int, str], var: int) -> int | None:
+    """Index of the pivot the default rule takes: among the pivotable rows
+    that mention var, the original main rows first, then the lowest id."""
+    candidates = [i for i, row in enumerate(rows) if row[4] and row[1][var]]
     if not candidates:
         return None
-    originals = [c for c in candidates if labels[c.cid].startswith("row-")]
-    pool = originals if originals else candidates
-    return min(pool, key=lambda c: c.cid)
+    originals = [i for i in candidates if labels[rows[i][0]].startswith("row-")]
+    return min(originals or candidates, key=lambda i: rows[i][0])
 
 
 def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
@@ -310,34 +277,53 @@ def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
     return plan
 
 
-def _labeled_pivot(system: System, labels: dict[int, str], var: int, row_label: str) -> Constraint:
-    by_label = {labels[c.cid]: c for c in system.constraints}
+def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str, names) -> int:
+    by_label = {labels[row[0]]: i for i, row in enumerate(rows)}
     if row_label not in by_label:
         raise PivotRuleError(f"no row labeled {row_label!r} at this step")
-    pivot = by_label[row_label]
-    if pivot.provenance.kind in ("sign", "extension"):
+    p = by_label[row_label]
+    if not rows[p][4]:
         raise PivotRuleError(f"row {row_label!r} is not an admissible pivot")
-    if pivot.expr.coeff(var) == 0:
-        raise PivotRuleError(f"row {row_label!r} does not mention {system.variables[var]}")
-    return pivot
+    if not rows[p][1][var]:
+        raise PivotRuleError(f"row {row_label!r} does not mention {names[var]}")
+    return p
+
+
+def _outcome(rows: tuple, lambda_one: int) -> tuple[Interval, str]:
+    """The interval and verdict of integer rows that mention only l1."""
+    interval = _interval((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
+    return interval, "solvable" if interval.is_point(1) else "unsolvable"
 
 
 def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST, sigma=2) -> PipelineTrace:
-    """Run the elimination loop to a one-variable verdict on l1."""
+    """Run the elimination loop to a one-variable verdict on l1.
+
+    Pivots are chosen and taken on the working system's integer rows; each
+    step's `Fraction` system is built from them (`gauss.pivot_system`) and
+    equals what `substitute_through` makes of the step before."""
     ws = build_working_system(primal, sigma=sigma)
     system = ws.system
+    names = system.variables
+    rows = integer_rows(system)
     labels = dict(ws.labels)
-    remaining = [v for v in range(len(system.variables)) if v != ws.lambda_one]
+    remaining = [v for v in range(len(names)) if v != ws.lambda_one]
     steps: list[PipelineStep] = []
-    for var, row_label in _plan(rule, system.variables, remaining):
+    for var, row_label in _plan(rule, names, remaining):
         if row_label is None:
-            pivot = _choose_main_first(system, labels, var)
+            p = _main_first(rows, labels, var)
         else:
-            pivot = _labeled_pivot(system, labels, var, row_label)
-        system, labels, step = _apply_step(system, labels, var, pivot)
-        steps.append(step)
-    interval = terminal_interval(system, ws.lambda_one)
-    verdict = "solvable" if interval.is_point(1) else "unsolvable"
+            p = _labeled_pivot(rows, labels, var, row_label, names)
+        if p is None:
+            rows = _drop_sign_row(rows, var)
+            kept = {row[0] for row in rows}
+            system = system.with_rows(c for c in system.constraints if c.cid in kept)
+            steps.append(PipelineStep(var, names[var], None, None, "fallback-zero", system))
+            continue
+        pivot_id = rows[p][0]
+        label = labels[pivot_id]
+        rows, system = pivot_system(system, rows, p, var)
+        steps.append(PipelineStep(var, names[var], pivot_id, label, _pivot_kind(label), system))
+    interval, verdict = _outcome(rows, ws.lambda_one)
     return PipelineTrace(ws, tuple(steps), system, interval, verdict)
 
 
@@ -365,41 +351,30 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
     LincertError subclass is raised beyond it.  The input is pivot-sensitive
     when two sequences end in different verdicts.
 
-    The walk runs on integer rows (label, coefficients, rhs, strict,
-    pivotable), each the coprime integer multiple of its working-system row,
-    kept in constraint-id order.  Pivoting on row p (coefficient a0 on the
-    variable) maps each other row with coefficient a != 0 to
-    |a0|*row - a*sign(a0)*p, divided by its gcd.  That is |a|*|a0| times
-    the row `substitute_through` emits, the promoted sign row -l <= 0
-    included, so the walk meets the same states up to positive row scaling.
-    Scaling changes nothing the walk reads: which rows mention a variable
-    (eligibility), which rows are pivotable (sign and extension rows are
-    not; every rewritten row is), the sign pattern the next move works
-    from, and each terminal bound rhs/a.  States equal up to that scaling
-    therefore have the same subtree, and because rows are kept coprime the
-    key (remaining variables, rows) merges them with no normalising pass.
-    The key carries labels, not constraint ids: the working system fixes a
-    one-to-one map between the two, so an id adds nothing, and the rows'
-    id order is the order candidates are tried in.  Fractions are built
-    only for the terminal interval.
+    The walk runs on the working system's integer rows (`gauss.integer_rows`:
+    constraint id, coefficients, rhs, strict, pivotable), each the coprime
+    integer multiple of its row, in constraint-id order, and pivots with
+    `gauss.pivot_integer_rows`.  A rewritten row is |a|*|a0| times the row
+    `substitute_through` emits, divided by its gcd, the promoted sign row
+    -l <= 0 included, so the walk meets the same states up to positive row
+    scaling.  Scaling changes nothing the walk reads: which rows mention a
+    variable (eligibility), which rows are pivotable (sign and extension
+    rows are not; every rewritten row is), the sign pattern the next move
+    works from, and each terminal bound rhs/a.  States equal up to that
+    scaling therefore have the same subtree, and because rows are kept
+    coprime the key (remaining variables, rows) merges them with no
+    normalising pass.  The rows' id order is the order candidates are tried
+    in.  Each distinct terminal (interval, verdict) gets a small int, and
+    outcomes are merged by those ints; Fractions are built only for the
+    terminal intervals.
     """
     ws = build_working_system(primal, sigma=sigma)
     lambda_one = ws.lambda_one
     names = ws.system.variables
     labels = dict(ws.labels)
     memo: dict = {}
+    terminals: dict[tuple[Interval, str], int] = {}
     states = 0
-
-    start = []
-    for c in sorted(ws.system.constraints, key=lambda c: c.cid):
-        terms, relation, rhs = normalized_key(c)
-        if relation is Relation.EQ:
-            raise LincertError(f"working system contains an equality row {c.cid}")
-        coeffs = [0] * len(names)
-        for v, a in terms:
-            coeffs[v] = a.numerator
-        pivotable = c.provenance.kind not in ("sign", "extension")
-        start.append((labels[c.cid], tuple(coeffs), rhs.numerator, relation is Relation.LT, pivotable))
 
     def visit(rows: tuple, remaining: frozenset[int]):
         nonlocal states
@@ -411,16 +386,15 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
         if states > state_budget:
             raise ExploreBudgetExceeded(f"pivot tree exceeds {state_budget} distinct states")
         if not remaining:
-            interval = _interval((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
-            verdict = "solvable" if interval.is_point(1) else "unsolvable"
-            memo[key] = ({(interval, verdict): ()}, 1)
+            terminal = terminals.setdefault(_outcome(rows, lambda_one), len(terminals))
+            memo[key] = ({terminal: ()}, 1)
             return memo[key]
-        outcomes: dict = {}
+        outcomes: dict[int, tuple] = {}
         count = 0
         for var in sorted(remaining):
             rest = remaining - {var}
             moves = [
-                (row[0], _pivot_integer_rows(rows, i, var))
+                (labels[row[0]], pivot_integer_rows(rows, i, var))
                 for i, row in enumerate(rows)
                 if row[4] and row[1][var]
             ]
@@ -428,45 +402,21 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
                 sub_outcomes, sub_count = visit(new_rows, rest)
                 count += sub_count
                 head = (names[var], label)
-                for outcome_key, suffix in sub_outcomes.items():
-                    outcomes.setdefault(outcome_key, (head,) + suffix)
+                for terminal, suffix in sub_outcomes.items():
+                    if terminal not in outcomes:
+                        outcomes[terminal] = (head,) + suffix
         memo[key] = (outcomes, count)
         return memo[key]
 
     remaining = frozenset(v for v in range(len(names)) if v != lambda_one)
-    outcomes, count = visit(tuple(start), remaining)
+    outcomes, count = visit(integer_rows(ws.system), remaining)
+    by_id = list(terminals)
     ordered = sorted(
-        (ExploreOutcome(interval, verdict, seq) for (interval, verdict), seq in outcomes.items()),
+        (ExploreOutcome(*by_id[terminal], seq) for terminal, seq in outcomes.items()),
         key=lambda o: (o.verdict, o.interval.describe(), o.sequence),
     )
     verdicts = {o.verdict for o in ordered}
     return ExploreResult(tuple(ordered), count, len(verdicts) > 1, states)
-
-
-def _pivot_integer_rows(rows: tuple, p: int, var: int) -> tuple:
-    """Substitute `var` out through integer row p set to equality."""
-    _, pivot, pivot_rhs, _, _ = rows[p]
-    a0 = pivot[var]
-    m0 = abs(a0)
-    s0 = 1 if a0 > 0 else -1
-    out = []
-    for i, row in enumerate(rows):
-        if i == p:
-            continue
-        label, coeffs, rhs, strict, _ = row
-        a = coeffs[var]
-        if not a:
-            out.append(row)
-            continue
-        f = a * s0
-        new = [m0 * x - f * y for x, y in zip(coeffs, pivot)]
-        new_rhs = m0 * rhs - f * pivot_rhs
-        g = gcd(*new, new_rhs)
-        if g > 1:
-            new = [x // g for x in new]
-            new_rhs //= g
-        out.append((label, tuple(new), new_rhs, strict, True))
-    return tuple(out)
 
 
 def _drop_sign_row(rows: tuple, var: int) -> tuple:

@@ -300,14 +300,28 @@ def test_errors_come_before_the_capping_rows():
         is_reduced_to_origin(make_system(["x", "y"], mains=homogeneous + [({"x": 1}, "=", 0)], nonneg="all"))
 
 
+def _loosen_sign_row(system, var, rhs):
+    sign = system.sign_row_for(var)
+    loose = Constraint(sign.cid, sign.expr, Relation.LE, Fraction(rhs), sign.provenance)
+    return system.with_rows(loose if c is sign else c for c in system.constraints)
+
+
 def test_capping_rows_need_sign_rows_that_pin_x_at_zero():
-    # recession_system keeps the sign row -x <= 3, which allows x < 0, so the
-    # cap 2x + y <= 0 settles nothing and the probe must run.
+    # The sign row -x <= 3 allows x < 0, but its recession row is -x <= 0, so
+    # the cap 2x + y <= 0 pins the recession cone at the origin: the system
+    # (x in [-3, 0], y in [0, 6]) is bounded.
     capped = make_system(["x", "y"], mains=[({"x": 2, "y": 1}, "<=", 0)], nonneg="all")
-    sign_x = capped.sign_row_for(0)
-    loose = Constraint(sign_x.cid, sign_x.expr, Relation.LE, Fraction(3), sign_x.provenance)
-    system = capped.with_rows(loose if c is sign_x else c for c in capped.constraints)
-    assert has_solution_at_infinity(system) == _probing_solution_at_infinity(system)
+    system = _loosen_sign_row(capped, 0, 3)
+    assert all(c.rhs == 0 for c in recession_system(system).constraints)
+    assert is_bounded(system)
+    assert has_solution_at_infinity(system) == (False, None) == _probing_solution_at_infinity(system)
+    # On unbounded systems with loose sign rows, every ray returned is a
+    # recession direction: it satisfies each row with its right side zeroed.
+    wedge = make_system(["x", "y"], mains=[({"x": 1, "y": -2}, "<=", 1)], nonneg="all")
+    for loose in (_loosen_sign_row(wedge, 0, 3), _loosen_sign_row(_loosen_sign_row(wedge, 0, 3), 1, 2)):
+        flag, ray = has_solution_at_infinity(loose)
+        assert flag and any(x != 0 for _, x in ray.values)
+        assert all(c.expr.value_at(ray) <= 0 for c in loose.constraints)
 
 
 # Reference: the cone tests as they were before capping rows were read, with

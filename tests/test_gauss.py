@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from fraction_reference import substitute_fraction
 from lincert import gauss
 from lincert.core import (
     InvariantError,
@@ -133,6 +135,30 @@ def test_substitute_through_inhomogeneous_rows():
     assert dict(promoted.expr.terms) == {1: Fraction(1)}
     assert promoted.rhs == 4
     assert promoted.provenance.kind == "derived"
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_substitute_through_matches_the_fraction_formula(data):
+    # Random '<=' systems with fractional entries, nonzero right sides and
+    # some sign rows, pivoted on any row through any variable it mentions.
+    nvars = data.draw(st.integers(1, 4))
+    names = [f"x{i}" for i in range(nvars)]
+    row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), small_fractions)
+    mains = data.draw(st.lists(row, min_size=1, max_size=5))
+    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
+    system = make_system(names, mains=[(dict(zip(names, a)), "<=", r) for a, r in mains], nonneg=nonneg)
+    pivots = [(v, c.cid) for c in system.constraints for v, _ in c.expr.terms]
+    assume(pivots)
+    var, pivot_id = data.draw(st.sampled_from(pivots))
+    out = substitute_through(system, var, pivot_id)
+    assert out == substitute_fraction(system, var, pivot_id)
+    for c in system.constraints:
+        if c.expr.coeff(var) == 0:
+            assert out.constraint(c.cid) is c
 
 
 def test_transfer_of_zero_certificate_is_zero():

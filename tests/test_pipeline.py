@@ -1,8 +1,12 @@
+import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from fraction_reference import substitute_fraction
 
 from lincert.core import (
     Constraint,
@@ -19,8 +23,9 @@ from lincert.core import (
 from lincert.cone import is_reduced_to_origin
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
 from lincert.fourier import normalized_key
-from lincert.gauss import substitute_through, transfer_multipliers, classify
+from lincert.gauss import classify, integer_rows, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded
+from lincert.sysfile import parse
 from lincert.pipeline import (
     ExploreBudgetExceeded,
     Interval,
@@ -28,10 +33,7 @@ from lincert.pipeline import (
     PivotRule,
     PivotRuleError,
     UnboundedInputError,
-    _apply_step,
     _drop_sign_row,
-    _eligible_pivots,
-    _fallback_zero,
     build_working_system,
     explicit_order,
     explore,
@@ -325,7 +327,7 @@ def test_fallback_zero_refuses_a_row_that_still_mentions_the_variable():
         ),
     )
     with pytest.raises(InvariantError, match="still mentions"):
-        _fallback_zero(system, 1)
+        _drop_sign_row(integer_rows(system), 1)
 
 
 def test_drop_sign_row_refuses_a_row_that_still_mentions_the_variable():
@@ -389,15 +391,16 @@ def test_sigma_is_configurable():
     assert trace.verdict == "solvable"
 
 def reference_explore(primal):
-    """Every pivot sequence walked with no memo through the Fraction
-    `_apply_step`: the first witness per outcome in walk order, and the
-    number of sequences."""
+    """Every pivot sequence walked with no memo on Fraction systems, through
+    the formula in `fraction_reference`: the first witness per outcome in
+    walk order, and the number of sequences."""
     ws = build_working_system(primal)
     names = ws.system.variables
+    labels = dict(ws.labels)
     outcomes = {}
     count = 0
 
-    def walk(system, labels, remaining, prefix):
+    def walk(system, remaining, prefix):
         nonlocal count
         if not remaining:
             interval = terminal_interval(system, ws.lambda_one)
@@ -406,13 +409,25 @@ def reference_explore(primal):
             count += 1
             return
         for var in sorted(remaining):
-            for pivot in sorted(_eligible_pivots(system, var), key=lambda c: c.cid) or [None]:
-                new_system, new_labels, step = _apply_step(system, labels, var, pivot)
-                head = (names[var], step.pivot_label or "zero")
-                walk(new_system, new_labels, remaining - {var}, prefix + (head,))
+            pivots = [
+                c for c in sorted(system.constraints, key=lambda c: c.cid)
+                if c.provenance.kind not in ("sign", "extension") and c.expr.coeff(var) != 0
+            ]
+            for pivot in pivots:
+                head = (names[var], labels[pivot.cid])
+                walk(substitute_fraction(system, var, pivot.cid), remaining - {var}, prefix + (head,))
+            if not pivots:
+                walk(_fraction_fallback(system, var), remaining - {var}, prefix + ((names[var], "zero"),))
 
-    walk(ws.system, dict(ws.labels), frozenset(v for v in range(len(names)) if v != ws.lambda_one), ())
+    walk(ws.system, frozenset(v for v in range(len(names)) if v != ws.lambda_one), ())
     return outcomes, count
+
+
+def _fraction_fallback(system, var):
+    sign = system.sign_row_for(var)
+    rest = system.with_rows(c for c in system.constraints if c is not sign)
+    assert all(c.expr.coeff(var) == 0 for c in rest.constraints)
+    return rest
 
 
 def small_draws(seed, wanted, max_multipliers):
@@ -453,3 +468,57 @@ def test_explore_is_invariant_under_positive_row_scaling(seed, data):
     base, scaled = explore(system), explore(system.with_rows(rows))
     assert scaled.outcomes == base.outcomes
     assert scaled.sequence_count == base.sequence_count
+
+
+BASELINE = Path(__file__).resolve().parent.parent / "baseline" / "difftest-seed42-trials500.json"
+
+
+def test_run_steps_match_the_fraction_formula_on_the_baseline():
+    # Every step system of the default rule on the 500 seed-42 baseline
+    # systems, against the Fraction formula applied to the step before.
+    for trial in json.loads(BASELINE.read_text())["trials"]:
+        trace = run(parse(trial["system"]))
+        system = trace.working.system
+        for step in trace.steps:
+            if step.pivot_id is None:
+                expected = _fraction_fallback(system, step.var)
+            else:
+                expected = substitute_fraction(system, step.var, step.pivot_id)
+            assert step.system == expected
+            system = step.system
+        assert trace.terminal == system
+        assert trace.interval == terminal_interval(system, trace.working.lambda_one)
+
+
+def permuted(system, var_order, row_order):
+    """The same system with its variables in var_order and its main rows in
+    row_order, sign rows last; constraint ids renumbered."""
+    names = tuple(system.variables[v] for v in var_order)
+    new_index = {v: i for i, v in enumerate(var_order)}
+    mains = system.main_rows()
+    rows = [mains[i] for i in row_order] + list(system.sign_rows())
+    return System(
+        names,
+        tuple(
+            Constraint(cid, LinearExpr.from_terms({new_index[v]: a for v, a in c.expr.terms}), c.relation, c.rhs, c.provenance)
+            for cid, c in enumerate(rows)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_explore_is_invariant_under_variable_and_row_permutation(seed, data):
+    # A permutation only renames multipliers and rows, so the pivot tree is
+    # the same tree: the same terminal outcomes, as many sequences and as
+    # many distinct states.
+    system = generate_bounded(CounterStream(seed, "permute"), GenParams(max_vars=3, max_cons=3, seed=seed))
+    if len(build_working_system(system).system.variables) > 6:
+        return
+    var_order = data.draw(st.permutations(range(len(system.variables))))
+    row_order = data.draw(st.permutations(range(len(system.main_rows()))))
+    base, moved = explore(system), explore(permuted(system, var_order, row_order))
+    assert {(o.interval, o.verdict) for o in moved.outcomes} == {(o.interval, o.verdict) for o in base.outcomes}
+    assert moved.sequence_count == base.sequence_count
+    assert moved.pivot_sensitive == base.pivot_sensitive
+    assert moved.states == base.states
