@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare `lincert solve9` output between this checkout and another tree.
 
-    python3 scripts/compare_cli.py PARENT_TREE [--limit N]
+    python3 scripts/compare_cli.py PARENT_TREE
 
 Runs `lincert solve9 FILE --trace --json` and `lincert solve9 FILE --explore
 --json` on the systems of this checkout's seed-42 baseline
@@ -86,9 +86,8 @@ def render(result) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the tree to compare against")
-    parser.add_argument("--limit", type=int, default=None, help="only the first N baseline systems")
     args = parser.parse_args()
-    texts = [trial["system"] for trial in json.loads(BASELINE.read_text())["trials"]][: args.limit]
+    texts = [trial["system"] for trial in json.loads(BASELINE.read_text())["trials"]]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     procs = {side: start(tree, texts) for side, tree in trees.items()}
     results = {side: finish(proc, trees[side]) for side, proc in procs.items()}

@@ -258,7 +258,7 @@ def _main_first(rows: tuple, labels: dict[int, str], var: int) -> int | None:
 
 def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
     """The rule as (variable index, row label or None) moves; None lets
-    `_choose_main_first` pick the pivot."""
+    `_main_first` pick the pivot."""
     if rule.kind == "main-first":
         return [(var, None) for var in remaining]
     if rule.kind == "paper-seq":
