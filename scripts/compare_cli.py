@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Compare `lincert solve9` output between this checkout and another tree.
+"""Compare `lincert` output between this checkout and another tree.
 
     python3 scripts/compare_cli.py PARENT_TREE
 
-Runs `lincert solve9 FILE --trace --json` and `lincert solve9 FILE --explore
---json` on the systems of this checkout's seed-42 baseline
+Runs each command line in MODES, FILE standing for the system, on the
+systems of this checkout's seed-42 baseline
 (baseline/difftest-seed42-trials500.json) in both trees, each tree in its
 own Python process that imports lincert from that tree's src/.  Exit code,
 stdout and stderr of every call are compared byte for byte.  Prints, per
-subcommand, how many outputs are identical, and the first difference as a
-unified diff.  Exits 0 when every output is identical, 1 otherwise.
+command line, how many outputs are identical, and the first difference as
+a unified diff.  Exits 0 when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -24,13 +24,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BASELINE = ROOT / "baseline" / "difftest-seed42-trials500.json"
-MODES = {
-    "solve9 --trace --json": ["--trace", "--json"],
-    "solve9 --explore --json": ["--explore", "--json"],
-}
+MODES = [
+    ["solve9", "FILE", "--trace", "--json"],
+    ["solve9", "FILE", "--explore", "--json"],
+    ["check", "FILE", "--json"],
+    ["implicit", "FILE", "--json"],
+    ["cone", "FILE", "--analyze", "--json"],
+]
 
 # Runs in the child: reads [system text, ...] on stdin, writes
-# {mode: [[exit code, stdout, stderr], ...]} on stdout.
+# [[[exit code, stdout, stderr], ...] per mode] on stdout.
 CHILD = r"""
 import io, json, sys, tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -42,16 +45,16 @@ src, modes = Path(sys.argv[1]).resolve(), json.loads(sys.argv[2])
 if Path(lincert.__file__).resolve().parent != src / "lincert":
     sys.exit(f"lincert was imported from {lincert.__file__}, not from {src}")
 texts = json.load(sys.stdin)
-results = {mode: [] for mode in modes}
+results = [[] for _ in modes]
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "system.sys"
     for text in texts:
         path.write_text(text)
-        for mode, flags in modes.items():
+        for mode, result in zip(modes, results):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
-                code = main(["solve9", str(path), *flags])
-            results[mode].append([code, out.getvalue(), err.getvalue()])
+                code = main([str(path) if arg == "FILE" else arg for arg in mode])
+            result.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -92,10 +95,10 @@ def main() -> int:
     procs = {side: start(tree, texts) for side, tree in trees.items()}
     results = {side: finish(proc, trees[side]) for side, proc in procs.items()}
     same_everywhere = True
-    for mode in MODES:
-        pairs = list(zip(results["parent"][mode], results["change"][mode]))
+    for mode, parent, change in zip(MODES, results["parent"], results["change"]):
+        pairs = list(zip(parent, change))
         same = sum(a == b for a, b in pairs)
-        print(f"lincert {mode}: {same}/{len(pairs)} byte-identical")
+        print(f"lincert {' '.join(mode)}: {same}/{len(pairs)} byte-identical")
         first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
         if first is not None:
             same_everywhere = False

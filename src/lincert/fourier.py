@@ -17,6 +17,19 @@ derived tautologies are dropped, exact duplicates merge, and within a chain
 of eliminations Chernikov's history rule skips every pair whose derived row
 is redundant before the pair is combined (see _History).  Every elimination
 chain runs through one loop, _chain.
+
+A pair is combined on integer rows, in the fraction-free style of Bareiss
+(1968).  With P and N the two rows times the lcm of their denominators
+(den_P, den_N; a derived row already has denominator 1), A = P[x] > 0 and
+B = -N[x] > 0, the Fraction rows pos and neg have x coefficients
+a = A/den_P and -b = -B/den_N, and
+
+    pos/a + neg/b = (B*P + A*N) / (A*B),
+
+so the derived row, a coprime integer vector, is (B*P + A*N)/g with g the
+gcd of its entries and right side, and its derivation weights are
+B*den_P/g and A*den_N/g.  Only a kept row becomes Fractions, one per
+nonzero entry; rows between steps stay Fraction Constraints.
 """
 
 from __future__ import annotations
@@ -90,26 +103,27 @@ class FeasibilityVerdict:
     equality_certificate: MultiplierVector | None = None  # feasible: positive on exactly those
 
 
-def _normalize_row(expr: LinearExpr, rhs: Fraction) -> tuple[LinearExpr, Fraction, Fraction]:
-    """Scale a row so its entries form a coprime integer vector, sign preserved.
-
-    Returns (expr, rhs, factor) with row_in == factor * row_out.
-    """
-    entries = [c for _, c in expr.terms]
-    if rhs != 0:
-        entries.append(rhs)
-    if not entries:
-        return expr, rhs, Fraction(1)
-    g = gcd(*(abs(c.numerator) for c in entries))
-    l = lcm(*(c.denominator for c in entries))
-    factor = Fraction(g, l)
-    return expr.scale(1 / factor), rhs / factor, factor
-
-
 def normalized_key(constraint: Constraint) -> tuple:
-    """Structural row identity up to positive scaling; used for comparisons."""
-    expr, rhs, _ = _normalize_row(constraint.expr, constraint.rhs)
+    """Structural row identity up to positive scaling, used for comparisons:
+    the row as a coprime integer vector, sign preserved, in Fractions."""
+    expr, rhs = constraint.expr, constraint.rhs
+    entries = [c for _, c in expr.terms] + [rhs]
+    factor = Fraction(gcd(*(c.numerator for c in entries)), lcm(*(c.denominator for c in entries)))
+    if factor:
+        expr, rhs = expr.scale(1 / factor), rhs / factor
     return (expr.terms, constraint.relation, rhs)
+
+
+def _integer_row(c: Constraint, nvars: int) -> tuple[list[int], int, int]:
+    """(coefficients, rhs, den): the row times den, the lcm of its
+    denominators, as a dense integer vector; a derived row has den 1.
+    Unlike gauss.integer_rows it keeps den, which the derivation weights
+    need, and does not divide by the gcd."""
+    den = lcm(c.rhs.denominator, *(a.denominator for _, a in c.expr.terms))
+    coeffs = [0] * nvars
+    for v, a in c.expr.terms:
+        coeffs[v] = a.numerator * (den // a.denominator)
+    return coeffs, c.rhs.numerator * (den // c.rhs.denominator), den
 
 
 class _History:
@@ -154,7 +168,10 @@ def eliminate_var(
 
     Rows without the variable pass through unchanged (same ids).  Each
     positive/negative pair contributes one derived row, normalized to a
-    coprime integer vector.  Derived tautologies are dropped, exact
+    coprime integer vector: (B*P + A*N)/g on the pair's integer rows, with
+    derivation weights B*den_P/g and A*den_N/g (module docstring).  A pair
+    cancelling to [0] <= 0 or [0] < 0 has g = 0 and keeps the weights
+    den_P/A and den_N/B.  Derived tautologies are dropped, exact
     duplicates merge (all parent combinations kept in the trace), and pairs
     redundant by Chernikov's rule are skipped (see _History).  None of this
     changes the solution set, and every derived row keeps its full
@@ -175,6 +192,7 @@ def eliminate_var(
     history.depth += 1
     limit = history.depth + 1
 
+    nvars = len(system.variables)
     passthrough = []
     positive = []
     negative = []
@@ -182,10 +200,8 @@ def eliminate_var(
         a = c.expr.coeff(var)
         if a == 0:
             passthrough.append(c)
-        elif a > 0:
-            positive.append((c, a))
         else:
-            negative.append((c, -a))
+            (positive if a > 0 else negative).append((c, *_integer_row(c, nvars)))
 
     rows = list(passthrough)
     histories = {c.cid: history.of[c.cid] for c in passthrough}
@@ -194,24 +210,26 @@ def eliminate_var(
     merged: list[tuple[int, Derivation]] = []
     by_key = {(c.expr.terms, c.relation, c.rhs): c.cid for c in passthrough}
     next_id = system.next_id() if start_id is None else max(start_id, system.next_id())
-    for pos, a in positive:
+    for pos, p, p_rhs, den_p in positive:
+        a = p[var]
         pos_histories = history.of[pos.cid]
-        for neg, b in negative:
+        for neg, n, n_rhs, den_n in negative:
             fits = {u for h in pos_histories for g in history.of[neg.cid] if len(u := h | g) <= limit}
             if not fits:
                 continue  # redundant by Chernikov's rule
-            coeff_pos = 1 / a
-            coeff_neg = 1 / b
-            expr = pos.expr.scale(coeff_pos) + neg.expr.scale(coeff_neg)
-            rhs = pos.rhs * coeff_pos + neg.rhs * coeff_neg
-            expr, rhs, factor = _normalize_row(expr, rhs)
+            b = -n[var]
+            row = [b * x + a * y for x, y in zip(p, n)]
+            rhs = b * p_rhs + a * n_rhs
             rel = Relation.LT if Relation.LT in (pos.relation, neg.relation) else Relation.LE
-            if expr.is_zero and rel.holds(ZERO, rhs):
-                if rhs == 0:  # factor is 1
-                    zero_rows.append(((pos.cid, coeff_pos), (neg.cid, coeff_neg)))
+            if not any(row) and rel.holds(0, rhs):
+                if rhs == 0:
+                    zero_rows.append(((pos.cid, Fraction(den_p, a)), (neg.cid, Fraction(den_n, b))))
                 continue  # derived tautology: var-free, never binds
-            derivation: Derivation = ((pos.cid, coeff_pos / factor), (neg.cid, coeff_neg / factor))
-            key = (expr.terms, rel, rhs)
+            g = gcd(*row, rhs) or a * b  # a strict pair cancelling to [0] < 0: weights as above
+            derivation: Derivation = ((pos.cid, Fraction(b * den_p, g)), (neg.cid, Fraction(a * den_n, g)))
+            terms = tuple((v, x // g) for v, x in enumerate(row) if x)
+            rhs //= g
+            key = (terms, rel, rhs)  # ints equal and hash as the Fractions they stand for
             cid = by_key.get(key)
             if cid is not None:
                 histories[cid] = histories[cid] | fits
@@ -220,7 +238,8 @@ def eliminate_var(
                 else:
                     merged.append((cid, derivation))
                 continue
-            rows.append(Constraint(next_id, expr, rel, rhs, Provenance.derived((pos.cid, neg.cid))))
+            expr = LinearExpr(tuple((v, Fraction(x)) for v, x in terms))
+            rows.append(Constraint(next_id, expr, rel, Fraction(rhs), Provenance.derived((pos.cid, neg.cid))))
             histories[next_id] = fits
             derivations_of[next_id] = (derivation,)
             by_key[key] = next_id
@@ -270,8 +289,7 @@ def _bounds_for(system: System, var: int, known: dict[int, Fraction]):
         a = c.expr.coeff(var)
         if a == 0:
             continue
-        rest = c.expr.drop(var)
-        residue = c.rhs - rest.value_at(Point.of(known))
+        residue = c.rhs - sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO)
         bound = residue / a
         strict = c.relation is Relation.LT
         if a > 0:

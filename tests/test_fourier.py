@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_reference import eliminate_var_fraction
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
@@ -21,6 +22,7 @@ from lincert.core import (
     make_system,
 )
 from lincert.fourier import (
+    ProducedRow,
     eliminate_var,
     farkas_from_trace,
     feasibility,
@@ -389,6 +391,77 @@ def test_merged_duplicate_keeps_every_history():
     assert not verdict.feasible
     assert is_infeasibility_certificate(sys, verdict.certificate)
 
+
+
+def matches_fraction_reference(system, var):
+    """A lone eliminate_var call equals the Fraction formula exactly, types
+    included: rows, ids, provenance, derivations, zero_rows and merged."""
+    out, trace = eliminate_var(system, var)
+    (step,) = trace.steps
+    assert repr((out, step)) == repr(eliminate_var_fraction(system, var))
+    return out, step
+
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+le_or_lt = st.sampled_from(["<=", "<"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_pair_step_matches_the_fraction_formula(data):
+    # Fractional, partly strict rows, then copies of some of them: scaled
+    # by k (k = 1 with no shift is an exact duplicate, k = -1 with no shift
+    # a pair that cancels) with the right side shifted by 0 or +-1.
+    nvars = data.draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(nvars)]
+    row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), le_or_lt, small_fractions)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    for a, _, r in data.draw(st.lists(st.sampled_from(rows), max_size=4)):
+        k = data.draw(st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-1, 2)]))
+        shift = data.draw(st.sampled_from([0, 0, 1, -1]))
+        rows.append(([k * x for x in a], data.draw(le_or_lt), k * r + shift))
+    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
+    system = make_system(names, mains=[(dict(zip(names, a)), rel, r) for a, rel, r in rows], nonneg=nonneg)
+    matches_fraction_reference(system, data.draw(st.integers(0, nvars - 1)))
+
+
+def test_strict_pair_cancelling_to_zero_keeps_unscaled_weights():
+    system = make_system(["x"], mains=[({"x": 2}, "<", 3), ({"x": -3}, "<=", Fraction(-9, 2))])
+    out, step = matches_fraction_reference(system, 0)
+    (row,) = out.constraints
+    assert (row.expr.is_zero, row.relation, row.rhs) == (True, Relation.LT, 0)
+    assert step.produced == (ProducedRow(row.cid, (((0, Fraction(1, 2)), (1, Fraction(1, 3))),)),)
+    assert step.zero_rows == ()
+
+
+def test_pair_cancelling_to_zero_le_row_is_recorded_unscaled():
+    system = make_system(["x"], mains=[({"x": 1}, "<=", 1), ({"x": -2}, "<=", -2)])
+    out, step = matches_fraction_reference(system, 0)
+    assert out.constraints == ()
+    assert step.zero_rows == (((0, Fraction(1)), (1, Fraction(1, 2))),)
+    assert step.produced == ()
+
+
+def test_pass_through_row_merges_only_with_an_equal_derived_row():
+    # Eliminating y from x + y <= 1 and -y <= 1 derives x <= 2.  The
+    # pass-through 2x <= 4 bounds x the same way but is not the same row.
+    rows = [({"x": 2}, "<=", 4), ({"x": 1, "y": 1}, "<=", 1), ({"y": -1}, "<=", 1)]
+    out, step = matches_fraction_reference(make_system(["x", "y"], mains=rows), 1)
+    assert [(c.cid, c.expr.terms, c.rhs) for c in out.constraints] == [(0, ((0, 2),), 4), (3, ((0, 1),), 2)]
+    assert step.merged == ()
+    rows[0] = ({"x": 1}, "<=", 2)
+    out, step = matches_fraction_reference(make_system(["x", "y"], mains=rows), 1)
+    assert [c.cid for c in out.constraints] == [0]
+    assert step.merged == ((0, ((1, Fraction(1)), (2, Fraction(1)))),)
+
+
+def test_pair_with_denominators():
+    # 6 * (1/2 x + 1/3 y <= 5/6) + 3 * (-x + y <= 1) is 5y <= 8.
+    rows = [({"x": Fraction(1, 2), "y": Fraction(1, 3)}, "<=", Fraction(5, 6)), ({"x": -1, "y": 1}, "<=", 1)]
+    out, step = matches_fraction_reference(make_system(["x", "y"], mains=rows), 0)
+    (row,) = out.constraints
+    assert (row.expr.terms, row.relation, row.rhs) == (((1, Fraction(5)),), Relation.LE, Fraction(8))
+    assert step.produced == (ProducedRow(row.cid, (((0, Fraction(6)), (1, Fraction(3))),)),)
 
 def _pinned(system, values):
     """The system plus rows fixing each variable in `values`."""
