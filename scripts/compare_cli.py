@@ -30,6 +30,8 @@ MODES = [
     ["check", "FILE", "--json"],
     ["implicit", "FILE", "--json"],
     ["cone", "FILE", "--analyze", "--json"],
+    ["fourier", "FILE", "--eliminate", "x1", "--json"],
+    ["dual", "FILE", "--json"],
 ]
 
 # Runs in the child: reads [system text, ...] on stdin, writes

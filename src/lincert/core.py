@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -98,7 +99,7 @@ class LinearExpr:
         for var, c in items:
             c = rat(c)
             if c != 0:
-                acc[var] = acc.get(var, ZERO) + c
+                acc[var] = acc[var] + c if var in acc else c
         return LinearExpr(tuple(sorted((v, c) for v, c in acc.items() if c != 0)))
 
     def coeff(self, var: int) -> Fraction:
@@ -346,6 +347,70 @@ class Point:
 
     def has(self, var: int) -> bool:
         return any(v == var for v, _ in self.values)
+
+
+def integer_row(c: Constraint, nvars: int) -> tuple[list[int], int, int]:
+    """(coefficients, rhs, den): the row times den, the lcm of its
+    denominators, as a dense integer vector over nvars variables."""
+    den = lcm(c.rhs.denominator, *(a.denominator for _, a in c.expr.terms))
+    coeffs = [0] * nvars
+    for v, a in c.expr.terms:
+        coeffs[v] = a.numerator * (den // a.denominator)
+    return coeffs, c.rhs.numerator * (den // c.rhs.denominator), den
+
+
+@dataclass(frozen=True)
+class Interval:
+    empty: bool = False
+    lo: Fraction | None = None
+    lo_open: bool = False
+    hi: Fraction | None = None
+    hi_open: bool = False
+
+    def is_point(self, value) -> bool:
+        value = rat(value)
+        return (
+            not self.empty
+            and self.lo == value
+            and self.hi == value
+            and not self.lo_open
+            and not self.hi_open
+        )
+
+    def describe(self) -> str:
+        if self.empty:
+            return "empty"
+        left = "(" if self.lo_open or self.lo is None else "["
+        right = ")" if self.hi_open or self.hi is None else "]"
+        lo = str(self.lo) if self.lo is not None else "-inf"
+        hi = str(self.hi) if self.hi is not None else "+inf"
+        return f"{left}{lo}, {hi}{right}"
+
+
+def interval_of(rows: Iterable[tuple]) -> Interval:
+    """The solution set of one variable l under rows a*l <= rhs (a*l < rhs
+    when strict), given as (a, rhs, strict) triples of ints or Fractions."""
+    lo = hi = None
+    lo_open = hi_open = False
+    empty = False
+    for a, rhs, strict in rows:
+        if a == 0:
+            if rhs < 0 or (strict and rhs == 0):
+                empty = True
+            continue
+        bound = Fraction(rhs, a)
+        if a > 0:
+            if hi is None or bound < hi or (bound == hi and strict):
+                hi, hi_open = bound, strict
+        else:
+            if lo is None or bound > lo or (bound == lo and strict):
+                lo, lo_open = bound, strict
+    if lo is not None and hi is not None:
+        if lo > hi or (lo == hi and (lo_open or hi_open)):
+            empty = True
+    if empty:
+        return Interval(empty=True)
+    return Interval(False, lo, lo_open, hi, hi_open)
 
 
 def combine(system: System, lam: MultiplierVector) -> Constraint:

@@ -160,18 +160,3 @@ def multipliers_from_primal_solution(
     if not at_infinity:
         weights[dual.extension_id] = Fraction(1)
     return MultiplierVector.of(weights)
-
-
-def combined_with_primal(primal: System, strong: StrongElementaryDual) -> System:
-    """One system over (lambda..., x...) holding the primal rows and the
-    symbolic strong dual rows together."""
-    if strong.sigma is not None:
-        raise LincertError("only the symbolic strong dual can be combined with its primal")
-    nlam = len(strong.lambda_origin)
-    rows = list(strong.system.constraints)
-    cid = strong.system.next_id()
-    for c in primal.constraints:
-        expr = LinearExpr.from_terms({nlam + v: coeff for v, coeff in c.expr.terms})
-        rows.append(Constraint(cid, expr, c.relation, c.rhs, c.provenance))
-        cid += 1
-    return System(strong.system.variables, tuple(rows))

@@ -6,11 +6,16 @@ variable.  Recording the combination coefficients per produced row makes the
 procedure self-certifying: an infeasible system eventually produces a row
 [0] <= r with r < 0, and replaying the trace turns that row into nonnegative
 multipliers over the input rows (a Farkas certificate).  A feasible system
-yields an exact witness by back-substitution.
+yields an exact witness by back-substitution: each variable, last
+eliminated first, takes the midpoint of its fiber, read off its rows by
+`core.interval_of`, the rule that also gives solve9's terminal interval.
 
 The implicit equalities, <= rows tight at every feasible point, come from
 the same elimination: they are the rows tight at the witness, and the
-derived [0] <= 0 rows, dropped but kept in the trace, certify them.
+derived [0] <= 0 rows, dropped but kept in the trace, certify them.  Both
+certificates replay the trace the same way, last step first, through
+_spread: farkas_from_trace follows each row's first derivation, and
+equality_certificate splits a row's weight over all its derivations.
 
 Three rules keep the rows in check, and none changes a solution set:
 derived tautologies are dropped, exact duplicates merge, and within a chain
@@ -34,14 +39,13 @@ nonzero entry; rows between steps stay Fraction Constraints.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .core import (
     Constraint,
-    InfeasibleSystemError,
+    Interval,
     InvariantError,
     LincertError,
     LinearExpr,
@@ -57,6 +61,8 @@ from .core import (
     ZERO,
     check_multiplier_certificate,
     combine,
+    integer_row,
+    interval_of,
     is_zero_row,
 )
 
@@ -86,13 +92,6 @@ class EliminationTrace:
     def extend(self, step: EliminationStep) -> "EliminationTrace":
         return EliminationTrace(self.input_ids, self.steps + (step,))
 
-    def derivation_map(self) -> dict[int, tuple[Derivation, ...]]:
-        out: dict[int, tuple[Derivation, ...]] = {}
-        for step in self.steps:
-            for row in step.produced:
-                out[row.cid] = row.derivations
-        return out
-
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -101,29 +100,6 @@ class FeasibilityVerdict:
     certificate: MultiplierVector | None = None  # infeasible: Farkas multipliers
     implicit_ids: frozenset[int] = frozenset()  # feasible: the implicit equalities
     equality_certificate: MultiplierVector | None = None  # feasible: positive on exactly those
-
-
-def normalized_key(constraint: Constraint) -> tuple:
-    """Structural row identity up to positive scaling, used for comparisons:
-    the row as a coprime integer vector, sign preserved, in Fractions."""
-    expr, rhs = constraint.expr, constraint.rhs
-    entries = [c for _, c in expr.terms] + [rhs]
-    factor = Fraction(gcd(*(c.numerator for c in entries)), lcm(*(c.denominator for c in entries)))
-    if factor:
-        expr, rhs = expr.scale(1 / factor), rhs / factor
-    return (expr.terms, constraint.relation, rhs)
-
-
-def _integer_row(c: Constraint, nvars: int) -> tuple[list[int], int, int]:
-    """(coefficients, rhs, den): the row times den, the lcm of its
-    denominators, as a dense integer vector; a derived row has den 1.
-    Unlike gauss.integer_rows it keeps den, which the derivation weights
-    need, and does not divide by the gcd."""
-    den = lcm(c.rhs.denominator, *(a.denominator for _, a in c.expr.terms))
-    coeffs = [0] * nvars
-    for v, a in c.expr.terms:
-        coeffs[v] = a.numerator * (den // a.denominator)
-    return coeffs, c.rhs.numerator * (den // c.rhs.denominator), den
 
 
 class _History:
@@ -201,7 +177,7 @@ def eliminate_var(
         if a == 0:
             passthrough.append(c)
         else:
-            (positive if a > 0 else negative).append((c, *_integer_row(c, nvars)))
+            (positive if a > 0 else negative).append((c, *integer_row(c, nvars)))
 
     rows = list(passthrough)
     histories = {c.cid: history.of[c.cid] for c in passthrough}
@@ -281,35 +257,14 @@ def _chain(
         chain.append(current)
 
 
-def _bounds_for(system: System, var: int, known: dict[int, Fraction]):
-    """Lower/upper bounds on var from rows of `system` with later vars fixed."""
-    lo = hi = None
-    lo_strict = hi_strict = False
-    for c in system.constraints:
-        a = c.expr.coeff(var)
-        if a == 0:
-            continue
-        residue = c.rhs - sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO)
-        bound = residue / a
-        strict = c.relation is Relation.LT
-        if a > 0:
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_strict = bound, strict
-        else:
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_strict = bound, strict
-    return lo, lo_strict, hi, hi_strict
-
-
-def _pick_midpoint(lo, lo_strict, hi, hi_strict) -> Fraction:
+def _pick_midpoint(interval: Interval) -> Fraction:
     """A point in the relative interior of the fiber; implicit-equality
     detection rests on this (see _back_substitute)."""
-    if lo is not None and hi is not None:
-        if lo < hi:
-            return (lo + hi) / 2
-        if lo == hi and not lo_strict and not hi_strict:
-            return lo
+    lo, hi = interval.lo, interval.hi
+    if interval.empty:
         raise InvariantError("empty interval during back-substitution")  # pragma: no cover
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
     if lo is not None:
         return lo + 1
     if hi is not None:
@@ -317,18 +272,25 @@ def _pick_midpoint(lo, lo_strict, hi, hi_strict) -> Fraction:
     return ZERO
 
 
-def _back_substitute(chain: list[System], order: list[int], pick=_pick_midpoint) -> Point:
-    """Fix the variables last-eliminated first, each in its fiber.
+def _back_substitute(chain: list[System], order: list[int]) -> Point:
+    """Fix the variables last-eliminated first, each at the midpoint of its
+    fiber: the interval (`core.interval_of`) of the rows of its chain system
+    that mention it, with the later variables fixed.
 
-    Each chain system is an exact projection of the one before, so with
-    _pick_midpoint the point lies in the relative interior of the solution
-    set (Rockafellar, Convex Analysis, Thm 6.8, by induction down the chain):
-    a <= row is tight there iff it is tight at every feasible point.
+    Each chain system is an exact projection of the one before, so the point
+    lies in the relative interior of the solution set (Rockafellar, Convex
+    Analysis, Thm 6.8, by induction down the chain): a <= row is tight there
+    iff it is tight at every feasible point.
     """
     known: dict[int, Fraction] = {}
     for i in range(len(order) - 1, -1, -1):
         var = order[i]
-        known[var] = pick(*_bounds_for(chain[i], var, known))
+        fiber = (
+            (a, c.rhs - sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO), c.relation is Relation.LT)
+            for c in chain[i].constraints
+            if (a := c.expr.coeff(var))
+        )
+        known[var] = _pick_midpoint(interval_of(fiber))
     return Point.of(known)
 
 
@@ -383,32 +345,6 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     return FeasibilityVerdict(True, witness=witness, implicit_ids=implicit, equality_certificate=lam)
 
 
-def sample_point(system: System, rng: random.Random) -> Point:
-    """Random feasible point via perturbed back-substitution.
-
-    Raises InfeasibleSystemError if the system is infeasible; check
-    feasibility first when unsure.
-    """
-    order = list(range(len(system.variables)))
-    chain, _, _, bad = _chain(system, order)
-    if bad is not None:
-        raise InfeasibleSystemError("cannot sample from an infeasible system")
-
-    def pick(lo, lo_strict, hi, hi_strict) -> Fraction:
-        if lo is not None and hi is not None:
-            if lo == hi:
-                return lo
-            k = rng.randint(1, 15)
-            return lo + (hi - lo) * Fraction(k, 16)
-        if lo is not None:
-            return lo + rng.randint(1, 8)
-        if hi is not None:
-            return hi - rng.randint(1, 8)
-        return Fraction(rng.randint(-4, 4))
-
-    return _back_substitute(chain, order, pick)
-
-
 def project(system: System, keep: set[int] | frozenset[int]) -> System:
     """Eliminate every variable not in `keep` (table order); solution set is
     the coordinate projection."""
@@ -419,38 +355,30 @@ def project(system: System, keep: set[int] | frozenset[int]) -> System:
     return _chain(system, order, stop_at_contradiction=False)[0][-1]
 
 
+def _spread(weights: dict[int, Fraction], derivation: Derivation, w: Fraction) -> None:
+    """Pass weight w on a row down one of its derivations to its parents."""
+    for parent, coeff in derivation:
+        weights[parent] = weights.get(parent, ZERO) + w * coeff
+
+
 def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:
     """Replay a derived contradiction row back to input-row multipliers.
 
     Weights flow from the target row down through the first recorded
     derivation of each intermediate row (merged duplicates only append
-    later ones); ids increase along derivations, so a single descending
-    pass suffices.
+    later ones).  A step's derivations use rows of the system before it, so
+    one pass over the steps, last first, leaves weight on input rows only.
     """
-    derivations = trace.derivation_map()
-    if cid in trace.input_ids:
-        return MultiplierVector.of({cid: 1})
-    if cid not in derivations:
-        raise UnknownConstraintError(f"constraint {cid} is not recorded in the trace")
-    weights: dict[int, Fraction] = {cid: Fraction(1)}
-    result: dict[int, Fraction] = {}
-    for current in sorted(weights.keys() | derivations.keys(), reverse=True):
-        w = weights.pop(current, None)
-        if w is None or w == 0:
-            continue
-        if current in trace.input_ids:
-            result[current] = result.get(current, ZERO) + w
-            continue
-        if current not in derivations:
+    weights = {cid: Fraction(1)}
+    for step in reversed(trace.steps):
+        for row in step.produced:
+            w = weights.pop(row.cid, None)
+            if w is not None:
+                _spread(weights, row.derivations[0], w)
+    for current in weights:
+        if current not in trace.input_ids:
             raise UnknownConstraintError(f"constraint {current} is not recorded in the trace")
-        for parent, coeff in derivations[current][0]:
-            weights[parent] = weights.get(parent, ZERO) + w * coeff
-    for current, w in weights.items():
-        if w != 0:
-            if current not in trace.input_ids:
-                raise UnknownConstraintError(f"constraint {current} is not recorded in the trace")
-            result[current] = result.get(current, ZERO) + w
-    return MultiplierVector.of(result)
+    return MultiplierVector.of(weights)
 
 
 def equality_certificate(system: System, trace: EliminationTrace) -> MultiplierVector:
@@ -473,22 +401,17 @@ def equality_certificate(system: System, trace: EliminationTrace) -> MultiplierV
     weights = {
         c.cid: Fraction(1) for c in system.constraints if c.relation is Relation.LE and c.expr.is_zero and c.rhs == 0
     }
-
-    def spread(derivation: Derivation, w: Fraction) -> None:
-        for parent, coeff in derivation:
-            weights[parent] = weights.get(parent, ZERO) + w * coeff
-
     for step in reversed(trace.steps):
         for derivation in step.zero_rows:
-            spread(derivation, Fraction(1))
+            _spread(weights, derivation, Fraction(1))
         for cid, derivation in step.merged:
             if cid in weights:
-                spread(derivation, weights[cid] / ways[cid])
+                _spread(weights, derivation, weights[cid] / ways[cid])
         for row in step.produced:
             w = weights.pop(row.cid, None)
             if w is not None:
                 for derivation in row.derivations:
-                    spread(derivation, w / ways[row.cid])
+                    _spread(weights, derivation, w / ways[row.cid])
     return MultiplierVector.of((cid, w / ways[cid]) for cid, w in weights.items())
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .core import (
     Constraint,
@@ -52,6 +52,7 @@ from .core import (
     System,
     ZERO,
     check_multiplier_certificate,
+    integer_row,
 )
 
 
@@ -145,18 +146,15 @@ def classify(system: System, var: int, pivot_id: int, homogeneous: bool = True) 
 def integer_rows(system: System) -> tuple:
     """The rows of `system` as (cid, coefficients, rhs, strict, pivotable),
     in system order: the coefficients are a dense tuple over the variables
-    and, with rhs, the coprime integer positive multiple of the row.  Sign
-    and extension rows are not pivotable."""
+    and, with rhs, the coprime integer positive multiple of the row
+    (`core.integer_row` divided by its gcd).  Sign and extension rows are
+    not pivotable."""
     rows = []
     nvars = len(system.variables)
     for c in system.constraints:
         if c.relation is Relation.EQ:
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
-        den = lcm(c.rhs.denominator, *(a.denominator for _, a in c.expr.terms))
-        coeffs = [0] * nvars
-        for v, a in c.expr.terms:
-            coeffs[v] = a.numerator * (den // a.denominator)
-        rhs = c.rhs.numerator * (den // c.rhs.denominator)
+        coeffs, rhs, _ = integer_row(c, nvars)
         g = gcd(*coeffs, rhs)
         if g > 1:
             coeffs = [x // g for x in coeffs]

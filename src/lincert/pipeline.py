@@ -6,13 +6,15 @@ strong elementary dual of the capped cone with the all-ones objective.  That
 dual is a pure multiplier system whose first variable l1 belongs to the cap
 row and whose extension row is -2*l1 >= -2.  Every other l variable is then
 substituted out through some eligible row set to equality (its sign row
-becoming a main row), leaving a one-variable system in l1.  The verdict read
-off the terminal interval is Solvable exactly when the interval is the single
-point {1}.
+becoming a main row), leaving a one-variable system in l1.  Its interval is
+read off its rows by `core.interval_of`, the rule Fourier back-substitution
+uses for each fiber, and the verdict is Solvable exactly when the interval
+is the single point {1}.
 
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
-makes the choice explicit and reproducible, and `explore` enumerates the
+makes the choice explicit and reproducible: the default takes original main
+rows first, a pivot sequence names every pivot.  `explore` enumerates the
 whole pivot tree to quantify the sensitivity.  Both pivot on coprime
 integer rows through `gauss.pivot_integer_rows`, without fractions (as in
 Bareiss 1968).  `run` also builds each step's `Fraction` system, because
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 from .core import (
     Constraint,
+    Interval,
     InvariantError,
     LincertError,
     LinearExpr,
@@ -36,6 +39,7 @@ from .core import (
     Relation,
     System,
     ZERO,
+    interval_of,
     rat,
     validate_standard_shape,
 )
@@ -58,9 +62,8 @@ class ExploreBudgetExceeded(LincertError):
 
 @dataclass(frozen=True)
 class PivotRule:
-    kind: str  # "main-first" | "paper-seq" | "explicit-order"
+    kind: str  # "main-first" (the default rule) | "paper-seq" (every pivot named)
     sequence: tuple[tuple[str, str], ...] = ()  # (lambda name, row label) pairs
-    order: tuple[str, ...] = ()
 
 
 MAIN_ROWS_FIRST = PivotRule("main-first")
@@ -68,78 +71,6 @@ MAIN_ROWS_FIRST = PivotRule("main-first")
 
 def pivot_sequence(pairs) -> PivotRule:
     return PivotRule("paper-seq", sequence=tuple((str(a), str(b)) for a, b in pairs))
-
-
-def explicit_order(names) -> PivotRule:
-    return PivotRule("explicit-order", order=tuple(names))
-
-
-@dataclass(frozen=True)
-class Interval:
-    empty: bool = False
-    lo: Fraction | None = None
-    lo_open: bool = False
-    hi: Fraction | None = None
-    hi_open: bool = False
-
-    def is_point(self, value) -> bool:
-        value = rat(value)
-        return (
-            not self.empty
-            and self.lo == value
-            and self.hi == value
-            and not self.lo_open
-            and not self.hi_open
-        )
-
-    def describe(self) -> str:
-        if self.empty:
-            return "empty"
-        left = "(" if self.lo_open or self.lo is None else "["
-        right = ")" if self.hi_open or self.hi is None else "]"
-        lo = str(self.lo) if self.lo is not None else "-inf"
-        hi = str(self.hi) if self.hi is not None else "+inf"
-        return f"{left}{lo}, {hi}{right}"
-
-
-def terminal_interval(system: System, var: int) -> Interval:
-    """Exact feasible interval of a one-variable system."""
-    rows = []
-    for c in system.constraints:
-        extra = [v for v, _ in c.expr.terms if v != var]
-        if extra:
-            names = ", ".join(system.variables[v] for v in extra)
-            raise LincertError(f"terminal system still mentions {names}")
-        if c.relation is Relation.EQ:
-            raise LincertError(f"terminal system contains an equality row {c.cid}")
-        rows.append((c.expr.coeff(var), c.rhs, c.relation is Relation.LT))
-    return _interval(rows)
-
-
-def _interval(rows) -> Interval:
-    """The solution set of rows a*l <= rhs (a*l < rhs when strict) given as
-    (a, rhs, strict) triples of ints or Fractions."""
-    lo = hi = None
-    lo_open = hi_open = False
-    empty = False
-    for a, rhs, strict in rows:
-        if a == 0:
-            if rhs < 0 or (strict and rhs == 0):
-                empty = True
-            continue
-        bound = Fraction(rhs, a)
-        if a > 0:
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_open = bound, strict
-        else:
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_open = bound, strict
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            empty = True
-    if empty:
-        return Interval(empty=True)
-    return Interval(False, lo, lo_open, hi, hi_open)
 
 
 @dataclass(frozen=True)
@@ -261,19 +192,15 @@ def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
     `_main_first` pick the pivot."""
     if rule.kind == "main-first":
         return [(var, None) for var in remaining]
-    if rule.kind == "paper-seq":
-        named, what = rule.sequence, "pivot sequence"
-    elif rule.kind == "explicit-order":
-        named, what = [(lname, None) for lname in rule.order], "explicit order"
-    else:
+    if rule.kind != "paper-seq":
         raise PivotRuleError(f"unknown pivot rule kind {rule.kind!r}")
     plan = []
-    for lname, row_label in named:
+    for lname, row_label in rule.sequence:
         if lname not in variables:
             raise PivotRuleError(f"no multiplier variable named {lname!r}")
         plan.append((variables.index(lname), row_label))
     if sorted(var for var, _ in plan) != remaining:
-        raise PivotRuleError(f"{what} must eliminate every multiplier except l1 exactly once")
+        raise PivotRuleError("pivot sequence must eliminate every multiplier except l1 exactly once")
     return plan
 
 
@@ -291,7 +218,7 @@ def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str
 
 def _outcome(rows: tuple, lambda_one: int) -> tuple[Interval, str]:
     """The interval and verdict of integer rows that mention only l1."""
-    interval = _interval((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
+    interval = interval_of((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
     return interval, "solvable" if interval.is_point(1) else "unsolvable"
 
 

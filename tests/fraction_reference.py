@@ -1,5 +1,6 @@
-"""Independent Fraction references for Gaussian substitution and the
-Fourier pair step.
+"""Independent Fraction references for Gaussian substitution, the Fourier
+pair step, the Farkas replay and the terminal interval, and the helpers
+the tests share.
 
 `lincert.gauss` substitutes and `lincert.fourier` combines pairs on integer
 rows; the tests compare them, and the pipeline built on them, with the
@@ -10,8 +11,22 @@ never checked against themselves.
 from fractions import Fraction
 from math import gcd, lcm
 
-from lincert.core import Constraint, Provenance, Relation
-from lincert.fourier import EliminationStep, ProducedRow
+from lincert.core import (
+    Constraint,
+    InfeasibleSystemError,
+    Interval,
+    LincertError,
+    MultiplierVector,
+    Point,
+    Provenance,
+    Relation,
+    RowClass,
+    UnknownConstraintError,
+    ZERO,
+    interval_of,
+    is_zero_row,
+)
+from lincert.fourier import EliminationStep, ProducedRow, project
 
 
 def substitute_fraction(system, var, pivot_id):
@@ -44,6 +59,13 @@ def _coprime(expr, rhs):
         return expr, rhs, Fraction(1)
     factor = Fraction(gcd(*(c.numerator for c in entries)), lcm(*(c.denominator for c in entries)))
     return expr.scale(1 / factor), rhs / factor, factor
+
+
+def normalized_key(constraint):
+    """Structural row identity up to positive scaling: the row as a coprime
+    integer vector, sign preserved, in Fractions."""
+    expr, rhs, _ = _coprime(constraint.expr, constraint.rhs)
+    return (expr.terms, constraint.relation, rhs)
 
 
 def eliminate_var_fraction(system, var):
@@ -93,3 +115,74 @@ def eliminate_var_fraction(system, var):
         var, tuple(ProducedRow(cid, d) for cid, d in produced.items()), tuple(zero_rows), tuple(merged)
     )
     return system.with_rows(rows), step
+
+
+def farkas_reference(trace, cid):
+    """Replay row cid to input-row multipliers by ids in descending order,
+    following each row's first derivation: ids grow along derivations, so a
+    row's weight is complete before its id comes up."""
+    derivations = {}
+    for step in trace.steps:
+        for row in step.produced:
+            derivations[row.cid] = row.derivations[0]
+    if cid not in trace.input_ids and cid not in derivations:
+        raise UnknownConstraintError(f"constraint {cid} is not recorded in the trace")
+    weights = {cid: Fraction(1)}
+    for current in sorted(derivations, reverse=True):
+        w = weights.pop(current, None)
+        if w is not None:
+            for parent, coeff in derivations[current]:
+                weights[parent] = weights.get(parent, ZERO) + w * coeff
+    assert set(weights) <= trace.input_ids
+    return MultiplierVector.of(weights)
+
+
+def terminal_interval(system, var):
+    """Exact feasible interval of a one-variable system, bound by bound."""
+    lo = hi = None
+    lo_open = hi_open = empty = False
+    for c in system.constraints:
+        extra = [v for v, _ in c.expr.terms if v != var]
+        if extra:
+            names = ", ".join(system.variables[v] for v in extra)
+            raise LincertError(f"terminal system still mentions {names}")
+        if c.relation is Relation.EQ:
+            raise LincertError(f"terminal system contains an equality row {c.cid}")
+        a, strict = c.expr.coeff(var), c.relation is Relation.LT
+        if a == 0:
+            empty = empty or not c.relation.holds(0, c.rhs)
+        elif a > 0 and (hi is None or c.rhs / a < hi or (c.rhs / a == hi and strict)):
+            hi, hi_open = c.rhs / a, strict
+        elif a < 0 and (lo is None or c.rhs / a > lo or (c.rhs / a == lo and strict)):
+            lo, lo_open = c.rhs / a, strict
+    if empty or (lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_open or hi_open)))):
+        return Interval(empty=True)
+    return Interval(False, lo, lo_open, hi, hi_open)
+
+
+def sample_point(system, rng):
+    """A random feasible point by perturbed back-substitution: variable i,
+    last first, takes a random point of its fiber in the projection onto
+    variables i..n-1, the later ones fixed.  Raises InfeasibleSystemError
+    on an infeasible system."""
+    n = len(system.variables)
+    if any(is_zero_row(c) is RowClass.CONTRADICTION for c in project(system, keep=set()).constraints):
+        raise InfeasibleSystemError("cannot sample from an infeasible system")
+    known = {}
+    for var in range(n - 1, -1, -1):
+        rows = []
+        for c in project(system, keep=set(range(var, n))).constraints:
+            if c.expr.coeff(var):
+                rest = sum(x * known[v] for v, x in c.expr.terms if v != var)
+                rows.append((c.expr.coeff(var), c.rhs - rest, c.relation is Relation.LT))
+        fiber = interval_of(rows)
+        lo, hi = fiber.lo, fiber.hi
+        if lo is not None and hi is not None:
+            known[var] = lo if lo == hi else lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)
+        elif lo is not None:
+            known[var] = lo + rng.randint(1, 8)
+        elif hi is not None:
+            known[var] = hi - rng.randint(1, 8)
+        else:
+            known[var] = Fraction(rng.randint(-4, 4))
+    return Point.of(known)

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from fraction_reference import normalized_key
 from lincert.cli import main
 from lincert.cone import is_reduced_to_origin, primal_cone
 from lincert.core import (
@@ -21,12 +22,7 @@ from lincert.core import (
     make_system,
 )
 from lincert.dual import elementary_dual, extension_status, multipliers_from_primal_solution
-from lincert.fourier import (
-    eliminate_var,
-    feasibility,
-    is_infeasibility_certificate,
-    normalized_key,
-)
+from lincert.fourier import eliminate_var, feasibility, is_infeasibility_certificate
 from lincert.gauss import classify, reverse_multipliers, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded, run_difftest
 from lincert.implicit import implicit_set

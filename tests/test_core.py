@@ -20,6 +20,7 @@ from lincert.core import (
     combine,
     evaluate,
     expand_equalities,
+    interval_of,
     is_zero_row,
     make_system,
     rat,
@@ -228,3 +229,25 @@ def test_constraint_ids_follow_insertion_order():
     sys = section2_primal()
     assert sys.ids() == (0, 1, 2, 3)
     assert sys.next_id() == 4
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([(2, 2, False), (-2, -2, False), (-3, -3, False), (-1, 0, False)], "[1, 1]"),
+        ([(1, 1, False), (1, 1, True)], "(-inf, 1)"),
+        ([(1, 1, True), (1, 1, False)], "(-inf, 1)"),
+        ([(-1, 0, True), (-2, 0, False)], "(0, +inf)"),
+        ([(1, 0, True), (-1, 0, False)], "empty"),
+        ([(-1, -1, False), (1, 0, False)], "empty"),
+        ([(0, -1, False), (1, 5, False)], "empty"),
+        ([(0, 0, True)], "empty"),
+        ([(0, 0, False), (Fraction(1, 2), Fraction(1, 3), False)], "(-inf, 2/3]"),
+        ([], "(-inf, +inf)"),
+    ],
+)
+def test_interval_of_reads_the_tightest_bounds(rows, expected):
+    # A strict row closes a tied bound open, in either order; a var-free
+    # row that fails empties the interval.
+    assert interval_of(rows).describe() == expected
+

@@ -5,15 +5,18 @@ import pytest
 
 import lincert.dual
 from lincert.core import (
+    Constraint,
     InfeasibleSystemError,
+    LincertError,
     LinearExpr,
     Point,
     ShapeError,
+    System,
     check_multiplier_certificate,
     make_system,
 )
 from lincert.dual import (
-    combined_with_primal,
+    StrongElementaryDual,
     elementary_dual,
     extension_status,
     multipliers_from_primal_solution,
@@ -321,6 +324,21 @@ def test_strong_dual_extension_is_tight_at_the_optimum():
         ext = mixed.constraint(sd.extension_id)
         assert ext.expr.value_at(verdict.witness) == ext.rhs
         assert objective.value_at(_shift_point(verdict.witness, len(sd.lambda_origin))) == sigma
+
+
+def combined_with_primal(primal: System, strong: StrongElementaryDual) -> System:
+    """One system over (lambda..., x...) holding the primal rows and the
+    symbolic strong dual rows together."""
+    if strong.sigma is not None:
+        raise LincertError("only the symbolic strong dual can be combined with its primal")
+    nlam = len(strong.lambda_origin)
+    rows = list(strong.system.constraints)
+    cid = strong.system.next_id()
+    for c in primal.constraints:
+        expr = LinearExpr.from_terms({nlam + v: coeff for v, coeff in c.expr.terms})
+        rows.append(Constraint(cid, expr, c.relation, c.rhs, c.provenance))
+        cid += 1
+    return System(strong.system.variables, tuple(rows))
 
 
 def _shift_point(point, offset):

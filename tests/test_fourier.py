@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fraction_reference import eliminate_var_fraction
+from fraction_reference import eliminate_var_fraction, farkas_reference, normalized_key, sample_point
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
@@ -23,13 +23,12 @@ from lincert.core import (
 )
 from lincert.fourier import (
     ProducedRow,
+    _chain,
     eliminate_var,
     farkas_from_trace,
     feasibility,
     is_infeasibility_certificate,
-    normalized_key,
     project,
-    sample_point,
 )
 from lincert.sysfile import parse
 
@@ -368,6 +367,23 @@ def test_verdict_is_invariant_under_order_permutation_and_scaling(data):
             verdict = feasibility(sys, order=how)
             assert verdict.feasible == expected.feasible
             assert _evidence_holds(sys, verdict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_farkas_replay_matches_the_descending_id_walk(data):
+    # On an infeasible chain, in table and in greedy order, every derived
+    # row, the contradiction among them, replays step by step to the same
+    # multipliers as the walk by descending ids.
+    names, rows = _draw_mixed_rows(data, max_vars=4, max_rows=7)
+    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
+    system = make_system(names, mains=rows, nonneg=nonneg)
+    assume(not feasibility(system).feasible)
+    for greedy in (False, True):
+        _, _, trace, bad = _chain(system, list(range(len(names))), greedy)
+        assert bad is not None
+        for cid in [bad] + [row.cid for step in trace.steps for row in step.produced]:
+            assert farkas_from_trace(trace, cid) == farkas_reference(trace, cid)
 
 
 def test_merged_duplicate_keeps_every_history():

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_reference import sample_point
+
 import lincert.fourier
 import lincert.implicit
 from lincert.cone import is_full_dimensional
@@ -19,7 +21,7 @@ from lincert.core import (
     make_system,
 )
 from lincert.dual import elementary_dual, extension_status
-from lincert.fourier import feasibility, is_infeasibility_certificate, sample_point
+from lincert.fourier import feasibility, is_infeasibility_certificate
 from lincert.implicit import implicit_set, nonzero_multiplier_exists
 
 

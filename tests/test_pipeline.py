@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraction_reference import substitute_fraction
+from fraction_reference import normalized_key, substitute_fraction, terminal_interval
 
 from lincert.core import (
     Constraint,
@@ -22,7 +22,6 @@ from lincert.core import (
 )
 from lincert.cone import is_reduced_to_origin
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
-from lincert.fourier import normalized_key
 from lincert.gauss import classify, integer_rows, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.sysfile import parse
@@ -35,11 +34,9 @@ from lincert.pipeline import (
     UnboundedInputError,
     _drop_sign_row,
     build_working_system,
-    explicit_order,
     explore,
     pivot_sequence,
     run,
-    terminal_interval,
 )
 
 
@@ -197,11 +194,6 @@ def test_default_rule_is_deterministic():
     assert [s.pivot_id for s in a.steps] == [s.pivot_id for s in b.steps]
 
 
-def test_explicit_order_rule():
-    trace = run(solvable_cone(), explicit_order(["l4", "l3", "l2"]))
-    assert [s.var_name for s in trace.steps] == ["l4", "l3", "l2"]
-
-
 def test_extension_row_survives_every_run():
     for primal, rule in [
         (solvable_cone(), MAIN_ROWS_FIRST),
@@ -283,18 +275,18 @@ def test_paper_sequence_validation():
     with pytest.raises(PivotRuleError, match="exactly once"):
         run(solvable_cone(), pivot_sequence([("l3", "row-x")]))
     with pytest.raises(PivotRuleError, match="exactly once"):
-        run(solvable_cone(), explicit_order(["l2", "l2", "l3"]))
+        run(solvable_cone(), pivot_sequence([("l2", "row-x"), ("l2", "row-y"), ("l3", "sign-l3")]))
 
 
 @pytest.mark.parametrize(
     "primal, rule, message",
     [
         (solvable_cone(), pivot_sequence([("l9", "row-x"), ("l2", "row-y"), ("l4", "sign-l3")]), "no multiplier variable named 'l9'"),
-        (solvable_cone(), explicit_order(["l9", "l3", "l2"]), "no multiplier variable named 'l9'"),
+        (solvable_cone(), pivot_sequence([("l9", "row-x"), ("l3", "row-y"), ("l2", "sign-l3")]), "no multiplier variable named 'l9'"),
         (solvable_cone(), pivot_sequence([("l3", "row-x")]), "exactly once"),
         (solvable_cone(), pivot_sequence([("l3", "row-x"), ("l3", "row-y"), ("l4", "sign-l3")]), "exactly once"),
-        (solvable_cone(), explicit_order(["l2", "l2", "l3"]), "exactly once"),
-        (solvable_cone(), explicit_order(["l1", "l2", "l3", "l4"]), "exactly once"),
+        (solvable_cone(), pivot_sequence([("l2", "row-x"), ("l2", "row-y"), ("l3", "sign-l3")]), "exactly once"),
+        (solvable_cone(), pivot_sequence([("l1", "row-x"), ("l2", "row-y"), ("l3", "sign-l3"), ("l4", "row-x")]), "exactly once"),
         (solvable_cone(), pivot_sequence([("l3", "row-q"), ("l2", "row-y"), ("l4", "sign-l3")]), "no row labeled 'row-q'"),
         (solvable_cone(), pivot_sequence([("l3", "sign-l3"), ("l2", "row-y"), ("l4", "row-x")]), "'sign-l3' is not an admissible pivot"),
         (solvable_cone(), pivot_sequence([("l3", "extension"), ("l2", "row-y"), ("l4", "row-x")]), "'extension' is not an admissible pivot"),
