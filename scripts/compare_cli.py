@@ -3,13 +3,18 @@
 
     python3 scripts/compare_cli.py PARENT_TREE
 
-Runs each command line in MODES, FILE standing for the system, on the
-systems of this checkout's seed-42 baseline
-(baseline/difftest-seed42-trials500.json) in both trees, each tree in its
-own Python process that imports lincert from that tree's src/.  Exit code,
-stdout and stderr of every call are compared byte for byte.  Prints, per
-command line, how many outputs are identical, and the first difference as
-a unified diff.  Exits 0 when every output is identical, 1 otherwise.
+Runs each command line in MODES, FILE standing for the system, on two
+corpora in both trees, each tree in its own Python process that imports
+lincert from that tree's src/.  The baseline corpus is the systems of this
+checkout's seed-42 baseline (baseline/difftest-seed42-trials500.json): all
+`<=` rows, integral and `nonneg: all`.  The mixed corpus (mixed_corpus) is
+a fixed seeded draw of systems with what the baseline lacks: strict and
+`>=` rows, p/q coefficients and right sides, and unsigned variables, so
+Fourier meets strict and one-sided fibers and rows with denominators.
+Exit code, stdout and stderr of every call are compared byte for byte.
+Prints, per command line and corpus, how many outputs are identical, and
+the first difference as a unified diff.  Exits 0 when every output is
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import argparse
 import difflib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +68,37 @@ json.dump(results, sys.stdout)
 """
 
 
+def mixed_corpus() -> list[str]:
+    """200 systems over x1..xn, n in 2..4, with 2 to 6 rows each, drawn
+    from a fixed seed.  Coefficients and right sides are p/q with q in
+    1..3.  Every fourth system has only `<=` rows and `nonneg: all`, the
+    standard shape solve9 and dual work on; the others draw each row's
+    relation from <=, <, >= and > and leave each variable unsigned with
+    probability 1/2."""
+    rng = random.Random(12)
+
+    def rational() -> Fraction:
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+
+    texts = []
+    for i in range(200):
+        names = [f"x{j}" for j in range(1, rng.randint(2, 4) + 1)]
+        standard = i % 4 == 0
+        lines = ["vars: " + " ".join(names)]
+        for _ in range(rng.randint(2, 6)):
+            terms = [(a, name) for name in names if (a := rational())]
+            rhs = rational()
+            if terms:
+                expr = " ".join(f"{'-' if a < 0 else '+'} {abs(a)}*{name}" for a, name in terms)
+                rel = "<=" if standard else rng.choice(("<=", "<", ">=", ">"))
+                lines.append(f"{expr} {rel} {'-' if rhs < 0 else ''}{abs(rhs)}")
+        signed = names if standard else [name for name in names if rng.random() < 0.5]
+        if signed:
+            lines.append("nonneg: " + ("all" if signed == names else " ".join(signed)))
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
 def start(tree: Path, texts: list[str]) -> subprocess.Popen:
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -92,21 +130,28 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the tree to compare against")
     args = parser.parse_args()
-    texts = [trial["system"] for trial in json.loads(BASELINE.read_text())["trials"]]
+    corpora = {
+        "baseline": [trial["system"] for trial in json.loads(BASELINE.read_text())["trials"]],
+        "mixed": mixed_corpus(),
+    }
+    texts = [text for corpus in corpora.values() for text in corpus]
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     procs = {side: start(tree, texts) for side, tree in trees.items()}
     results = {side: finish(proc, trees[side]) for side, proc in procs.items()}
     same_everywhere = True
     for mode, parent, change in zip(MODES, results["parent"], results["change"]):
-        pairs = list(zip(parent, change))
-        same = sum(a == b for a, b in pairs)
-        print(f"lincert {' '.join(mode)}: {same}/{len(pairs)} byte-identical")
-        first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
-        if first is not None:
-            same_everywhere = False
-            print(f"first difference, baseline system {first}:")
-            a, b = pairs[first]
-            sys.stdout.writelines(difflib.unified_diff(render(a), render(b), "parent", "change"))
+        offset = 0
+        for name, corpus in corpora.items():
+            pairs = list(zip(parent[offset : offset + len(corpus)], change[offset : offset + len(corpus)]))
+            offset += len(corpus)
+            same = sum(a == b for a, b in pairs)
+            print(f"lincert {' '.join(mode)}, {name} corpus: {same}/{len(pairs)} byte-identical")
+            first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+            if first is not None:
+                same_everywhere = False
+                print(f"first difference, {name} system {first}:")
+                a, b = pairs[first]
+                sys.stdout.writelines(difflib.unified_diff(render(a), render(b), "parent", "change"))
     return 0 if same_everywhere else 1
 
 

@@ -33,15 +33,23 @@ a = A/den_P and -b = -B/den_N, and
 
 so the derived row, a coprime integer vector, is (B*P + A*N)/g with g the
 gcd of its entries and right side, and its derivation weights are
-B*den_P/g and A*den_N/g.  Only a kept row becomes Fractions, one per
-nonzero entry; rows between steps stay Fraction Constraints.
+B*den_P/g and A*den_N/g.  Each chain row's integer form is made once, an
+input row's when the chain starts and a kept row's by the pair step, and
+kept in _History.  The pair split, the choice of the next variable,
+back-substitution and the tight-row test all read it.  Rows between steps
+are still Fraction Constraints, built once per kept row with one Fraction
+per nonzero entry; back-substitution builds one Fraction per bound and
+one per midpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property, partial
+from math import gcd, lcm
+from operator import mul
+from typing import Callable
 
 from .core import (
     Constraint,
@@ -68,6 +76,8 @@ from .core import (
 
 # One derivation: ((parent_id, coefficient > 0), ...) whose weighted sum is the row.
 Derivation = tuple[tuple[int, Fraction], ...]
+# A row's integer form (coefficients, rhs, den), as core.integer_row makes it.
+IntegerRow = tuple[list[int], int, int]
 
 
 @dataclass(frozen=True)
@@ -95,11 +105,37 @@ class EliminationTrace:
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
+    """A verdict with its evidence: the witness of a feasible system or the
+    Farkas multipliers of an infeasible one.
+
+    A feasible verdict also answers implicit_ids, the <= rows tight at the
+    witness (the implicit equalities), and equality_certificate, a replay
+    of the trace positive on exactly those rows.  Both are found together
+    the first time either is read, checked against each other
+    (InvariantError on a mismatch) and kept, so a caller that reads only
+    the flag or the witness never pays for them and no caller sees ids
+    that were not checked.  An infeasible verdict has no implicit ids and
+    no equality certificate.
+    """
+
     feasible: bool
     witness: Point | None = None
     certificate: MultiplierVector | None = None  # infeasible: Farkas multipliers
-    implicit_ids: frozenset[int] = frozenset()  # feasible: the implicit equalities
-    equality_certificate: MultiplierVector | None = None  # feasible: positive on exactly those
+    _find_evidence: Callable[[], tuple[frozenset[int], MultiplierVector]] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @cached_property
+    def _evidence(self) -> tuple[frozenset[int], MultiplierVector | None]:
+        return self._find_evidence() if self._find_evidence is not None else (frozenset(), None)
+
+    @property
+    def implicit_ids(self) -> frozenset[int]:
+        return self._evidence[0]
+
+    @property
+    def equality_certificate(self) -> MultiplierVector | None:
+        return self._evidence[1]
 
 
 class _History:
@@ -130,11 +166,19 @@ class _History:
     the row later need that one's support.  Keeping only the first or the
     smallest history can skip them and leave back-substitution an empty
     interval.
+
+    The history also holds each chain row's integer form in `ints`:
+    (coefficients, rhs, den), the row times den as a dense integer vector.
+    An input row's comes from core.integer_row when the chain starts; a
+    kept row's is the reduced vector the pair step computed, with den 1.
+    Ids are unique along a chain, so one dict serves every chain system.
     """
 
     def __init__(self, system: System):
         self.depth = 0
         self.of = {c.cid: {frozenset((c.cid,))} for c in system.constraints}
+        nvars = len(system.variables)
+        self.ints = {c.cid: integer_row(c, nvars) for c in system.constraints}
 
 
 def eliminate_var(
@@ -168,16 +212,17 @@ def eliminate_var(
     history.depth += 1
     limit = history.depth + 1
 
-    nvars = len(system.variables)
+    ints = history.ints
     passthrough = []
     positive = []
     negative = []
     for c in system.constraints:
-        a = c.expr.coeff(var)
+        form = ints[c.cid]
+        a = form[0][var]
         if a == 0:
             passthrough.append(c)
         else:
-            (positive if a > 0 else negative).append((c, *integer_row(c, nvars)))
+            (positive if a > 0 else negative).append((c, *form))
 
     rows = list(passthrough)
     histories = {c.cid: history.of[c.cid] for c in passthrough}
@@ -216,6 +261,7 @@ def eliminate_var(
                 continue
             expr = LinearExpr(tuple((v, Fraction(x)) for v, x in terms))
             rows.append(Constraint(next_id, expr, rel, Fraction(rhs), Provenance.derived((pos.cid, neg.cid))))
+            ints[next_id] = ([x // g for x in row], rhs, 1)
             histories[next_id] = fits
             derivations_of[next_id] = (derivation,)
             by_key[key] = next_id
@@ -229,13 +275,14 @@ def eliminate_var(
 
 def _chain(
     system: System, order: list[int], greedy: bool = False, stop_at_contradiction: bool = True
-) -> tuple[list[System], list[int], EliminationTrace, int | None]:
+) -> tuple[list[System], list[int], EliminationTrace, int | None, dict[int, IntegerRow]]:
     """The one elimination loop: eliminate `order` in turn (greedy: the
     cheapest remaining variable each step), threading the id floor and the
     chain's history through eliminate_var.  Returns the systems (input
-    first), the variables as eliminated, the trace, and the id of a
-    contradiction row in the last system or None; by default it stops at the
-    first contradiction."""
+    first), the variables as eliminated, the trace, the id of a
+    contradiction row in the last system or None, and the integer form of
+    every chain row by id (_History); by default it stops at the first
+    contradiction."""
     history = _History(system)
     trace = EliminationTrace(frozenset(system.ids()))
     chain = [system]
@@ -247,8 +294,8 @@ def _chain(
         contradictions = (c.cid for c in current.constraints if is_zero_row(c) is RowClass.CONTRADICTION)
         bad = next(contradictions, None)
         if not pending or (bad is not None and stop_at_contradiction):
-            return chain, chosen, trace, bad
-        var = _cheapest_var(current, pending) if greedy else pending[0]
+            return chain, chosen, trace, bad, history.ints
+        var = _cheapest_var(current, pending, history.ints) if greedy else pending[0]
         pending.remove(var)
         chosen.append(var)
         current, step_trace = eliminate_var(current, var, floor, history=history)
@@ -272,36 +319,48 @@ def _pick_midpoint(interval: Interval) -> Fraction:
     return ZERO
 
 
-def _back_substitute(chain: list[System], order: list[int]) -> Point:
+def _back_substitute(chain: list[System], order: list[int], ints: dict[int, IntegerRow]) -> tuple[list[int], int]:
     """Fix the variables last-eliminated first, each at the midpoint of its
     fiber: the interval (`core.interval_of`) of the rows of its chain system
-    that mention it, with the later variables fixed.
+    that mention it, with the later variables fixed.  The point is held as
+    integers `known` over one common denominator `den`, so a row with
+    integer form (coefficients, rhs) and x coefficient a bounds a*den*x by
+    rhs*den - sum(coefficients * known); `known` is 0 on the variables not
+    yet fixed.  Returns (known, den).
 
     Each chain system is an exact projection of the one before, so the point
     lies in the relative interior of the solution set (Rockafellar, Convex
     Analysis, Thm 6.8, by induction down the chain): a <= row is tight there
     iff it is tight at every feasible point.
     """
-    known: dict[int, Fraction] = {}
+    known = [0] * len(chain[0].variables)
+    den = 1
     for i in range(len(order) - 1, -1, -1):
         var = order[i]
-        fiber = (
-            (a, c.rhs - sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO), c.relation is Relation.LT)
-            for c in chain[i].constraints
-            if (a := c.expr.coeff(var))
-        )
-        known[var] = _pick_midpoint(interval_of(fiber))
-    return Point.of(known)
+        fiber = []
+        for c in chain[i].constraints:
+            coeffs, rhs, _ = ints[c.cid]
+            if a := coeffs[var]:
+                fiber.append((a * den, rhs * den - sum(map(mul, coeffs, known)), c.relation is Relation.LT))
+        mid = _pick_midpoint(interval_of(fiber))
+        if den % mid.denominator:
+            grown = lcm(den, mid.denominator)
+            known = [k * (grown // den) for k in known]
+            den = grown
+        known[var] = mid.numerator * (den // mid.denominator)
+    return known, den
 
 
-def _cheapest_var(system: System, remaining) -> int:
+def _cheapest_var(system: System, remaining, ints: dict[int, IntegerRow]) -> int:
     """Variable whose elimination adds the fewest rows (classic FM heuristic);
-    deterministic tie-break on the index."""
+    deterministic tie-break on the index.  Signs are read off the rows'
+    integer forms (_History)."""
+    rows = [ints[c.cid][0] for c in system.constraints]
     best = None
     for var in sorted(remaining):
         pos = neg = 0
-        for c in system.constraints:
-            a = c.expr.coeff(var)
+        for coeffs in rows:
+            a = coeffs[var]
             if a > 0:
                 pos += 1
             elif a < 0:
@@ -315,11 +374,12 @@ def _cheapest_var(system: System, remaining) -> int:
 def feasibility(system: System, order: list[int] | str | None = None) -> FeasibilityVerdict:
     """Decide the system exactly, with evidence either way.
 
-    Feasible verdicts carry a witness point (midpoint back-substitution),
+    Feasible verdicts carry a witness point (midpoint back-substitution);
     the implicit equalities (the <= rows tight there) and a certificate
-    weighting exactly them; a mismatch raises InvariantError.  Infeasible
-    verdicts carry nonnegative multipliers over the input rows whose
-    combination is a contradiction row.
+    weighting exactly them are found on first read and checked against
+    each other, a mismatch raising InvariantError (FeasibilityVerdict).
+    Infeasible verdicts carry nonnegative multipliers over the input rows
+    whose combination is a contradiction row.
 
     By default variables go in table order, which keeps witnesses stable;
     order="greedy" picks the cheapest variable each step instead (same
@@ -332,17 +392,27 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
         order = list(range(len(system.variables)))
     elif sorted(order) != list(range(len(system.variables))):
         raise LincertError("elimination order must list each variable exactly once")
-    chain, chosen, trace, bad = _chain(system, order, greedy)
+    chain, chosen, trace, bad, ints = _chain(system, order, greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
-    witness = _back_substitute(chain, chosen)
-    implicit = frozenset(
-        c.cid for c in system.constraints if c.relation is Relation.LE and c.expr.value_at(witness) == c.rhs
-    )
+    known, den = _back_substitute(chain, chosen, ints)
+    witness = Point(tuple((v, Fraction(k, den)) for v, k in enumerate(known)))
+    rows = [(c.cid, ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
+    evidence = partial(_equality_evidence, system, trace, rows, known, den)
+    return FeasibilityVerdict(True, witness, _find_evidence=evidence)
+
+
+def _equality_evidence(
+    system: System, trace: EliminationTrace, rows: list[tuple[int, IntegerRow]], known: list[int], den: int
+) -> tuple[frozenset[int], MultiplierVector]:
+    """(implicit ids, equality certificate) of a feasible chain: the <= rows,
+    given as (cid, integer form), tight at the witness known/den, and the
+    trace's equality certificate, which must weight exactly them."""
+    implicit = frozenset(cid for cid, (coeffs, rhs, _) in rows if sum(map(mul, coeffs, known)) == rhs * den)
     lam = equality_certificate(system, trace)
     if set(lam.ids()) != implicit or not check_multiplier_certificate(system, lam):
         raise InvariantError("equality certificate does not match the rows tight at the witness")
-    return FeasibilityVerdict(True, witness=witness, implicit_ids=implicit, equality_certificate=lam)
+    return implicit, lam
 
 
 def project(system: System, keep: set[int] | frozenset[int]) -> System:

@@ -196,7 +196,10 @@ def print_system(
     orientation: str = "le",
     comments: Mapping[int, str] | None = None,
 ) -> str:
-    """Canonical text form; `comments` adds a '# ...' line above a row id."""
+    """Canonical text form; `comments` adds a '# ...' line above a row id.
+
+    Sign rows of the form -x <= 0 are listed on the `nonneg:` line; any
+    other row, a sign row such as -x <= 3 included, prints in its place."""
     comments = comments or {}
     out = ["vars: " + " ".join(system.variables) if system.variables else "vars:"]
     if system.is_cone:
@@ -205,8 +208,9 @@ def print_system(
         out.append("maximize: " + format_expr(system.objective, system))
     sign_names = []
     for c in system.constraints:
-        if c.provenance.kind == "sign":
-            sign_names.append(system.variables[c.expr.terms[0][0]])
+        terms = c.expr.terms
+        if c.provenance.kind == "sign" and len(terms) == 1 and c.key() == (((terms[0][0], -1),), Relation.LE, 0):
+            sign_names.append(system.variables[terms[0][0]])
             continue
         if c.cid in comments:
             out.append(f"# {comments[c.cid]}")

@@ -1,11 +1,12 @@
 """Independent Fraction references for Gaussian substitution, the Fourier
-pair step, the Farkas replay and the terminal interval, and the helpers
-the tests share.
+pair step, Fourier back-substitution and the tight-row test, the Farkas
+replay and the terminal interval, and the helpers the tests share.
 
-`lincert.gauss` substitutes and `lincert.fourier` combines pairs on integer
-rows; the tests compare them, and the pipeline built on them, with the
-textbook formulas on Fraction rows written out here, so the kernels are
-never checked against themselves.
+`lincert.gauss` substitutes and `lincert.fourier` combines pairs,
+back-substitutes and tests rows for tightness on integer rows; the tests
+compare them, and the pipeline built on them, with the textbook formulas
+on Fraction rows written out here, so the kernels are never checked
+against themselves.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from lincert.core import (
     interval_of,
     is_zero_row,
 )
-from lincert.fourier import EliminationStep, ProducedRow, project
+from lincert.fourier import EliminationStep, ProducedRow, _pick_midpoint, project
 
 
 def substitute_fraction(system, var, pivot_id):
@@ -115,6 +116,31 @@ def eliminate_var_fraction(system, var):
         var, tuple(ProducedRow(cid, d) for cid, d in produced.items()), tuple(zero_rows), tuple(merged)
     )
     return system.with_rows(rows), step
+
+
+def back_substitute_fraction(chain, order):
+    """The witness of a feasible chain in Fraction arithmetic: variable
+    order[i], last first, takes the midpoint of the interval its rows in
+    chain[i] leave it, each row's other terms evaluated at the values
+    already fixed."""
+    known = {}
+    for i in range(len(order) - 1, -1, -1):
+        var = order[i]
+        fiber = []
+        for c in chain[i].constraints:
+            a = c.expr.coeff(var)
+            if a:
+                rest = sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO)
+                fiber.append((a, c.rhs - rest, c.relation is Relation.LT))
+        known[var] = _pick_midpoint(interval_of(fiber))
+    return Point.of(known)
+
+
+def tight_rows_fraction(system, point):
+    """The <= rows whose left side equals the right side at the point."""
+    return frozenset(
+        c.cid for c in system.constraints if c.relation is Relation.LE and c.expr.value_at(point) == c.rhs
+    )
 
 
 def farkas_reference(trace, cid):

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fraction_reference import eliminate_var_fraction, farkas_reference, normalized_key, sample_point
+from fraction_reference import (
+    back_substitute_fraction,
+    eliminate_var_fraction,
+    farkas_reference,
+    normalized_key,
+    sample_point,
+    tight_rows_fraction,
+)
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
@@ -380,10 +387,40 @@ def test_farkas_replay_matches_the_descending_id_walk(data):
     system = make_system(names, mains=rows, nonneg=nonneg)
     assume(not feasibility(system).feasible)
     for greedy in (False, True):
-        _, _, trace, bad = _chain(system, list(range(len(names))), greedy)
+        _, _, trace, bad, _ = _chain(system, list(range(len(names))), greedy)
         assert bad is not None
         for cid in [bad] + [row.cid for step in trace.steps for row in step.produced]:
             assert farkas_from_trace(trace, cid) == farkas_reference(trace, cid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_back_half_matches_the_fraction_reference(data):
+    # Rows with p/q coefficients, all four relations and some variables
+    # unsigned, in table and in greedy order: the witness and the implicit
+    # ids (checked against the equality certificate on read) equal the
+    # Fraction back-substitution and tight-row test exactly.
+    nvars = data.draw(st.integers(1, 4))
+    names = [f"x{i}" for i in range(nvars)]
+    lines = [f"vars: {' '.join(names)}"]
+    for _ in range(data.draw(st.integers(1, 6))):
+        coeffs = data.draw(st.lists(small_fractions, min_size=nvars, max_size=nvars))
+        terms = " ".join(f"{'-' if a < 0 else '+'} {abs(a)}*{n}" for a, n in zip(coeffs, names))
+        rel = data.draw(st.sampled_from(["<=", "<", ">=", ">"]))
+        rhs = data.draw(small_fractions)
+        lines.append(f"{terms} {rel} {'-' if rhs < 0 else ''}{abs(rhs)}")
+    signed = data.draw(st.lists(st.sampled_from(names), unique=True))
+    if signed:
+        lines.append("nonneg: " + " ".join(signed))
+    system = parse("\n".join(lines) + "\n")
+    for how, greedy in ((None, False), ("greedy", True)):
+        chain, chosen, _, bad, _ = _chain(system, list(range(nvars)), greedy)
+        verdict = feasibility(system, order=how)
+        assert verdict.feasible == (bad is None)
+        if verdict.feasible:
+            witness = back_substitute_fraction(chain, chosen)
+            assert verdict.witness == witness
+            assert verdict.implicit_ids == tight_rows_fraction(system, witness)
 
 
 def test_merged_duplicate_keeps_every_history():

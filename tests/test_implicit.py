@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_reference import sample_point
 
+import lincert.cone
 import lincert.fourier
+import lincert.harness
 import lincert.implicit
-from lincert.cone import is_full_dimensional
+from lincert.cone import is_bounded, is_full_dimensional, is_reduced_to_origin
 from lincert.core import (
     Constraint,
     InvariantError,
@@ -22,6 +24,7 @@ from lincert.core import (
 )
 from lincert.dual import elementary_dual, extension_status
 from lincert.fourier import feasibility, is_infeasibility_certificate
+from lincert.harness import oracle_verdict
 from lincert.implicit import implicit_set, nonzero_multiplier_exists
 
 
@@ -254,6 +257,55 @@ def test_equality_certificate_mismatch_is_an_invariant_error(monkeypatch):
     with pytest.raises(InvariantError):
         implicit_set(pinned)
     assert feasibility(make_system(["x"], mains=[({"x": 1}, "<=", 1)])).implicit_ids == frozenset()
+
+
+def _count_certificate_replays(monkeypatch):
+    calls = []
+    original = lincert.fourier.equality_certificate
+
+    def counted(system, trace):
+        calls.append(system)
+        return original(system, trace)
+
+    monkeypatch.setattr(lincert.fourier, "equality_certificate", counted)
+    return calls
+
+
+def test_flag_only_callers_never_replay_the_equality_certificate(monkeypatch):
+    replays = _count_certificate_replays(monkeypatch)
+    feasible_seen = []
+    for module in (lincert.cone, lincert.harness):
+        def recorded(system, order=None):
+            verdict = feasibility(system, order)
+            feasible_seen.append(verdict.feasible)
+            return verdict
+        monkeypatch.setattr(module, "feasibility", recorded)
+    unbounded = make_system(["x", "y"], mains=[({"x": 1, "y": -1}, "<=", 1)], nonneg="all")
+    assert oracle_verdict(section2_primal()) and oracle_verdict(unbounded)
+    assert not is_bounded(unbounded)
+    assert not is_reduced_to_origin(make_system(["x", "y"], mains=[({"x": 1, "y": -1}, "<=", 0)], nonneg="all"))
+    assert len(feasible_seen) == 4 and all(feasible_seen)
+    assert replays == []
+
+
+def test_evidence_is_replayed_once_on_first_read(monkeypatch):
+    replays = _count_certificate_replays(monkeypatch)
+    pinned = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 2), ({"x": -1, "y": -1}, "<=", -2)])
+    verdict = feasibility(pinned)
+    assert replays == []
+    assert verdict.implicit_ids == {0, 1}
+    assert set(verdict.equality_certificate.ids()) == {0, 1}
+    assert verdict.implicit_ids == {0, 1}
+    assert len(replays) == 1
+
+
+def test_a_wrong_certificate_fails_the_first_read_of_implicit_ids(monkeypatch):
+    monkeypatch.setattr(lincert.fourier, "equality_certificate", lambda system, trace: MultiplierVector())
+    pinned = make_system(["x"], mains=[({"x": 1}, "<=", 1), ({"x": -1}, "<=", -1)])
+    verdict = feasibility(pinned)
+    assert verdict.feasible and verdict.witness == Point.of({0: 1})
+    with pytest.raises(InvariantError):
+        verdict.implicit_ids
 
 
 def test_nonzero_multiplier_exists_makes_one_probe(monkeypatch):

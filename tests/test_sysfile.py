@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lincert.core import Relation, make_system
+from lincert.core import Constraint, Provenance, Relation, make_system
 from lincert.sysfile import ParseError, parse, print_system
 
 SECTION2 = """\
@@ -95,6 +95,21 @@ def test_print_comments_attach_to_rows():
     text = print_system(sys, comments={1: "second row"})
     assert "# second row\nx - y <= -1" in text
     assert parse(text).constraints == sys.constraints
+
+
+def test_print_keeps_sign_rows_other_than_nonneg():
+    # Only -x <= 0 goes to the nonneg: line; the sign rows -x <= 3, -2*y <= 0
+    # and -x < 0 print as rows, in their place, so the text parses back to
+    # the same rows.
+    for sign_row in ({"x": -1}, "<=", 3), ({"y": -2}, "<=", 0), ({"x": -1}, "<", 0):
+        base = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 4), sign_row], nonneg=["y"])
+        t = base.with_rows(
+            Constraint(c.cid, c.expr, c.relation, c.rhs, Provenance.sign() if c.cid == 1 else c.provenance)
+            for c in base.constraints
+        )
+        text = print_system(t)
+        assert text.endswith("nonneg: y\n")
+        assert [c.key() for c in parse(text).constraints] == [c.key() for c in t.constraints]
 
 
 names = st.lists(
