@@ -12,11 +12,21 @@ capping rows cover every variable: for x >= 0 with Ax <= 0, a sum y'A of
 rows with no negative coefficient that is positive on every variable gives
 0 >= y'Ax = sum_j (A'y)_j x_j >= 0, so x = 0.  Only otherwise does a greedy
 Fourier probe run.
+
+Each system is immutable, so primal_cone and has_solution_at_infinity (and
+with it is_bounded) keep their answer in the system's memo (core.System),
+keyed "primal_cone" and "has_solution_at_infinity", and fourier.feasibility
+keeps its greedy verdict there too: is_full_dimensional after implicit_set,
+or pipeline.run after is_bounded and primal_cone on the same system, repeats
+no elimination.  The cone a PrimalCone holds and the ray a search returns are
+new objects that never refer back to the system, so the memo makes no
+reference cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     Constraint,
@@ -51,6 +61,12 @@ def _fresh_name(taken, base="z"):
 
 
 def primal_cone(primal: System) -> PrimalCone:
+    """The homogenized cone of a standard-shape primal, kept in the primal's
+    memo (module docstring)."""
+    return primal._remember("primal_cone", partial(_homogenize, primal))
+
+
+def _homogenize(primal: System) -> PrimalCone:
     mains, _ = validate_standard_shape(primal)
     zname = _fresh_name(primal.variables)
     variables = primal.variables + (zname,)
@@ -103,7 +119,8 @@ def _signed_ray(system: System, signed: set[int]) -> Point | None:
 
 
 def has_solution_at_infinity(system: System) -> tuple[bool, Point | None]:
-    """Search the recession cone for a nonzero ray.
+    """Search the recession cone for a nonzero ray; the answer is kept in
+    the system's memo (module docstring).
 
     One probe, sum(x_j) >= 1 over the sign-constrained coordinates, finds a
     ray whenever one has a signed coordinate off zero: those coordinates are
@@ -115,6 +132,10 @@ def has_solution_at_infinity(system: System) -> tuple[bool, Point | None]:
     signed coordinates at zero, so a nonzero one is nonzero on some unsigned
     coordinate, and scaling makes that coordinate reach 1 or -1: the search
     stays exact."""
+    return system._remember("has_solution_at_infinity", partial(_search_rays, system))
+
+
+def _search_rays(system: System) -> tuple[bool, Point | None]:
     recession = recession_system(system)
     signed = {v for v in range(len(system.variables)) if recession.sign_row_for(v) is not None}
     if signed:

@@ -13,12 +13,13 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 class LincertError(Exception):
@@ -59,7 +60,15 @@ class InvariantError(LincertError):
 
 
 def rat(value, den=None) -> Fraction:
-    """Exact rational from ints, Fractions, or 'p/q' strings. Floats are refused."""
+    """Exact rational from ints, Fractions, or 'p/q' strings. Floats are refused.
+
+    A Fraction comes back as it is: it is immutable, so nothing can tell it
+    from a copy."""
+    if den is None:
+        if type(value) is Fraction:
+            return value
+        if type(value) is int:
+            return Fraction(value)
     if isinstance(value, float) or isinstance(den, float):
         raise TypeError("floats are not exact; pass ints, Fractions, or 'p/q' strings")
     if den is not None:
@@ -185,12 +194,24 @@ class System:
     Constraint ids are assigned by insertion order and never reused within a
     system; derived systems keep numbering from where their parent stopped, so
     elimination traces stay unambiguous.
+
+    A system is immutable, so every question asked of it has one answer, and
+    the analyses keep the costly ones in a private memo on the system, one
+    entry per call kind: fourier.feasibility under ("feasibility", None) and
+    ("feasibility", "greedy"), cone.primal_cone under "primal_cone" and
+    cone.has_solution_at_infinity (read by is_bounded) under
+    "has_solution_at_infinity".  A call that raises stores nothing.  The
+    memo takes no part in ==, hash or repr, every constructor (with_rows
+    included) starts it empty, and it is freed with the system.  Nothing
+    stored in it refers back to the system, so it makes no reference cycle
+    and a dropped system is freed at once, without the cycle collector.
     """
 
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...] = ()
     objective: LinearExpr | None = None
     is_cone: bool = False
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.variables)
@@ -234,10 +255,19 @@ class System:
         return tuple(c for c in self.constraints if c.provenance.kind != "sign")
 
     def sign_row_for(self, var: int) -> Constraint | None:
+        terms = ((var, _MINUS_ONE),)
         for c in self.constraints:
-            if c.provenance.kind == "sign" and c.expr.terms == ((var, Fraction(-1)),):
+            if c.provenance.kind == "sign" and c.expr.terms == terms:
                 return c
         return None
+
+    def _remember(self, key, compute: Callable[[], object]):
+        """The memo's entry under key (class docstring), made by compute()
+        on the first call; a compute() that raises stores nothing."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
 
 def make_system(
@@ -418,24 +448,30 @@ def combine(system: System, lam: MultiplierVector) -> Constraint:
 
     The result relation is strict iff a strict row carries positive weight.
     """
-    expr = LinearExpr()
+    by_id = {c.cid: c for c in system.constraints}
+    acc: dict[int, Fraction] = {}
     rhs = ZERO
     strict = False
     parents = []
     for cid, w in lam.entries:
         if w < 0:
             raise NegativeMultiplierError(f"multiplier for constraint {cid} is negative")
-        row = system.constraint(cid)
+        row = by_id.get(cid)
+        if row is None:
+            raise UnknownConstraintError(f"no constraint with id {cid}")
         if row.relation is Relation.EQ:
             raise RelationError(
                 f"constraint {cid} is an equality; expand it to inequality form first"
             )
-        expr = expr + row.expr.scale(w)
+        w = rat(w)
+        for v, a in row.expr.terms:
+            acc[v] = acc[v] + a * w if v in acc else a * w
         rhs += row.rhs * w
         if row.relation is Relation.LT:
             strict = True
         parents.append(cid)
     rel = Relation.LT if strict else Relation.LE
+    expr = LinearExpr(tuple(sorted((v, c) for v, c in acc.items() if c != 0)))
     return Constraint(-1, expr, rel, rhs, Provenance.derived(sorted(parents)))
 
 

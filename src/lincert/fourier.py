@@ -386,28 +386,50 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     verdicts, implicit ids and valid evidence, different intermediate
     growth), which the cone and implicit modules use.  An explicit order
     must list each variable exactly once.
+
+    The verdict for each of the two named orders is kept in the system's
+    memo under ("feasibility", order) (core.System), so asking again, as
+    implicit_set then is_full_dimensional do, repeats no elimination.  An
+    explicit order is decided afresh every time: callers pass one to see
+    that order's own elimination and witness, and keying on every list
+    would keep one verdict per order tried.  The verdict's lazy evidence
+    holds the rows, the trace and the input rows' integer forms, never the
+    system, so the memo makes no reference cycle.
     """
-    greedy = order == "greedy"
-    if order is None or greedy:
-        order = list(range(len(system.variables)))
-    elif sorted(order) != list(range(len(system.variables))):
+    nvars = len(system.variables)
+    if order is None or order == "greedy":
+        decide = partial(_decide, system, list(range(nvars)), order == "greedy")
+        return system._remember(("feasibility", order), decide)
+    if sorted(order) != list(range(nvars)):
         raise LincertError("elimination order must list each variable exactly once")
+    return _decide(system, order, False)
+
+
+def _decide(system: System, order: list[int], greedy: bool) -> FeasibilityVerdict:
     chain, chosen, trace, bad, ints = _chain(system, order, greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
     known, den = _back_substitute(chain, chosen, ints)
     witness = Point(tuple((v, Fraction(k, den)) for v, k in enumerate(known)))
     rows = [(c.cid, ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
-    evidence = partial(_equality_evidence, system, trace, rows, known, den)
+    evidence = partial(_equality_evidence, system.variables, system.constraints, trace, rows, known, den)
     return FeasibilityVerdict(True, witness, _find_evidence=evidence)
 
 
 def _equality_evidence(
-    system: System, trace: EliminationTrace, rows: list[tuple[int, IntegerRow]], known: list[int], den: int
+    variables: tuple[str, ...],
+    constraints: tuple[Constraint, ...],
+    trace: EliminationTrace,
+    rows: list[tuple[int, IntegerRow]],
+    known: list[int],
+    den: int,
 ) -> tuple[frozenset[int], MultiplierVector]:
     """(implicit ids, equality certificate) of a feasible chain: the <= rows,
     given as (cid, integer form), tight at the witness known/den, and the
-    trace's equality certificate, which must weight exactly them."""
+    trace's equality certificate, which must weight exactly them.  The
+    system is rebuilt from its variables and rows for the replay and the
+    check, and dropped after them."""
+    system = System(variables, constraints)
     implicit = frozenset(cid for cid, (coeffs, rhs, _) in rows if sum(map(mul, coeffs, known)) == rhs * den)
     lam = equality_certificate(system, trace)
     if set(lam.ids()) != implicit or not check_multiplier_certificate(system, lam):

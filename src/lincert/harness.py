@@ -212,6 +212,14 @@ def run_trial(
     explore_budget: int = 4000,
     rule=MAIN_ROWS_FIRST,
 ) -> TrialReport:
+    """Decide one system both ways and record the outcome.
+
+    The trial works on its own copy of the system, so the answers `run` and
+    `explore` share through its memo (core.System) are freed with the
+    trial: a caller that holds many systems, as a benchmark cycling through
+    its inputs does, keeps no trial's primal cone or verdicts, and a repeat
+    trial of the same system does the same work again."""
+    system = system.with_rows(system.constraints)
     text = print_system(system)
     try:
         oracle = oracle_verdict(system)

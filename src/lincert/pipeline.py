@@ -116,7 +116,9 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
 
     A system flagged as a cone must already be homogeneous standard shape and
     is used as-is; anything else must be bounded standard shape and is
-    homogenized first.  The cap row goes in first so its multiplier is l1.
+    homogenized first; its primal cone and boundedness come from the
+    primal's memo when a caller already asked (cone module).  The cap row
+    goes in first so its multiplier is l1.
     """
     sigma = rat(sigma)
     if primal.is_cone:

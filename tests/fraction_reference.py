@@ -1,6 +1,7 @@
 """Independent Fraction references for Gaussian substitution, the Fourier
 pair step, Fourier back-substitution and the tight-row test, the Farkas
-replay and the terminal interval, and the helpers the tests share.
+replay, the terminal interval and the multiplier combination, and the
+helpers the tests share.
 
 `lincert.gauss` substitutes and `lincert.fourier` combines pairs,
 back-substitutes and tests rows for tightness on integer rows; the tests
@@ -17,10 +18,13 @@ from lincert.core import (
     InfeasibleSystemError,
     Interval,
     LincertError,
+    LinearExpr,
     MultiplierVector,
+    NegativeMultiplierError,
     Point,
     Provenance,
     Relation,
+    RelationError,
     RowClass,
     UnknownConstraintError,
     ZERO,
@@ -28,6 +32,28 @@ from lincert.core import (
     is_zero_row,
 )
 from lincert.fourier import EliminationStep, ProducedRow, _pick_midpoint, project
+
+
+def combine_reference(system, lam):
+    """sum(w_i * row_i) as `core.combine` once made it: one LinearExpr sum
+    per weighted row, each row found by `System.constraint`."""
+    expr = LinearExpr()
+    rhs = ZERO
+    strict = False
+    parents = []
+    for cid, w in lam.entries:
+        if w < 0:
+            raise NegativeMultiplierError(f"multiplier for constraint {cid} is negative")
+        row = system.constraint(cid)
+        if row.relation is Relation.EQ:
+            raise RelationError(f"constraint {cid} is an equality; expand it to inequality form first")
+        expr = expr + row.expr.scale(w)
+        rhs += row.rhs * w
+        if row.relation is Relation.LT:
+            strict = True
+        parents.append(cid)
+    rel = Relation.LT if strict else Relation.LE
+    return Constraint(-1, expr, rel, rhs, Provenance.derived(sorted(parents)))
 
 
 def substitute_fraction(system, var, pivot_id):

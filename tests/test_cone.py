@@ -14,6 +14,7 @@ from lincert.core import (
     Provenance,
     Relation,
     RelationError,
+    System,
     evaluate,
     make_system,
 )
@@ -30,6 +31,7 @@ from lincert.cone import (
 from lincert.fourier import feasibility
 from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.implicit import nonzero_multiplier_exists
+from lincert.pipeline import explore, run
 from lincert.sysfile import parse
 
 BASELINE = Path(__file__).resolve().parents[1] / "baseline" / "difftest-seed42-trials500.json"
@@ -426,3 +428,51 @@ def test_is_full_dimensional_makes_one_probe(monkeypatch):
     point_only = make_system(["x"], mains=[({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0)])
     assert not is_full_dimensional(point_only)
     assert len(calls) == 2
+
+
+def test_boundedness_and_the_primal_cone_are_decided_once(monkeypatch):
+    calls = _count_feasibility_calls(monkeypatch)
+    primal = uncapped_bounded_primal()
+    assert is_bounded(primal) and is_bounded(primal)
+    assert has_solution_at_infinity(primal) is has_solution_at_infinity(primal)
+    assert len(calls) == 1
+    assert primal_cone(primal) is primal_cone(primal)
+    assert primal_cone(primal) == primal_cone(System(primal.variables, primal.constraints))
+
+
+def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
+    built = []
+    for name in ("_homogenize", "_search_rays"):
+        original = getattr(lincert.cone, name)
+        monkeypatch.setattr(lincert.cone, name, lambda system, f=original, n=name: built.append(n) or f(system))
+    primal = uncapped_bounded_primal()
+    assert is_bounded(primal)
+    assert is_reduced_to_origin(primal_cone(primal).system) == (not feasibility(primal).feasible)
+    trace = run(primal)
+    assert explore(primal).outcomes[0].verdict in ("solvable", "unsolvable")
+    assert trace.working.cone is primal_cone(primal).system
+    assert sorted(built) == ["_homogenize", "_search_rays"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_memoized_cone_answers_match_a_fresh_copy(data):
+    # Every question asked twice of one system, in the order the analyses
+    # ask them, against each question asked once of its own fresh copy.
+    names = [f"x{i}" for i in range(data.draw(st.integers(1, 3)))]
+    coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
+    rows = data.draw(st.lists(st.tuples(coeffs, st.just("<="), st.integers(-3, 3)), max_size=4))
+    if data.draw(st.booleans()):
+        rows += [({n: 1}, "<=", 3) for n in names]
+    primal = make_system(names, mains=rows, nonneg="all")
+    questions = [
+        has_solution_at_infinity,
+        is_bounded,
+        primal_cone,
+        lambda system: is_reduced_to_origin(primal_cone(system).system),
+        is_full_dimensional,
+        run,
+    ]
+    for question in questions + questions:
+        fresh = System(primal.variables, primal.constraints, primal.objective, primal.is_cone)
+        assert _outcome(question, primal) == _outcome(question, fresh)

@@ -1,11 +1,15 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fraction_reference import combine_reference
+
 from lincert import cone, gauss
 from lincert.core import (
     Constraint,
+    LincertError,
     LinearExpr,
     MultiplierVector,
     NegativeMultiplierError,
@@ -15,6 +19,7 @@ from lincert.core import (
     RelationError,
     RowClass,
     ShapeError,
+    System,
     UnknownConstraintError,
     check_multiplier_certificate,
     combine,
@@ -26,6 +31,7 @@ from lincert.core import (
     rat,
     validate_standard_shape,
 )
+from lincert.fourier import feasibility
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -47,6 +53,16 @@ def test_rat_rejects_floats():
         rat(0.5)
     assert rat("3/4") == Fraction(3, 4)
     assert rat(-7) == Fraction(-7)
+
+
+def test_rat_returns_fractions_and_refuses_floats_with_or_without_den():
+    x = Fraction(-3, 4)
+    assert rat(x) == x and type(rat(x)) is Fraction
+    assert type(rat(5)) is Fraction and rat(5) == 5
+    assert rat(x, 3) == Fraction(-1, 4) and rat("3", "6") == Fraction(1, 2)
+    for args in [(0.5,), (1, 2.0), (0.5, 2), (x, 2.0), (2.0, x)]:
+        with pytest.raises(TypeError):
+            rat(*args)
 
 
 def test_rat_zero_denominator_is_an_error():
@@ -124,6 +140,83 @@ def test_combine_rejects_equality_rows():
     sys = make_system(["x"], mains=[({"x": 1}, "=", 0)])
     with pytest.raises(RelationError):
         combine(sys, MultiplierVector.of({0: 1}))
+
+
+def _outcome(fn, *args):
+    """repr of the result or of the error, so Fraction and int entries and
+    error messages must match too."""
+    try:
+        return repr(fn(*args))
+    except LincertError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def weighted_rows(draw):
+    """A system of <=, < and = rows with Fraction entries, sometimes a pair
+    that cancels, and a multiplier vector built directly, so it may hold
+    zero or negative weights and ids no row has."""
+    names = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    values = st.fractions(-3, 3, max_denominator=4)
+    coeffs = st.fixed_dictionaries({n: values for n in names})
+    relations = st.sampled_from(("<=", "<", "="))
+    rows = [(draw(coeffs), draw(relations), draw(values)) for _ in range(draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        a, b = draw(coeffs), draw(values)
+        rows += [(a, draw(st.sampled_from(("<=", "<"))), b), ({n: -c for n, c in a.items()}, "<=", -b)]
+    system = make_system(names, mains=draw(st.permutations(rows)))
+    ids = st.integers(0, len(rows) + 1)
+    weights = st.fractions(-1, 3, max_denominator=3) | st.integers(0, 3)
+    entries = draw(st.lists(st.tuples(ids, weights), unique_by=lambda e: e[0], max_size=len(rows) + 2))
+    return system, MultiplierVector(tuple(sorted(entries)))
+
+
+@given(case=weighted_rows())
+def test_combine_matches_the_fraction_reference(case):
+    system, lam = case
+    assert _outcome(combine, system, lam) == _outcome(combine_reference, system, lam)
+    if lam.entries and all(w >= 0 for _, w in lam.entries):
+        positive = MultiplierVector.of((cid, 1) for cid, _ in lam.entries)
+        assert _outcome(combine, system, positive) == _outcome(combine_reference, system, positive)
+
+
+def test_the_memo_is_no_part_of_the_system_value():
+    s = section2_primal()
+    fresh = System(s.variables, s.constraints, s.objective, s.is_cone)
+    assert feasibility(s, "greedy") is feasibility(s, "greedy")
+    assert set(s._memo) == {("feasibility", "greedy")} and fresh._memo == {}
+    assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+    assert "_memo" not in repr(s)
+    assert s.with_rows(s.constraints)._memo == {}
+    assert dataclasses.replace(s)._memo == {}
+    assert expand_equalities(s)._memo == {}
+
+
+def test_an_explicit_order_is_never_served_from_the_memo():
+    s = section2_primal(rhs2=1)
+    named = {order: feasibility(s, order) for order in (None, "greedy")}
+    for order in ([0, 1], [1, 0]):
+        first, second = feasibility(s, order), feasibility(s, order)
+        assert first is not second and first == second
+        assert all(first is not verdict for verdict in named.values())
+    assert set(s._memo) == {("feasibility", None), ("feasibility", "greedy")}
+    assert feasibility(s) is named[None] and feasibility(s, "greedy") is named["greedy"]
+
+
+def test_a_call_that_raises_stores_nothing():
+    pinned = make_system(["x"], mains=[({"x": 1}, "=", 0)], nonneg="all")
+    unsigned = make_system(["x"], mains=[({"x": 1}, "<=", 1)])
+    for fn, system, error in [
+        (feasibility, pinned, RelationError),
+        (cone.is_bounded, pinned, RelationError),
+        (cone.primal_cone, unsigned, ShapeError),
+    ]:
+        with pytest.raises(error):
+            fn(system)
+        assert system._memo == {}
+    with pytest.raises(LincertError):
+        feasibility(unsigned, [0, 0])
+    assert unsigned._memo == {}
 
 
 def test_evaluate_examples():

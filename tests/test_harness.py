@@ -169,3 +169,12 @@ def test_run_trial_raises_when_oracle_evidence_fails(monkeypatch):
     monkeypatch.setattr(harness, "feasibility", lambda system, order=None: bad)
     with pytest.raises(InvariantError):
         run_trial(0, system)
+
+
+def test_run_trial_leaves_nothing_in_the_callers_memo():
+    # A benchmark or replay that holds its systems must not hold every
+    # trial's primal cone and verdicts with them.
+    system = generate_bounded(CounterStream(5, "trial-0"), GenParams(seed=5))
+    first = run_trial(0, system)
+    assert system._memo == {}
+    assert run_trial(0, system) == first

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,7 @@ from lincert.dual import elementary_dual, extension_status
 from lincert.fourier import feasibility, is_infeasibility_certificate
 from lincert.harness import oracle_verdict
 from lincert.implicit import implicit_set, nonzero_multiplier_exists
+from lincert.pipeline import run
 
 
 def section2_primal(rhs1=2, rhs2=-1):
@@ -378,3 +381,76 @@ def test_extension_status_matches_strict_probe(primal):
         assert lam.get(ext) > 0 and check_multiplier_certificate(dual.system, lam)
     else:
         assert all(evaluate(c, status.witness) for c in _strict(dual.system, {ext}).constraints)
+
+
+def _count_chains(monkeypatch):
+    chains = []
+    original = lincert.fourier._chain
+
+    def counted(system, *args, **kwargs):
+        chains.append(system)
+        return original(system, *args, **kwargs)
+
+    monkeypatch.setattr(lincert.fourier, "_chain", counted)
+    return chains
+
+
+def test_full_dimension_after_implicit_set_repeats_no_elimination(monkeypatch):
+    chains = _count_chains(monkeypatch)
+    replays = _count_certificate_replays(monkeypatch)
+    pinned = make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 2), ({"x": -1, "y": -1}, "<=", -2)])
+    assert implicit_set(pinned).implicit_ids == {0, 1}
+    assert not is_full_dimensional(pinned)
+    assert len(chains) == 1 and len(replays) == 1
+    assert feasibility(pinned, [1, 0]).feasible and feasibility(pinned, [1, 0]).feasible
+    assert len(chains) == 3
+
+
+def _verdict_answers(verdict):
+    if not verdict.feasible:
+        return verdict
+    return verdict, verdict.implicit_ids, verdict.equality_certificate
+
+
+def _fresh(system):
+    return System(system.variables, system.constraints, system.objective, system.is_cone)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys=small_systems())
+def test_memoized_answers_match_a_fresh_copy(sys):
+    questions = [
+        lambda s: _verdict_answers(feasibility(s, "greedy")),
+        lambda s: _verdict_answers(feasibility(s)),
+        implicit_set,
+        is_full_dimensional,
+    ]
+    for question in questions + questions[::-1]:
+        assert question(sys) == question(_fresh(sys))
+
+
+def test_a_dropped_system_is_freed_without_the_cycle_collector():
+    def pinned():
+        rows = [({"x": 1, "y": 1}, "<=", 2), ({"x": -1, "y": -1}, "<=", -2)]
+        return make_system(["x", "y"], mains=rows, nonneg="all")
+
+    gc.collect()
+    gc.disable()
+    try:
+        system = pinned()
+        verdict = feasibility(system, "greedy")
+        held = weakref.ref(system)
+        del system
+        assert held() is None
+        assert verdict.implicit_ids == {0, 1}  # the evidence outlives the system it came from
+
+        system = pinned()
+        assert feasibility(system).implicit_ids == implicit_set(system).implicit_ids == {0, 1}
+        assert is_bounded(system) and not is_full_dimensional(system)
+        assert run(system).solvable
+        assert len(system._memo) == 4
+        held = weakref.ref(system)
+        del system
+        assert held() is None
+    finally:
+        gc.enable()
