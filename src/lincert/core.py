@@ -64,11 +64,8 @@ def rat(value, den=None) -> Fraction:
 
     A Fraction comes back as it is: it is immutable, so nothing can tell it
     from a copy."""
-    if den is None:
-        if type(value) is Fraction:
-            return value
-        if type(value) is int:
-            return Fraction(value)
+    if den is None and type(value) is Fraction:
+        return value
     if isinstance(value, float) or isinstance(den, float):
         raise TypeError("floats are not exact; pass ints, Fractions, or 'p/q' strings")
     if den is not None:
@@ -197,14 +194,20 @@ class System:
 
     A system is immutable, so every question asked of it has one answer, and
     the analyses keep the costly ones in a private memo on the system, one
-    entry per call kind: fourier.feasibility under ("feasibility", None) and
-    ("feasibility", "greedy"), cone.primal_cone under "primal_cone" and
+    entry per call kind: fourier.feasibility's greedy verdict under
+    "greedy_feasibility", cone.primal_cone under "primal_cone" and
     cone.has_solution_at_infinity (read by is_bounded) under
     "has_solution_at_infinity".  A call that raises stores nothing.  The
     memo takes no part in ==, hash or repr, every constructor (with_rows
     included) starts it empty, and it is freed with the system.  Nothing
     stored in it refers back to the system, so it makes no reference cycle
     and a dropped system is freed at once, without the cycle collector.
+
+    What a system holds on to once asked: the homogenized cone (one
+    System, its rows about as many as the primal's), the ray found or
+    None, and the greedy verdict with its witness; until its implicit ids
+    are first read, that verdict also holds the elimination trace and the
+    input rows' integer forms, which the read frees.
     """
 
     variables: tuple[str, ...]
@@ -449,7 +452,7 @@ def combine(system: System, lam: MultiplierVector) -> Constraint:
     The result relation is strict iff a strict row carries positive weight.
     """
     by_id = {c.cid: c for c in system.constraints}
-    acc: dict[int, Fraction] = {}
+    terms = []
     rhs = ZERO
     strict = False
     parents = []
@@ -464,15 +467,13 @@ def combine(system: System, lam: MultiplierVector) -> Constraint:
                 f"constraint {cid} is an equality; expand it to inequality form first"
             )
         w = rat(w)
-        for v, a in row.expr.terms:
-            acc[v] = acc[v] + a * w if v in acc else a * w
+        terms.extend((v, a * w) for v, a in row.expr.terms)
         rhs += row.rhs * w
         if row.relation is Relation.LT:
             strict = True
         parents.append(cid)
     rel = Relation.LT if strict else Relation.LE
-    expr = LinearExpr(tuple(sorted((v, c) for v, c in acc.items() if c != 0)))
-    return Constraint(-1, expr, rel, rhs, Provenance.derived(sorted(parents)))
+    return Constraint(-1, LinearExpr.from_terms(terms), rel, rhs, Provenance.derived(sorted(parents)))
 
 
 def evaluate(constraint: Constraint, point: Point) -> bool:

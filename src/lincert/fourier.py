@@ -114,8 +114,9 @@ class FeasibilityVerdict:
     the first time either is read, checked against each other
     (InvariantError on a mismatch) and kept, so a caller that reads only
     the flag or the witness never pays for them and no caller sees ids
-    that were not checked.  An infeasible verdict has no implicit ids and
-    no equality certificate.
+    that were not checked; the trace they are found from is dropped once
+    they are kept.  An infeasible verdict has no implicit ids and no
+    equality certificate.
     """
 
     feasible: bool
@@ -127,7 +128,11 @@ class FeasibilityVerdict:
 
     @cached_property
     def _evidence(self) -> tuple[frozenset[int], MultiplierVector | None]:
-        return self._find_evidence() if self._find_evidence is not None else (frozenset(), None)
+        if self._find_evidence is None:
+            return frozenset(), None
+        evidence = self._find_evidence()
+        object.__setattr__(self, "_find_evidence", None)  # frees the trace once read
+        return evidence
 
     @property
     def implicit_ids(self) -> frozenset[int]:
@@ -387,20 +392,24 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     growth), which the cone and implicit modules use.  An explicit order
     must list each variable exactly once.
 
-    The verdict for each of the two named orders is kept in the system's
-    memo under ("feasibility", order) (core.System), so asking again, as
-    implicit_set then is_full_dimensional do, repeats no elimination.  An
-    explicit order is decided afresh every time: callers pass one to see
-    that order's own elimination and witness, and keying on every list
-    would keep one verdict per order tried.  The verdict's lazy evidence
-    holds the rows, the trace and the input rows' integer forms, never the
-    system, so the memo makes no reference cycle.
+    The greedy verdict is kept in the system's memo under
+    "greedy_feasibility" (core.System): the analyses ask it of one system
+    more than once, as implicit_set then is_full_dimensional do, and the
+    second time repeats no elimination.  Table order (the check path,
+    asked once per system) and an explicit order list are decided afresh
+    every time: callers pass a list to see that order's own elimination
+    and witness, and keying on every list would keep one verdict per order
+    tried.  The verdict's lazy
+    evidence holds the rows, the trace and the input rows' integer forms,
+    never the system, so the memo makes no reference cycle; it is dropped
+    once the evidence is read.
     """
     nvars = len(system.variables)
-    if order is None or order == "greedy":
-        decide = partial(_decide, system, list(range(nvars)), order == "greedy")
-        return system._remember(("feasibility", order), decide)
-    if sorted(order) != list(range(nvars)):
+    if order == "greedy":
+        return system._remember("greedy_feasibility", partial(_decide, system, list(range(nvars)), True))
+    if order is None:
+        order = list(range(nvars))
+    elif sorted(order) != list(range(nvars)):
         raise LincertError("elimination order must list each variable exactly once")
     return _decide(system, order, False)
 

@@ -214,11 +214,12 @@ def run_trial(
 ) -> TrialReport:
     """Decide one system both ways and record the outcome.
 
-    The trial works on its own copy of the system, so the answers `run` and
-    `explore` share through its memo (core.System) are freed with the
-    trial: a caller that holds many systems, as a benchmark cycling through
-    its inputs does, keeps no trial's primal cone or verdicts, and a repeat
-    trial of the same system does the same work again."""
+    The trial works on its own copy of the system, so the primal cone and
+    boundedness answer `run` and `explore` share through its memo
+    (core.System) are freed with the trial: a caller that holds many
+    systems, as a benchmark cycling through its inputs does, keeps no
+    trial's homogenized cone, and a repeat trial of the same system does
+    the same work again."""
     system = system.with_rows(system.constraints)
     text = print_system(system)
     try:

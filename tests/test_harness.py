@@ -173,7 +173,7 @@ def test_run_trial_raises_when_oracle_evidence_fails(monkeypatch):
 
 def test_run_trial_leaves_nothing_in_the_callers_memo():
     # A benchmark or replay that holds its systems must not hold every
-    # trial's primal cone and verdicts with them.
+    # trial's primal cone with them.
     system = generate_bounded(CounterStream(5, "trial-0"), GenParams(seed=5))
     first = run_trial(0, system)
     assert system._memo == {}
