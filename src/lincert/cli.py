@@ -4,8 +4,10 @@ Subcommands map one-to-one onto the library: check (feasibility with
 evidence), fourier (projection), dual (elementary / strong dual), implicit
 (implicit-equality report), cone (homogenization and dichotomy flags),
 solve9 (the bounded-solvability elimination loop), difftest (seeded
-differential testing).  Every subcommand takes --json for machine output and
---quiet to suppress stdout; results also land in the exit code:
+differential testing).  solve9 always caps the cone with sum(x) <= 2 and
+has no --sigma; only `dual --strong` takes one, as the objective value
+substituted into the extension.  Every subcommand takes --json for machine
+output and --quiet to suppress stdout; results also land in the exit code:
 
     check:   0 feasible, 1 infeasible, 2 error
     solve9:  0 solvable, 1 unsolvable, 2 error, 3 pivot-sensitive (--explore)
@@ -165,7 +167,7 @@ def cmd_dual(args) -> int:
         "kind": "dual-report",
         "version": 1,
         "strong": bool(args.strong),
-        "sigma": format_rational(dual.sigma) if getattr(dual, "sigma", None) is not None else None,
+        "sigma": format_rational(dual.sigma) if args.strong and dual.sigma is not None else None,
         "system": text,
         "extension_row": dual.extension_id,
         "origin": {dual.system.variables[lam]: cid for lam, cid in dual.lambda_origin},
@@ -253,8 +255,7 @@ def cmd_solve9(args) -> int:
     out = Output(args)
     primal = _read_system(args.file)
     rule = _parse_rule(args.rule)
-    sigma = parse_rational(args.sigma) if args.sigma is not None else 2
-    trace = run(primal, rule, sigma=sigma)
+    trace = run(primal, rule)
     payload = {
         "kind": "solve9-report",
         "version": 1,
@@ -284,7 +285,7 @@ def cmd_solve9(args) -> int:
     lines.append(print_system(trace.terminal, orientation="ge").rstrip("\n"))
     sensitive = False
     if args.explore:
-        result = explore(primal, sigma=sigma)
+        result = explore(primal)
         sensitive = result.pivot_sensitive
         payload["explore"] = {
             "pivot_sensitive": result.pivot_sensitive,
@@ -375,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve9", help="bounded-solvability verdict via dual elimination")
     p.add_argument("file")
     p.add_argument("--rule", default="main-first", help="main-first | paper-seq:l3@row-x,...")
-    p.add_argument("--sigma", help="cap constant (default 2)")
     p.add_argument("--explore", action="store_true", help="enumerate all pivot sequences")
     p.add_argument("--trace", action="store_true", help="include intermediate systems")
     common(p)

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Mapping
 Rational = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 
@@ -195,19 +194,22 @@ class System:
     A system is immutable, so every question asked of it has one answer, and
     the analyses keep the costly ones in a private memo on the system, one
     entry per call kind: fourier.feasibility's greedy verdict under
-    "greedy_feasibility", cone.primal_cone under "primal_cone" and
+    "greedy_feasibility", cone.primal_cone under "primal_cone",
     cone.has_solution_at_infinity (read by is_bounded) under
-    "has_solution_at_infinity".  A call that raises stores nothing.  The
-    memo takes no part in ==, hash or repr, every constructor (with_rows
-    included) starts it empty, and it is freed with the system.  Nothing
-    stored in it refers back to the system, so it makes no reference cycle
-    and a dropped system is freed at once, without the cycle collector.
+    "has_solution_at_infinity" and pipeline.build_working_system (read by
+    run and explore) under "working_system".  A call that raises stores
+    nothing.  The memo takes no part in ==, hash or repr, every constructor
+    (with_rows included) starts it empty, and it is freed with the system.
+    Nothing stored in it refers back to the system, so it makes no
+    reference cycle and a dropped system is freed at once, without the
+    cycle collector.
 
     What a system holds on to once asked: the homogenized cone (one
     System, its rows about as many as the primal's), the ray found or
-    None, and the greedy verdict with its witness; until its implicit ids
-    are first read, that verdict also holds the elimination trace and the
-    input rows' integer forms, which the read frees.
+    None, the working system (the capped cone, its strong dual and the
+    dual's row labels) and the greedy verdict with its witness; until its
+    implicit ids are first read, that verdict also holds the elimination
+    trace and the input rows' integer forms, which the read frees.
     """
 
     variables: tuple[str, ...]
@@ -377,9 +379,6 @@ class Point:
             if v == var:
                 return x
         raise UnknownVariableError(f"point has no value for variable index {var}")
-
-    def has(self, var: int) -> bool:
-        return any(v == var for v, _ in self.values)
 
 
 def integer_row(c: Constraint, nvars: int) -> tuple[list[int], int, int]:

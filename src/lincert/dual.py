@@ -38,10 +38,15 @@ from .fourier import feasibility
 
 @dataclass(frozen=True)
 class ElementaryDual:
+    """A strong elementary dual; the elementary dual is the one with a zero
+    objective and sigma = 0."""
+
     system: System
     extension_id: int
     lambda_origin: tuple[tuple[int, int], ...]  # (lambda var index, primal main row id)
     row_origin: tuple[tuple[int, int], ...]     # (dual main row id, primal var index)
+    objective: LinearExpr = LinearExpr()        # over primal variable indices
+    sigma: Fraction | None = None               # None: the symbolic mixed form
 
     def lambda_for_row(self, primal_cid: int) -> int:
         for var, cid in self.lambda_origin:
@@ -63,12 +68,6 @@ class ElementaryDual:
 
 
 @dataclass(frozen=True)
-class StrongElementaryDual(ElementaryDual):
-    objective: LinearExpr = LinearExpr()        # over primal variable indices
-    sigma: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class ExtensionStatus:
     implicit: bool
     certificate: MultiplierVector | None = None  # implicit: positive weight on the extension
@@ -78,13 +77,12 @@ class ExtensionStatus:
 def elementary_dual(primal: System) -> ElementaryDual:
     """The strong dual with a zero objective and sigma = 0: A^T L >= 0,
     -sum(l_i r_i) >= 0 and l >= 0."""
-    sd = strong_elementary_dual(primal, LinearExpr(), sigma=0)
-    return ElementaryDual(sd.system, sd.extension_id, sd.lambda_origin, sd.row_origin)
+    return strong_elementary_dual(primal, LinearExpr(), sigma=0)
 
 
 def strong_elementary_dual(
     primal: System, objective: LinearExpr, sigma=None
-) -> StrongElementaryDual:
+) -> ElementaryDual:
     """Dual rows A^T L >= c; extension -sum(l_i r_i) >= -sigma when sigma is
     given, else the symbolic mixed form over (lambda, x) variables."""
     mains, _ = validate_standard_shape(primal)
@@ -114,7 +112,7 @@ def strong_elementary_dual(
         )
     system = System(variables, tuple(rows))
     origin = tuple((i, mains[i].cid) for i in range(nlam))
-    return StrongElementaryDual(system, ext_id, origin, tuple(row_origin), objective, sigma)
+    return ElementaryDual(system, ext_id, origin, tuple(row_origin), objective, sigma)
 
 
 def extension_status(dual: ElementaryDual) -> ExtensionStatus:

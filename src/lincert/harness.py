@@ -14,12 +14,15 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import InvariantError, LincertError, System, evaluate, make_system
 from .cone import is_bounded, is_reduced_to_origin
 from .fourier import feasibility, is_infeasibility_certificate
 from .pipeline import ExploreBudgetExceeded, MAIN_ROWS_FIRST, explore, run
 from .sysfile import format_rational, print_system
+
+EXPLORE_LAMBDA_LIMIT = 6  # trials whose working system has more multipliers skip explore
 
 
 class CounterStream:
@@ -164,7 +167,7 @@ class AggregateReport:
             "trial_count": self.trial_count,
             "agreement_count": self.agreement_count,
             "agreement_rate": (
-                format_rational_ratio(self.agreement_count, self.trial_count)
+                format_rational(Fraction(self.agreement_count, self.trial_count))
                 if self.trial_count
                 else None
             ),
@@ -178,12 +181,6 @@ class AggregateReport:
 
     def to_json(self, include_wall_clock: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_clock), indent=2, sort_keys=True) + "\n"
-
-
-def format_rational_ratio(num: int, den: int) -> str:
-    from fractions import Fraction
-
-    return format_rational(Fraction(num, den))
 
 
 def oracle_verdict(system: System) -> bool:
@@ -205,21 +202,15 @@ def oracle_verdict(system: System) -> bool:
     return verdict.feasible
 
 
-def run_trial(
-    index: int,
-    system: System,
-    explore_lambda_limit: int = 6,
-    explore_budget: int = 4000,
-    rule=MAIN_ROWS_FIRST,
-) -> TrialReport:
+def run_trial(index: int, system: System, rule=MAIN_ROWS_FIRST) -> TrialReport:
     """Decide one system both ways and record the outcome.
 
-    The trial works on its own copy of the system, so the primal cone and
-    boundedness answer `run` and `explore` share through its memo
-    (core.System) are freed with the trial: a caller that holds many
-    systems, as a benchmark cycling through its inputs does, keeps no
-    trial's homogenized cone, and a repeat trial of the same system does
-    the same work again."""
+    The trial works on its own copy of the system, so the primal cone,
+    boundedness answer and working system that `run` and `explore` share
+    through its memo (core.System) are freed with the trial: a caller that
+    holds many systems, as a benchmark cycling through its inputs does,
+    keeps no trial's homogenized cone or dual, and a repeat trial of the
+    same system does the same work again."""
     system = system.with_rows(system.constraints)
     text = print_system(system)
     try:
@@ -228,9 +219,9 @@ def run_trial(
         solvable = trace.solvable
         agreement = oracle == solvable
         sensitive = None
-        if len(trace.working.system.variables) <= explore_lambda_limit:
+        if len(trace.working.system.variables) <= EXPLORE_LAMBDA_LIMIT:
             try:
-                sensitive = explore(system, state_budget=explore_budget).pivot_sensitive
+                sensitive = explore(system).pivot_sensitive
             except ExploreBudgetExceeded:
                 sensitive = None
         detail = None
@@ -265,17 +256,12 @@ def run_trial(
         return TrialReport(index=index, system_text=text, status="error", error=str(exc))
 
 
-def run_difftest(
-    params: GenParams,
-    trials: int,
-    explore_lambda_limit: int = 6,
-    explore_budget: int = 4000,
-) -> AggregateReport:
+def run_difftest(params: GenParams, trials: int) -> AggregateReport:
     """Generate, decide both ways, aggregate.  Deterministic up to wall clock."""
     start = time.monotonic()
     reports = []
     for i in range(trials):
         stream = CounterStream(params.seed, f"trial-{i}")
         system = generate_bounded(stream, params)
-        reports.append(run_trial(i, system, explore_lambda_limit, explore_budget))
+        reports.append(run_trial(i, system))
     return AggregateReport(params, tuple(reports), time.monotonic() - start)

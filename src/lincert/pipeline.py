@@ -1,15 +1,20 @@
 """Bounded-system solvability via Gaussian elimination on the strong dual.
 
 The route: homogenize the input to its primal cone (unless it already is
-one), cap it with a first row sum(x) <= 2, and take the sigma-substituted
-strong elementary dual of the capped cone with the all-ones objective.  That
-dual is a pure multiplier system whose first variable l1 belongs to the cap
-row and whose extension row is -2*l1 >= -2.  Every other l variable is then
-substituted out through some eligible row set to equality (its sign row
-becoming a main row), leaving a one-variable system in l1.  Its interval is
-read off its rows by `core.interval_of`, the rule Fourier back-substitution
-uses for each fiber, and the verdict is Solvable exactly when the interval
-is the single point {1}.
+one), cap it with a first row sum(x) <= 2, and take the strong elementary
+dual of the capped cone with the all-ones objective and objective value 2.
+That dual is a pure multiplier system whose first variable l1 belongs to the
+cap row and whose extension row is -2*l1 >= -2.  The cap constant enters
+only that row, which no pivot touches, so it is fixed.  Every other l
+variable is then substituted out through some eligible row set to equality
+(its sign row becoming a main row), leaving a one-variable system in l1.
+Its interval is read off its rows by `core.interval_of`, the rule Fourier
+back-substitution uses for each fiber, and the verdict is Solvable exactly
+when the interval is the single point {1}.
+
+The working system (capped cone, dual and row labels) is built once per
+primal and kept in the primal's memo (core.System), so `run` and `explore`
+on one system share it.
 
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     Constraint,
@@ -40,7 +46,6 @@ from .core import (
     System,
     ZERO,
     interval_of,
-    rat,
     validate_standard_shape,
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
@@ -73,19 +78,16 @@ def pivot_sequence(pairs) -> PivotRule:
     return PivotRule("paper-seq", sequence=tuple((str(a), str(b)) for a, b in pairs))
 
 
+_CAP = Fraction(2)  # sum(x) <= 2 caps the cone; the dual's objective value
+LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
+
+
 @dataclass(frozen=True)
 class WorkingSystem:
-    primal: System
-    cone: System
-    augmented: System
+    augmented: System  # the capped cone
     system: System  # the multiplier system the elimination loop works on
     labels: tuple[tuple[int, str], ...]
     extension_id: int
-    lambda_one: int
-    sigma: Fraction
-
-    def label_of(self, cid: int) -> str:
-        return dict(self.labels)[cid]
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,9 @@ class PipelineTrace:
         return self.verdict == "solvable"
 
 
-def build_working_system(primal: System, sigma=2) -> WorkingSystem:
-    """Cap the (primal) cone with sum(x) <= sigma and dualize.
+def build_working_system(primal: System) -> WorkingSystem:
+    """Cap the (primal) cone with sum(x) <= 2 and dualize; the result is
+    kept in the primal's memo under "working_system" (core.System).
 
     A system flagged as a cone must already be homogeneous standard shape and
     is used as-is; anything else must be bounded standard shape and is
@@ -120,7 +123,10 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
     primal's memo when a caller already asked (cone module).  The cap row
     goes in first so its multiplier is l1.
     """
-    sigma = rat(sigma)
+    return primal._remember("working_system", partial(_build_working_system, primal))
+
+
+def _build_working_system(primal: System) -> WorkingSystem:
     if primal.is_cone:
         validate_standard_shape(primal)
         for c in primal.constraints:
@@ -138,15 +144,8 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
 
     mains = cone.main_rows()
     nvars = len(cone.variables)
-    rows = [
-        Constraint(
-            0,
-            LinearExpr.from_terms({v: 1 for v in range(nvars)}),
-            Relation.LE,
-            sigma,
-            Provenance.main(),
-        )
-    ]
+    ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
+    rows = [Constraint(0, ones, Relation.LE, _CAP, Provenance.main())]
     for i, row in enumerate(mains):
         rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
     cid = 1 + len(mains)
@@ -155,24 +154,14 @@ def build_working_system(primal: System, sigma=2) -> WorkingSystem:
         cid += 1
     augmented = System(cone.variables, tuple(rows))
 
-    ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
-    sd = strong_elementary_dual(augmented, ones, sigma=sigma)
+    sd = strong_elementary_dual(augmented, ones, sigma=_CAP)
     labels = []
     for row_cid, var in sd.row_origin:
         labels.append((row_cid, f"row-{cone.variables[var]}"))
     labels.append((sd.extension_id, "extension"))
     for lam, _ in sd.lambda_origin:
         labels.append((sd.sign_id(lam), f"sign-l{lam + 1}"))
-    return WorkingSystem(
-        primal=primal,
-        cone=cone,
-        augmented=augmented,
-        system=sd.system,
-        labels=tuple(labels),
-        extension_id=sd.extension_id,
-        lambda_one=0,
-        sigma=sigma,
-    )
+    return WorkingSystem(augmented, sd.system, tuple(labels), sd.extension_id)
 
 
 def _pivot_kind(label: str) -> str:
@@ -218,24 +207,24 @@ def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str
     return p
 
 
-def _outcome(rows: tuple, lambda_one: int) -> tuple[Interval, str]:
+def _outcome(rows: tuple) -> tuple[Interval, str]:
     """The interval and verdict of integer rows that mention only l1."""
-    interval = interval_of((coeffs[lambda_one], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
+    interval = interval_of((coeffs[LAMBDA_ONE], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
     return interval, "solvable" if interval.is_point(1) else "unsolvable"
 
 
-def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST, sigma=2) -> PipelineTrace:
+def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST) -> PipelineTrace:
     """Run the elimination loop to a one-variable verdict on l1.
 
     Pivots are chosen and taken on the working system's integer rows; each
     step's `Fraction` system is built from them (`gauss.pivot_system`) and
     equals what `substitute_through` makes of the step before."""
-    ws = build_working_system(primal, sigma=sigma)
+    ws = build_working_system(primal)
     system = ws.system
     names = system.variables
     rows = integer_rows(system)
     labels = dict(ws.labels)
-    remaining = [v for v in range(len(names)) if v != ws.lambda_one]
+    remaining = [v for v in range(len(names)) if v != LAMBDA_ONE]
     steps: list[PipelineStep] = []
     for var, row_label in _plan(rule, names, remaining):
         if row_label is None:
@@ -252,7 +241,7 @@ def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST, sigma=2) -> PipelineT
         label = labels[pivot_id]
         rows, system = pivot_system(system, rows, p, var)
         steps.append(PipelineStep(var, names[var], pivot_id, label, _pivot_kind(label), system))
-    interval, verdict = _outcome(rows, ws.lambda_one)
+    interval, verdict = _outcome(rows)
     return PipelineTrace(ws, tuple(steps), system, interval, verdict)
 
 
@@ -271,7 +260,7 @@ class ExploreResult:
     states: int
 
 
-def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
+def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     """Walk every admissible pivot sequence (all lambda orders, all eligible
     rows; the zero fallback only when no row is eligible).
 
@@ -297,8 +286,7 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
     outcomes are merged by those ints; Fractions are built only for the
     terminal intervals.
     """
-    ws = build_working_system(primal, sigma=sigma)
-    lambda_one = ws.lambda_one
+    ws = build_working_system(primal)
     names = ws.system.variables
     labels = dict(ws.labels)
     memo: dict = {}
@@ -315,7 +303,7 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
         if states > state_budget:
             raise ExploreBudgetExceeded(f"pivot tree exceeds {state_budget} distinct states")
         if not remaining:
-            terminal = terminals.setdefault(_outcome(rows, lambda_one), len(terminals))
+            terminal = terminals.setdefault(_outcome(rows), len(terminals))
             memo[key] = ({terminal: ()}, 1)
             return memo[key]
         outcomes: dict[int, tuple] = {}
@@ -337,7 +325,7 @@ def explore(primal: System, state_budget: int = 4000, sigma=2) -> ExploreResult:
         memo[key] = (outcomes, count)
         return memo[key]
 
-    remaining = frozenset(v for v in range(len(names)) if v != lambda_one)
+    remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
     outcomes, count = visit(integer_rows(ws.system), remaining)
     by_id = list(terminals)
     ordered = sorted(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lincert.cone
+import lincert.pipeline
 from lincert.core import (
     Constraint,
     LincertError,
@@ -31,7 +32,7 @@ from lincert.cone import (
 from lincert.fourier import feasibility
 from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.implicit import nonzero_multiplier_exists
-from lincert.pipeline import explore, run
+from lincert.pipeline import build_working_system, explore, run
 from lincert.sysfile import parse
 
 BASELINE = Path(__file__).resolve().parents[1] / "baseline" / "difftest-seed42-trials500.json"
@@ -442,16 +443,19 @@ def test_boundedness_and_the_primal_cone_are_decided_once(monkeypatch):
 
 def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
     built = []
-    for name in ("_homogenize", "_search_rays"):
-        original = getattr(lincert.cone, name)
-        monkeypatch.setattr(lincert.cone, name, lambda system, f=original, n=name: built.append(n) or f(system))
+    for module, name in ((lincert.cone, "_homogenize"), (lincert.cone, "_search_rays"),
+                         (lincert.pipeline, "strong_elementary_dual")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, f=original, n=name, **kw: built.append(n) or f(*args, **kw)
+        )
     primal = uncapped_bounded_primal()
     assert is_bounded(primal)
     assert is_reduced_to_origin(primal_cone(primal).system) == (not feasibility(primal).feasible)
     trace = run(primal)
     assert explore(primal).outcomes[0].verdict in ("solvable", "unsolvable")
-    assert trace.working.cone is primal_cone(primal).system
-    assert sorted(built) == ["_homogenize", "_search_rays"]
+    assert sorted(built) == ["_homogenize", "_search_rays", "strong_elementary_dual"]
+    assert trace.working is build_working_system(primal)
 
 
 @settings(max_examples=100, deadline=None)
@@ -472,6 +476,8 @@ def test_memoized_cone_answers_match_a_fresh_copy(data):
         lambda system: is_reduced_to_origin(primal_cone(system).system),
         is_full_dimensional,
         run,
+        explore,
+        build_working_system,
     ]
     for question in questions + questions:
         fresh = System(primal.variables, primal.constraints, primal.objective, primal.is_cone)

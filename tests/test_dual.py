@@ -16,7 +16,7 @@ from lincert.core import (
     make_system,
 )
 from lincert.dual import (
-    StrongElementaryDual,
+    ElementaryDual,
     elementary_dual,
     extension_status,
     multipliers_from_primal_solution,
@@ -326,7 +326,7 @@ def test_strong_dual_extension_is_tight_at_the_optimum():
         assert objective.value_at(_shift_point(verdict.witness, len(sd.lambda_origin))) == sigma
 
 
-def combined_with_primal(primal: System, strong: StrongElementaryDual) -> System:
+def combined_with_primal(primal: System, strong: ElementaryDual) -> System:
     """One system over (lambda..., x...) holding the primal rows and the
     symbolic strong dual rows together."""
     if strong.sigma is not None:

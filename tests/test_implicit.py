@@ -28,7 +28,7 @@ from lincert.dual import elementary_dual, extension_status
 from lincert.fourier import feasibility, is_infeasibility_certificate
 from lincert.harness import oracle_verdict
 from lincert.implicit import implicit_set, nonzero_multiplier_exists
-from lincert.pipeline import run
+from lincert.pipeline import explore, run
 
 
 def section2_primal(rhs1=2, rhs2=-1):
@@ -449,7 +449,10 @@ def test_a_dropped_system_is_freed_without_the_cycle_collector():
         assert feasibility(system).implicit_ids == implicit_set(system).implicit_ids == {0, 1}
         assert is_bounded(system) and not is_full_dimensional(system)
         assert run(system).solvable
-        assert set(system._memo) == {"greedy_feasibility", "primal_cone", "has_solution_at_infinity"}
+        assert not explore(system).pivot_sensitive
+        assert set(system._memo) == {
+            "greedy_feasibility", "primal_cone", "has_solution_at_infinity", "working_system"
+        }
         held = weakref.ref(system)
         del system
         assert held() is None

@@ -28,6 +28,7 @@ from lincert.sysfile import parse
 from lincert.pipeline import (
     ExploreBudgetExceeded,
     Interval,
+    LAMBDA_ONE,
     MAIN_ROWS_FIRST,
     PivotRule,
     PivotRuleError,
@@ -80,7 +81,8 @@ def test_working_system_of_solvable_cone():
     ws = build_working_system(solvable_cone())
     sys = ws.system
     assert sys.variables == ("l1", "l2", "l3", "l4")
-    by_label = {ws.label_of(c.cid): c for c in sys.constraints if c.provenance.kind != "sign"}
+    labels = dict(ws.labels)
+    by_label = {labels[c.cid]: c for c in sys.constraints if c.provenance.kind != "sign"}
     assert dict(by_label["row-x"].expr.terms) == {i: Fraction(-1) for i in range(4)}
     assert by_label["row-x"].rhs == -1
     assert dict(by_label["row-y"].expr.terms) == {
@@ -374,14 +376,6 @@ def test_explore_witness_sequences_replay():
         assert trace.verdict == outcome.verdict
 
 
-def test_sigma_is_configurable():
-    ws = build_working_system(solvable_cone(), sigma=4)
-    ext = ws.system.constraint(ws.extension_id)
-    assert dict(ext.expr.terms) == {0: Fraction(4)}
-    assert ext.rhs == 4
-    trace = run(solvable_cone(), MAIN_SEQUENCE, sigma=4)
-    assert trace.verdict == "solvable"
-
 def reference_explore(primal):
     """Every pivot sequence walked with no memo on Fraction systems, through
     the formula in `fraction_reference`: the first witness per outcome in
@@ -395,7 +389,7 @@ def reference_explore(primal):
     def walk(system, remaining, prefix):
         nonlocal count
         if not remaining:
-            interval = terminal_interval(system, ws.lambda_one)
+            interval = terminal_interval(system, LAMBDA_ONE)
             verdict = "solvable" if interval.is_point(1) else "unsolvable"
             outcomes.setdefault((interval, verdict), prefix)
             count += 1
@@ -411,7 +405,7 @@ def reference_explore(primal):
             if not pivots:
                 walk(_fraction_fallback(system, var), remaining - {var}, prefix + ((names[var], "zero"),))
 
-    walk(ws.system, frozenset(v for v in range(len(names)) if v != ws.lambda_one), ())
+    walk(ws.system, frozenset(v for v in range(len(names)) if v != LAMBDA_ONE), ())
     return outcomes, count
 
 
@@ -479,7 +473,7 @@ def test_run_steps_match_the_fraction_formula_on_the_baseline():
             assert step.system == expected
             system = step.system
         assert trace.terminal == system
-        assert trace.interval == terminal_interval(system, trace.working.lambda_one)
+        assert trace.interval == terminal_interval(system, LAMBDA_ONE)
 
 
 def permuted(system, var_order, row_order):
