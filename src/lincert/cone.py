@@ -1,15 +1,24 @@
 """Primal cones, recession rays, and dimension dichotomies.
 
 Homogenizing AX <= b with a fresh sign-constrained variable z (column -b,
-right-hand sides zeroed) gives the primal cone.  For bounded inputs the cone
-is reduced to the origin exactly when the input is unsolvable, and a cone
-point with z > 0 dehomogenizes to a primal solution; those two facts drive
-both the test suite and the solvability pipeline.  Full dimension is read
-off the implicit equalities of one elimination (fourier.feasibility).
+right-hand sides zeroed) gives the primal cone.  A cone point (x, z) of a
+standard-shape primal has x >= 0, z >= 0 and Ax <= bz: with z > 0, x/z
+solves the primal (dehomogenize), and with z = 0 and x != 0, x is a
+solution at infinity (a nonzero ray of the recession cone).  So the cone
+is the origin alone exactly when the primal is unsolvable and bounded;
+that fact drives both the test suite and the solvability pipeline.  Full
+dimension is read off the implicit equalities of one elimination
+(fourier.feasibility).
 
-Boundedness and the origin-only test are settled without elimination when
-capping rows cover every variable: for x >= 0 with Ax <= 0, a sum y'A of
-rows with no negative coefficient that is positive on every variable gives
+is_reduced_to_origin answers from that equivalence while the primal the
+cone was built from is alive, reading the primal's greedy verdict and its
+ray search, which analyses of the primal have often already asked.  A cone
+with no primal (read from a file flagged `cone`, a copy made with
+with_rows, or one whose primal is gone) gets its own probe instead.
+
+Boundedness and that probe are settled without elimination when capping
+rows cover every variable: for x >= 0 with Ax <= 0, a sum y'A of rows with
+no negative coefficient that is positive on every variable gives
 0 >= y'Ax = sum_j (A'y)_j x_j >= 0, so x = 0.  Only otherwise does a greedy
 Fourier probe run.
 
@@ -18,13 +27,15 @@ with it is_bounded) keep their answer in the system's memo (core.System),
 keyed "primal_cone" and "has_solution_at_infinity", and fourier.feasibility
 keeps its greedy verdict there too: is_full_dimensional after implicit_set,
 or pipeline.run after is_bounded and primal_cone on the same system, repeats
-no elimination.  The cone a PrimalCone holds and the ray a search returns are
-new objects that never refer back to the system, so the memo makes no
-reference cycle.
+no elimination.  The ray a search returns never refers back to the system,
+and the cone a PrimalCone holds refers to its primal only weakly (its memo
+entry "primal"), so the memo makes no reference cycle and a cone kept after
+its primal is dropped does not keep the primal alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -84,7 +95,9 @@ def _homogenize(primal: System) -> PrimalCone:
     for v in range(len(variables)):
         rows.append(Constraint(cid, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
         cid += 1
-    return PrimalCone(System(variables, tuple(rows), is_cone=True), z, tuple(origin))
+    cone = System(variables, tuple(rows), is_cone=True)
+    cone._memo["primal"] = weakref.ref(primal)
+    return PrimalCone(cone, z, tuple(origin))
 
 
 def recession_system(system: System) -> System:
@@ -165,15 +178,24 @@ def is_bounded(system: System) -> bool:
 
 def is_reduced_to_origin(cone: System) -> bool:
     """For a homogeneous, fully sign-constrained system: is the origin the
-    only point?  Under x >= 0 the single probe sum(x) >= 1 decides it, and
-    capping rows that cover every variable settle it first, with no probe:
-    0 >= y'Ax = sum_j (A'y)_j x_j >= 0 forces x = 0."""
+    only point?
+
+    A cone built by primal_cone whose primal is still alive is the origin
+    alone exactly when that primal is unsolvable and bounded (module
+    docstring), so the primal's memoized greedy verdict and ray search
+    answer.  Any other cone gets one probe: under x >= 0, sum(x) >= 1
+    decides it, and capping rows that cover every variable settle it first,
+    with no probe: 0 >= y'Ax = sum_j (A'y)_j x_j >= 0 forces x = 0."""
     for c in cone.constraints:
         if c.rhs != 0:
             raise NonHomogeneousError(f"constraint {c.cid} has nonzero right side {c.rhs}")
     unsigned = [name for v, name in enumerate(cone.variables) if cone.sign_row_for(v) is None]
     if unsigned:
         raise LincertError("variables without sign rows: " + ", ".join(unsigned))
+    ref = cone._memo.get("primal")
+    primal = ref() if ref is not None else None
+    if primal is not None:
+        return not feasibility(primal, order="greedy").feasible and is_bounded(primal)
     return _signed_ray(cone, set(range(len(cone.variables)))) is None
 
 

@@ -202,7 +202,11 @@ class System:
     (with_rows included) starts it empty, and it is freed with the system.
     Nothing stored in it refers back to the system, so it makes no
     reference cycle and a dropped system is freed at once, without the
-    cycle collector.
+    cycle collector.  The cone primal_cone builds keeps one entry of
+    another kind in its own memo: a weak reference to its primal under
+    "primal", through which cone.is_reduced_to_origin reads the primal's
+    answers.  It is weak so that the primal, whose memo holds the cone,
+    makes no cycle, and so that a kept cone never keeps its primal alive.
 
     What a system holds on to once asked: the homogenized cone (one
     System, its rows about as many as the primal's), the ray found or

@@ -27,7 +27,6 @@ from .core import (
     Relation,
     System,
     ZERO,
-    rat,
 )
 
 
@@ -48,14 +47,22 @@ def format_rational(q: Fraction) -> str:
     return str(q)  # Fraction prints p or p/q, never a float
 
 
+def _number(digits: str, line: int) -> Fraction:
+    """A token that matched _NUMBER, built from its integers: Fraction(str)
+    would run its own regex over digits already checked."""
+    num, _, den = digits.partition("/")
+    if not den:
+        return Fraction(int(num))
+    if int(den) == 0:
+        raise ParseError(f"zero denominator in {digits!r}", line)
+    return Fraction(int(num), int(den))
+
+
 def parse_rational(token: str, line: int = 0) -> Fraction:
     m = _RHS.match(token)
     if not m:
         raise ParseError(f"expected a rational number, got {token.strip()!r}", line)
-    try:
-        value = rat(m.group("value"))
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {m.group('value')!r}", line) from None
+    value = _number(m.group("value"), line)
     return -value if m.group("sign") == "-" else value
 
 
@@ -71,10 +78,7 @@ def parse_expr(text: str, index: Mapping[str, int], line: int) -> LinearExpr:
             break
         if not first and m.group("sign") is None:
             raise ParseError(f"missing + or - before {m.group('var')!r}", line)
-        try:
-            coef = rat(m.group("coef")) if m.group("coef") else Fraction(1)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {m.group('coef')!r}", line) from None
+        coef = _number(m.group("coef"), line) if m.group("coef") else Fraction(1)
         if m.group("sign") == "-":
             coef = -coef
         name = m.group("var")

@@ -31,7 +31,7 @@ from lincert.cone import (
 )
 from lincert.fourier import feasibility
 from lincert.harness import CounterStream, GenParams, generate_bounded
-from lincert.implicit import nonzero_multiplier_exists
+from lincert.implicit import implicit_set, nonzero_multiplier_exists
 from lincert.pipeline import build_working_system, explore, run
 from lincert.sysfile import parse
 
@@ -456,6 +456,39 @@ def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
     assert explore(primal).outcomes[0].verdict in ("solvable", "unsolvable")
     assert sorted(built) == ["_homogenize", "_search_rays", "strong_elementary_dual"]
     assert trace.working is build_working_system(primal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_origin_test_from_the_primal_matches_the_probe(data):
+    # Standard-shape primals, feasible or not, bounded or not, some capped.
+    # The cone's origin test reads the primal's answers while the primal is
+    # alive, cold or warm, and probes the cone itself once it is dropped.
+    names = [f"x{i}" for i in range(data.draw(st.integers(0, 3)))]
+    coeffs = st.fixed_dictionaries({n: st.integers(-3, 3) for n in names})
+    rows = data.draw(st.lists(st.tuples(coeffs, st.just("<="), st.integers(-3, 3)), max_size=4))
+    if data.draw(st.booleans()):
+        rows += [({n: data.draw(st.integers(1, 2)) for n in names}, "<=", data.draw(st.integers(-1, 3)))]
+
+    def primal():
+        return make_system(names, mains=rows, nonneg="all")
+
+    cold = primal()
+    cone = primal_cone(cold).system
+    expected = _probing_reduced_to_origin(cone)
+    assert is_reduced_to_origin(cone) == expected
+    assert expected == (not feasibility(cold).feasible and not _probing_solution_at_infinity(cold)[0])
+
+    warm = primal()
+    implicit_set(warm)
+    is_bounded(warm)
+    assert is_reduced_to_origin(primal_cone(warm).system) == expected
+
+    dropped = primal()
+    cone = primal_cone(dropped).system
+    del dropped
+    assert cone._memo["primal"]() is None
+    assert is_reduced_to_origin(cone) == expected == _probing_reduced_to_origin(cone)
 
 
 @settings(max_examples=100, deadline=None)

@@ -406,6 +406,35 @@ def test_full_dimension_after_implicit_set_repeats_no_elimination(monkeypatch):
     assert len(chains) == 3
 
 
+def test_origin_test_reads_the_primals_memo(monkeypatch):
+    # No primal's rows cap every variable, so only a Fourier chain on the
+    # primal or on its cone can settle either question.
+    feasible = make_system(
+        ["x", "y"], mains=[({"x": 2, "y": -1}, "<=", 2), ({"x": -1, "y": 1}, "<=", 1)], nonneg="all"
+    )
+    infeasible = make_system(
+        ["x", "y"], mains=[({"x": 2, "y": -1}, "<=", -2), ({"x": -1, "y": 1}, "<=", -1)], nonneg="all"
+    )
+    unbounded = make_system(
+        ["x", "y"], mains=[({"x": 1, "y": -1}, "<=", -1), ({"x": -1, "y": 1}, "<=", -1)], nonneg="all"
+    )
+    chains = _count_chains(monkeypatch)
+    cases = ((feasible, True, False), (infeasible, True, True), (unbounded, False, False))
+    for primal, bounded, origin_only in cases:
+        implicit_set(primal)
+        assert is_bounded(primal) is bounded
+        cone = lincert.cone.primal_cone(primal).system
+        del chains[:]
+        assert is_reduced_to_origin(cone) is origin_only
+        assert chains == []
+
+    cold = System(feasible.variables, feasible.constraints)
+    assert not is_reduced_to_origin(lincert.cone.primal_cone(cold).system)
+    assert len(chains) == 1
+    assert is_full_dimensional(cold)
+    assert len(chains) == 1
+
+
 def _verdict_answers(verdict):
     if not verdict.feasible:
         return verdict
@@ -456,5 +485,15 @@ def test_a_dropped_system_is_freed_without_the_cycle_collector():
         held = weakref.ref(system)
         del system
         assert held() is None
+
+        # A cone held after its primal is dropped does not keep it alive,
+        # and still answers, now from its own probe.
+        system = pinned()
+        cone = lincert.cone.primal_cone(system).system
+        assert not is_reduced_to_origin(cone)
+        held = weakref.ref(system)
+        del system
+        assert held() is None
+        assert not is_reduced_to_origin(cone)
     finally:
         gc.enable()

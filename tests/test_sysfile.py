@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincert.core import Constraint, Provenance, Relation, make_system
-from lincert.sysfile import ParseError, parse, print_system
+from lincert.sysfile import ParseError, parse, parse_rational, print_system
 
 SECTION2 = """\
 # feasibility example
@@ -68,6 +68,31 @@ def test_parse_errors_carry_line_numbers():
         parse("vars: x\nx <= 1/0\n")
     with pytest.raises(ParseError, match="missing"):
         parse("vars: x y\nx y <= 1\n")
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("007", 7), ("0", 0), ("4/6", Fraction(2, 3)), ("0/5", 0), ("010/004", Fraction(5, 2)), ("12", 12)],
+)
+def test_numbers_read_as_fraction_reads_them(token, value):
+    assert Fraction(token) == value
+    system = parse(f"vars: x y\n{token}*x - {token}*y <= -{token}\n")
+    row = system.constraints[0]
+    assert row.expr.terms == (((0, value), (1, -value)) if value else ())
+    assert row.rhs == -value
+    assert parse_rational(f" - {token} ") == -value
+
+
+@pytest.mark.parametrize("token", ["3/0", "0/0", "3/000"])
+def test_zero_denominators_name_the_token(token):
+    message = f"line 2: zero denominator in {token!r}"
+    for line in (f"{token}*x <= 1", f"x <= {token}", f"x >= -{token}"):
+        with pytest.raises(ParseError) as raised:
+            parse(f"vars: x\n{line}\n")
+        assert str(raised.value) == message
+    with pytest.raises(ParseError) as raised:
+        parse_rational(token, 2)
+    assert str(raised.value) == message
 
 
 def test_print_is_canonical_and_stable():
