@@ -210,10 +210,12 @@ class System:
 
     What a system holds on to once asked: the homogenized cone (one
     System, its rows about as many as the primal's), the ray found or
-    None, the working system (the capped cone, its strong dual and the
-    dual's row labels) and the greedy verdict with its witness; until its
-    implicit ids are first read, that verdict also holds the elimination
-    trace and the input rows' integer forms, which the read frees.
+    None, the working system (the strong dual's integer rows and row
+    labels, and the cone's main rows, from which the capped cone and the
+    dual are built as Systems when first read) and the greedy verdict
+    with its witness; until its implicit ids are first read, that verdict
+    also holds the elimination trace and the input rows' integer forms,
+    which the read frees.
     """
 
     variables: tuple[str, ...]

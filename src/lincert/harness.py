@@ -219,7 +219,7 @@ def run_trial(index: int, system: System, rule=MAIN_ROWS_FIRST) -> TrialReport:
         solvable = trace.solvable
         agreement = oracle == solvable
         sensitive = None
-        if len(trace.working.system.variables) <= EXPLORE_LAMBDA_LIMIT:
+        if len(trace.working.variables) <= EXPLORE_LAMBDA_LIMIT:
             try:
                 sensitive = explore(system).pivot_sensitive
             except ExploreBudgetExceeded:

@@ -12,9 +12,12 @@ Its interval is read off its rows by `core.interval_of`, the rule Fourier
 back-substitution uses for each fiber, and the verdict is Solvable exactly
 when the interval is the single point {1}.
 
-The working system (capped cone, dual and row labels) is built once per
-primal and kept in the primal's memo (core.System), so `run` and `explore`
-on one system share it.
+The working system is built once per primal and kept in the primal's memo
+(core.System), so `run` and `explore` on one system share it.  It holds
+the dual's coprime integer rows, transposed straight from the capped
+cone's rows, and the dual's row labels; the capped cone and the dual as
+`Fraction` systems are built from the cone's rows the first time they are
+read.
 
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
@@ -22,18 +25,20 @@ makes the choice explicit and reproducible: the default takes original main
 rows first, a pivot sequence names every pivot.  `explore` enumerates the
 whole pivot tree to quantify the sensitivity.  Both pivot on coprime
 integer rows through `gauss.pivot_integer_rows`, without fractions (as in
-Bareiss 1968).  `run` also builds each step's `Fraction` system, because
-its steps are printed and replayed; `explore` only needs the verdicts, and
-merges states that differ only by positive row scaling.  Whether the
-verdict agrees with direct elimination on the input is measured, never
-assumed; see the harness module.
+Bareiss 1968).  `run` records only its moves; the steps' `Fraction`
+systems, which are printed and replayed, are built from those moves the
+first time a step or the terminal system is read.  `explore` only needs
+the verdicts, and merges states that differ only by positive row scaling.
+Whether the verdict agrees with direct elimination on the input is
+measured, never assumed; see the harness module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import gcd, lcm
 
 from .core import (
     Constraint,
@@ -45,12 +50,13 @@ from .core import (
     Relation,
     System,
     ZERO,
+    integer_row,
     interval_of,
     validate_standard_shape,
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
 from .dual import strong_elementary_dual
-from .gauss import integer_rows, pivot_integer_rows, pivot_system
+from .gauss import pivot_integer_rows, pivot_system
 
 
 class UnboundedInputError(LincertError):
@@ -84,10 +90,41 @@ LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
 
 @dataclass(frozen=True)
 class WorkingSystem:
-    augmented: System  # the capped cone
-    system: System  # the multiplier system the elimination loop works on
+    """The multiplier system the elimination loop works on, as the coprime
+    integer rows `run` and `explore` start from (`gauss.integer_rows`'
+    form), with its variables and row labels.  `augmented` (the capped
+    cone) and `system` (its strong dual) are the same system as `Fraction`
+    systems, built from the cone's variables and main rows the first time
+    each is read.  Nothing here is the primal or its cone, so the primal's
+    memo that keeps it makes no reference cycle."""
+
+    rows: tuple
+    variables: tuple[str, ...]
     labels: tuple[tuple[int, str], ...]
     extension_id: int
+    cone_variables: tuple[str, ...]
+    cone_rows: tuple[Constraint, ...]  # the cone's main rows
+
+    @cached_property
+    def augmented(self) -> System:
+        """The capped cone: sum(x) <= 2 first, so its multiplier is l1,
+        then the cone's main rows and a sign row per variable."""
+        nvars = len(self.cone_variables)
+        ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
+        rows = [Constraint(0, ones, Relation.LE, _CAP, Provenance.main())]
+        for i, row in enumerate(self.cone_rows):
+            rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
+        cid = 1 + len(self.cone_rows)
+        for v in range(nvars):
+            rows.append(Constraint(cid + v, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
+        return System(self.cone_variables, tuple(rows))
+
+    @cached_property
+    def system(self) -> System:
+        """The strong elementary dual of the capped cone, with the cap row's
+        left side sum(x) as objective and value 2."""
+        augmented = self.augmented
+        return strong_elementary_dual(augmented, augmented.constraints[0].expr, sigma=_CAP).system
 
 
 @dataclass(frozen=True)
@@ -102,15 +139,47 @@ class PipelineStep:
 
 @dataclass(frozen=True)
 class PipelineTrace:
+    """What `run` decided, and the moves it made: (variable, index of the
+    pivot row among the rows at that step, or None for the zero fallback).
+    `steps` and `terminal` replay the moves on the working system's
+    `Fraction` system the first time either is read."""
+
     working: WorkingSystem
-    steps: tuple[PipelineStep, ...]
-    terminal: System
+    moves: tuple[tuple[int, int | None], ...]
     interval: Interval
     verdict: str  # "solvable" | "unsolvable"
 
     @property
     def solvable(self) -> bool:
         return self.verdict == "solvable"
+
+    @property
+    def steps(self) -> tuple[PipelineStep, ...]:
+        return self._replayed[0]
+
+    @property
+    def terminal(self) -> System:
+        return self._replayed[1]
+
+    @cached_property
+    def _replayed(self) -> tuple[tuple[PipelineStep, ...], System]:
+        ws = self.working
+        system = ws.system
+        rows = ws.rows
+        labels = dict(ws.labels)
+        steps = []
+        for var, p in self.moves:
+            if p is None:
+                rows = _drop_sign_row(rows, var)
+                kept = {row[0] for row in rows}
+                system = system.with_rows(c for c in system.constraints if c.cid in kept)
+                steps.append(PipelineStep(var, ws.variables[var], None, None, "fallback-zero", system))
+                continue
+            pivot_id = rows[p][0]
+            label = labels[pivot_id]
+            rows, system = pivot_system(system, rows, p, var)
+            steps.append(PipelineStep(var, ws.variables[var], pivot_id, label, _pivot_kind(label), system))
+        return tuple(steps), system
 
 
 def build_working_system(primal: System) -> WorkingSystem:
@@ -127,6 +196,14 @@ def build_working_system(primal: System) -> WorkingSystem:
 
 
 def _build_working_system(primal: System) -> WorkingSystem:
+    """The dual's integer rows, in `strong_elementary_dual`'s order and
+    with its ids: one row per cone variable j, -(column j of the capped
+    cone's main rows) <= -1; the extension 2*l1 <= 2 (the cone's rows are
+    homogeneous, so only the cap's right side enters it); a sign row
+    -l_i <= 0 per multiplier.  The columns are read off the main rows'
+    integer forms over their common denominator, and each row is divided
+    by its gcd, which gives the coprime row `gauss.integer_rows` makes of
+    the `Fraction` dual."""
     if primal.is_cone:
         validate_standard_shape(primal)
         for c in primal.constraints:
@@ -144,24 +221,24 @@ def _build_working_system(primal: System) -> WorkingSystem:
 
     mains = cone.main_rows()
     nvars = len(cone.variables)
-    ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
-    rows = [Constraint(0, ones, Relation.LE, _CAP, Provenance.main())]
-    for i, row in enumerate(mains):
-        rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
-    cid = 1 + len(mains)
-    for v in range(nvars):
-        rows.append(Constraint(cid, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
-        cid += 1
-    augmented = System(cone.variables, tuple(rows))
+    forms = [([1] * nvars, 2, 1)] + [integer_row(c, nvars) for c in mains]
+    nlam = len(forms)
+    den = lcm(*(d for _, _, d in forms))
+    rows = []
+    for j in range(nvars):
+        coeffs = [-a[j] * (den // d) for a, _, d in forms]
+        g = gcd(*coeffs, den)
+        rows.append((j, tuple(x // g for x in coeffs), -den // g, False, True))
+    ext_id = nvars
+    rows.append((ext_id, (1,) + (0,) * (nlam - 1), 1, False, False))
+    for i in range(nlam):
+        rows.append((ext_id + 1 + i, tuple(-1 if k == i else 0 for k in range(nlam)), 0, False, False))
 
-    sd = strong_elementary_dual(augmented, ones, sigma=_CAP)
-    labels = []
-    for row_cid, var in sd.row_origin:
-        labels.append((row_cid, f"row-{cone.variables[var]}"))
-    labels.append((sd.extension_id, "extension"))
-    for lam, _ in sd.lambda_origin:
-        labels.append((sd.sign_id(lam), f"sign-l{lam + 1}"))
-    return WorkingSystem(augmented, sd.system, tuple(labels), sd.extension_id)
+    labels = [(j, f"row-{cone.variables[j]}") for j in range(nvars)]
+    labels.append((ext_id, "extension"))
+    labels.extend((ext_id + 1 + i, f"sign-l{i + 1}") for i in range(nlam))
+    variables = tuple(f"l{i + 1}" for i in range(nlam))
+    return WorkingSystem(tuple(rows), variables, tuple(labels), ext_id, cone.variables, mains)
 
 
 def _pivot_kind(label: str) -> str:
@@ -216,33 +293,24 @@ def _outcome(rows: tuple) -> tuple[Interval, str]:
 def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST) -> PipelineTrace:
     """Run the elimination loop to a one-variable verdict on l1.
 
-    Pivots are chosen and taken on the working system's integer rows; each
-    step's `Fraction` system is built from them (`gauss.pivot_system`) and
-    equals what `substitute_through` makes of the step before."""
+    Pivots are chosen and taken on the working system's integer rows, and
+    only the moves are recorded; the trace builds each step's `Fraction`
+    system (`gauss.pivot_system`) from them when its steps are read."""
     ws = build_working_system(primal)
-    system = ws.system
-    names = system.variables
-    rows = integer_rows(system)
+    names = ws.variables
+    rows = ws.rows
     labels = dict(ws.labels)
     remaining = [v for v in range(len(names)) if v != LAMBDA_ONE]
-    steps: list[PipelineStep] = []
+    moves = []
     for var, row_label in _plan(rule, names, remaining):
         if row_label is None:
             p = _main_first(rows, labels, var)
         else:
             p = _labeled_pivot(rows, labels, var, row_label, names)
-        if p is None:
-            rows = _drop_sign_row(rows, var)
-            kept = {row[0] for row in rows}
-            system = system.with_rows(c for c in system.constraints if c.cid in kept)
-            steps.append(PipelineStep(var, names[var], None, None, "fallback-zero", system))
-            continue
-        pivot_id = rows[p][0]
-        label = labels[pivot_id]
-        rows, system = pivot_system(system, rows, p, var)
-        steps.append(PipelineStep(var, names[var], pivot_id, label, _pivot_kind(label), system))
+        rows = _drop_sign_row(rows, var) if p is None else pivot_integer_rows(rows, p, var)
+        moves.append((var, p))
     interval, verdict = _outcome(rows)
-    return PipelineTrace(ws, tuple(steps), system, interval, verdict)
+    return PipelineTrace(ws, tuple(moves), interval, verdict)
 
 
 @dataclass(frozen=True)
@@ -269,8 +337,8 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     LincertError subclass is raised beyond it.  The input is pivot-sensitive
     when two sequences end in different verdicts.
 
-    The walk runs on the working system's integer rows (`gauss.integer_rows`:
-    constraint id, coefficients, rhs, strict, pivotable), each the coprime
+    The walk runs on the working system's integer rows (`gauss.integer_rows`'
+    form: constraint id, coefficients, rhs, strict, pivotable), each the coprime
     integer multiple of its row, in constraint-id order, and pivots with
     `gauss.pivot_integer_rows`.  A rewritten row is |a|*|a0| times the row
     `substitute_through` emits, divided by its gcd, the promoted sign row
@@ -287,7 +355,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     terminal intervals.
     """
     ws = build_working_system(primal)
-    names = ws.system.variables
+    names = ws.variables
     labels = dict(ws.labels)
     memo: dict = {}
     terminals: dict[tuple[Interval, str], int] = {}
@@ -326,7 +394,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         return memo[key]
 
     remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
-    outcomes, count = visit(integer_rows(ws.system), remaining)
+    outcomes, count = visit(ws.rows, remaining)
     by_id = list(terminals)
     ordered = sorted(
         (ExploreOutcome(*by_id[terminal], seq) for terminal, seq in outcomes.items()),

@@ -373,6 +373,13 @@ def _probing_reduced_to_origin(cone):
     return not feasibility(cone.with_rows(cone.constraints + (probe,)), order="greedy").feasible
 
 
+def _run_and_read_steps(system):
+    # A trace's == leaves out its steps and terminal system, which are
+    # built when first read.
+    trace = run(system)
+    return trace, trace.steps, trace.terminal
+
+
 def _outcome(fn, system):
     try:
         return fn(system)
@@ -454,8 +461,11 @@ def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
     assert is_reduced_to_origin(primal_cone(primal).system) == (not feasibility(primal).feasible)
     trace = run(primal)
     assert explore(primal).outcomes[0].verdict in ("solvable", "unsolvable")
-    assert sorted(built) == ["_homogenize", "_search_rays", "strong_elementary_dual"]
+    assert sorted(built) == ["_homogenize", "_search_rays"]
     assert trace.working is build_working_system(primal)
+    # The Fraction dual is built on first read, once.
+    assert trace.working.system is trace.working.system
+    assert sorted(built) == ["_homogenize", "_search_rays", "strong_elementary_dual"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,8 +518,10 @@ def test_memoized_cone_answers_match_a_fresh_copy(data):
         primal_cone,
         lambda system: is_reduced_to_origin(primal_cone(system).system),
         is_full_dimensional,
-        run,
-        explore,
+        _run_and_read_steps,
+        # A small budget keeps each walk short; budget hits compare as
+        # outcomes too.  Full-budget walks are covered in test_pipeline.
+        lambda system: explore(system, state_budget=300),
         build_working_system,
     ]
     for question in questions + questions:

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import lincert.pipeline
 from lincert import harness
 from lincert.core import InvariantError, LincertError, Point, evaluate, make_system
 from lincert.cone import is_bounded
@@ -16,6 +18,8 @@ from lincert.harness import (
 )
 from lincert.pipeline import MAIN_ROWS_FIRST, run
 from lincert.sysfile import parse, print_system
+
+BASELINE = Path(__file__).resolve().parents[1] / "baseline" / "difftest-seed42-trials500.json"
 
 
 def test_counter_stream_is_deterministic_and_splittable():
@@ -178,3 +182,24 @@ def test_run_trial_leaves_nothing_in_the_callers_memo():
     first = run_trial(0, system)
     assert system._memo == {}
     assert run_trial(0, system) == first
+
+
+def test_an_agreeing_trial_builds_no_fraction_dual(monkeypatch):
+    # Only a disagreeing trial prints its working system and steps, so only
+    # it builds the strong dual as a Fraction system; both still match the
+    # seed-42 baseline record.
+    built = []
+    original = lincert.pipeline.strong_elementary_dual
+    monkeypatch.setattr(
+        lincert.pipeline, "strong_elementary_dual", lambda *args, **kw: built.append(1) or original(*args, **kw)
+    )
+    golden = json.loads(BASELINE.read_text())["trials"]
+    agreeing = next(t for t in golden if t["agreement"])
+    disagreeing = next(t for t in golden if not t["agreement"])
+    for trial, expected_builds in ((agreeing, 0), (disagreeing, 1)):
+        built.clear()
+        system = generate_bounded(CounterStream(42, f"trial-{trial['index']}"), GenParams(seed=42))
+        report = run_trial(trial["index"], system)
+        assert len(built) == expected_builds
+        assert report.to_dict() == trial
+    assert report.detail["steps"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_reference import normalized_key, substitute_fraction, terminal_interval
 
+import lincert.pipeline
 from lincert.core import (
     Constraint,
     InvariantError,
@@ -20,7 +21,7 @@ from lincert.core import (
     check_multiplier_certificate,
     make_system,
 )
-from lincert.cone import is_reduced_to_origin
+from lincert.cone import is_reduced_to_origin, primal_cone
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
 from lincert.gauss import classify, integer_rows, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded
@@ -120,6 +121,63 @@ def test_working_system_of_empty_cone():
     trace = run(empty)
     assert trace.interval == Interval(False, Fraction(0), False, Fraction(1), False)
     assert trace.verdict == "unsolvable"
+
+
+def capped_cone_reference(primal):
+    """The capped cone built straight from the cone's System: sum(x) <= 2,
+    the cone's main rows, then a sign row per variable."""
+    cone = primal if primal.is_cone else primal_cone(primal).system
+    nvars = len(cone.variables)
+    ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
+    rows = [Constraint(0, ones, Relation.LE, Fraction(2), Provenance.main())]
+    mains = cone.main_rows()
+    for i, row in enumerate(mains):
+        rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
+    for v in range(nvars):
+        rows.append(Constraint(1 + len(mains) + v, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
+    return System(cone.variables, tuple(rows)), ones
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_working_rows_are_the_integer_rows_of_the_fraction_dual(data):
+    # p/q coefficients; cone-flagged inputs, some of whose variables no main
+    # row mentions (a zero column); capped primals, homogenized first.
+    names = [f"x{i}" for i in range(data.draw(st.integers(0, 3)))]
+    is_cone = data.draw(st.booleans())
+    used = data.draw(st.lists(st.sampled_from(names), unique=True)) if names else []
+    coeffs = st.fixed_dictionaries({n: RATIONALS for n in used})
+    rhs = st.just(0) if is_cone else RATIONALS
+    rows = data.draw(st.lists(st.tuples(coeffs, st.just("<="), rhs), max_size=4))
+    if not is_cone:
+        caps = st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4)
+        rows += [({n: data.draw(caps)}, "<=", data.draw(RATIONALS)) for n in names]
+    primal = make_system(names, mains=rows, nonneg="all", is_cone=is_cone)
+    ws = build_working_system(primal)
+    augmented, ones = capped_cone_reference(primal)
+    assert ws.augmented == augmented
+    assert ws.system == strong_elementary_dual(augmented, ones, sigma=2).system
+    assert ws.rows == integer_rows(ws.system)
+    assert ws.variables == ws.system.variables
+    assert [cid for cid, _ in ws.labels] == list(ws.system.ids())
+    assert ws.system.constraint(ws.extension_id).provenance.kind == "extension"
+
+
+def test_run_builds_step_systems_only_when_read(monkeypatch):
+    calls = []
+    original = lincert.pipeline.pivot_system
+    monkeypatch.setattr(
+        lincert.pipeline, "pivot_system", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    trace = run(solvable_cone(), MAIN_SEQUENCE)
+    assert calls == []
+    steps = trace.steps
+    assert len(calls) == len(trace.moves) == 3
+    assert trace.terminal is steps[-1].system and trace.steps is steps
+    assert len(calls) == 3
 
 
 def test_empty_primal_without_cone_flag_goes_through_homogenization():
@@ -422,7 +480,7 @@ def small_draws(seed, wanted, max_multipliers):
     while len(draws) < wanted:
         system = generate_bounded(CounterStream(seed, f"draw-{i}"), GenParams(seed=seed))
         i += 1
-        if len(build_working_system(system).system.variables) <= max_multipliers:
+        if len(build_working_system(system).variables) <= max_multipliers:
             draws.append(system)
     return draws
 
@@ -445,7 +503,7 @@ def test_explore_is_invariant_under_positive_row_scaling(seed, data):
     # Scaling a primal row scales one multiplier's column of the working
     # system, so every pivot state maps to a positive rescaling of itself.
     system = generate_bounded(CounterStream(seed, "scaling"), GenParams(max_vars=3, max_cons=3, seed=seed))
-    if len(build_working_system(system).system.variables) > 6:
+    if len(build_working_system(system).variables) > 6:
         return
     rows = []
     for c in system.constraints:
@@ -499,7 +557,7 @@ def test_explore_is_invariant_under_variable_and_row_permutation(seed, data):
     # the same tree: the same terminal outcomes, as many sequences and as
     # many distinct states.
     system = generate_bounded(CounterStream(seed, "permute"), GenParams(max_vars=3, max_cons=3, seed=seed))
-    if len(build_working_system(system).system.variables) > 6:
+    if len(build_working_system(system).variables) > 6:
         return
     var_order = data.draw(st.permutations(range(len(system.variables))))
     row_order = data.draw(st.permutations(range(len(system.main_rows()))))
