@@ -58,17 +58,15 @@ class InvariantError(LincertError):
     the input.  Harnesses re-raise it instead of recording an error result."""
 
 
-def rat(value, den=None) -> Fraction:
+def rat(value) -> Fraction:
     """Exact rational from ints, Fractions, or 'p/q' strings. Floats are refused.
 
     A Fraction comes back as it is: it is immutable, so nothing can tell it
     from a copy."""
-    if den is None and type(value) is Fraction:
+    if type(value) is Fraction:
         return value
-    if isinstance(value, float) or isinstance(den, float):
+    if isinstance(value, float):
         raise TypeError("floats are not exact; pass ints, Fractions, or 'p/q' strings")
-    if den is not None:
-        return Fraction(value) / Fraction(den)
     return Fraction(value)
 
 
@@ -288,7 +286,8 @@ def make_system(
     objective: Mapping[str, object] | None = None,
     is_cone: bool = False,
 ) -> System:
-    """Convenience builder used heavily in tests and the file parser.
+    """Convenience builder used by the tests, the difftest generator and
+    the implicit-equality probes; sysfile.parse builds its rows itself.
 
     mains: iterable of (coeffs, rel, rhs) with coeffs keyed by variable NAME,
     rel one of '<=', '<', '=' (or a Relation). nonneg: 'all' or names; each

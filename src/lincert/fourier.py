@@ -21,7 +21,10 @@ Three rules keep the rows in check, and none changes a solution set:
 derived tautologies are dropped, exact duplicates merge, and within a chain
 of eliminations Chernikov's history rule skips every pair whose derived row
 is redundant before the pair is combined (see _History).  Every elimination
-chain runs through one loop, _chain.
+chain runs through one loop, _chain, and keeps its whole state in one
+_History: the depth, each row's histories and integer form, the id floor,
+the steps and, per step, the fiber (the rows that mention the eliminated
+variable).  Back-substitution walks the steps and fibers last first.
 
 A pair is combined on integer rows, in the fraction-free style of Bareiss
 (1968).  With P and N the two rows times the lcm of their denominators
@@ -99,9 +102,6 @@ class EliminationTrace:
     input_ids: frozenset[int]
     steps: tuple[EliminationStep, ...] = ()
 
-    def extend(self, step: EliminationStep) -> "EliminationTrace":
-        return EliminationTrace(self.input_ids, self.steps + (step,))
-
 
 @dataclass(frozen=True)
 class FeasibilityVerdict:
@@ -144,7 +144,8 @@ class FeasibilityVerdict:
 
 
 class _History:
-    """Chernikov's history rule for one elimination chain (Kohler 1967).
+    """The state of one elimination chain, and Chernikov's history rule
+    (Kohler 1967) that it serves.
 
     Each chain row carries its histories: per derivation, the set of chain
     inputs its multipliers are positive on.  After k eliminations a pair is
@@ -172,11 +173,15 @@ class _History:
     smallest history can skip them and leave back-substitution an empty
     interval.
 
-    The history also holds each chain row's integer form in `ints`:
-    (coefficients, rhs, den), the row times den as a dense integer vector.
-    An input row's comes from core.integer_row when the chain starts; a
-    kept row's is the reduced vector the pair step computed, with den 1.
-    Ids are unique along a chain, so one dict serves every chain system.
+    The history also holds the rest of the chain state.  `ints` maps each
+    chain row's id to its integer form (coefficients, rhs, den), the row
+    times den as a dense integer vector: an input row's comes from
+    core.integer_row when the chain starts, a kept row's is the reduced
+    vector the pair step computed, with den 1.  `next_id` is the floor for
+    fresh ids, so ids are unique along the chain and one dict serves every
+    chain system.  `steps` holds each EliminationStep in order, and
+    `fibers` the matching rows that mention the eliminated variable, as
+    (row, coefficients, rhs, den): back-substitution reads them.
     """
 
     def __init__(self, system: System):
@@ -184,11 +189,12 @@ class _History:
         self.of = {c.cid: {frozenset((c.cid,))} for c in system.constraints}
         nvars = len(system.variables)
         self.ints = {c.cid: integer_row(c, nvars) for c in system.constraints}
+        self.next_id = system.next_id()
+        self.steps: list[EliminationStep] = []
+        self.fibers: list[list[tuple[Constraint, list[int], int, int]]] = []
 
 
-def eliminate_var(
-    system: System, var: int, start_id: int | None = None, *, history: _History | None = None
-) -> tuple[System, EliminationTrace]:
+def eliminate_var(system: System, var: int, *, history: _History | None = None) -> tuple[System, EliminationTrace]:
     """Project the system onto the remaining variables.
 
     Rows without the variable pass through unchanged (same ids).  Each
@@ -203,9 +209,9 @@ def eliminate_var(
     derivation, so certificates are unaffected.  The step also records dropped
     [0] <= 0 rows and duplicates of pass-through rows (equality_certificate).
 
-    The chain loop passes start_id, a floor for fresh ids that keeps ids
-    unique across the chain, and the chain's history.  A lone call needs
-    neither: every pair then has a 2-id history, within the limit 1 + 1.
+    The chain loop passes the chain's history, which supplies the id floor
+    and records the step and its fiber.  A lone call needs none: every pair
+    then has a 2-id history, within the limit 1 + 1.
     """
     if not 0 <= var < len(system.variables):
         raise UnknownVariableError(f"no variable index {var}")
@@ -235,7 +241,7 @@ def eliminate_var(
     zero_rows: list[Derivation] = []
     merged: list[tuple[int, Derivation]] = []
     by_key = {(c.expr.terms, c.relation, c.rhs): c.cid for c in passthrough}
-    next_id = system.next_id() if start_id is None else max(start_id, system.next_id())
+    next_id = history.next_id
     for pos, p, p_rhs, den_p in positive:
         a = p[var]
         pos_histories = history.of[pos.cid]
@@ -273,40 +279,33 @@ def eliminate_var(
             next_id += 1
 
     history.of = histories
+    history.next_id = next_id
     produced = tuple(ProducedRow(cid, d) for cid, d in derivations_of.items())
     step = EliminationStep(var, produced, tuple(zero_rows), tuple(merged))
+    history.steps.append(step)
+    history.fibers.append(positive + negative)
     return system.with_rows(rows), EliminationTrace(frozenset(system.ids()), (step,))
 
 
 def _chain(
     system: System, order: list[int], greedy: bool = False, stop_at_contradiction: bool = True
-) -> tuple[list[System], list[int], EliminationTrace, int | None, dict[int, IntegerRow]]:
+) -> tuple[System, EliminationTrace, int | None, _History]:
     """The one elimination loop: eliminate `order` in turn (greedy: the
-    cheapest remaining variable each step), threading the id floor and the
-    chain's history through eliminate_var.  Returns the systems (input
-    first), the variables as eliminated, the trace, the id of a
-    contradiction row in the last system or None, and the integer form of
-    every chain row by id (_History); by default it stops at the first
-    contradiction."""
+    cheapest remaining variable each step), threading the chain's history
+    through eliminate_var.  Returns the last system, the trace, the id of a
+    contradiction row in the last system or None, and the history (the
+    chain state); by default it stops at the first contradiction."""
     history = _History(system)
-    trace = EliminationTrace(frozenset(system.ids()))
-    chain = [system]
-    chosen: list[int] = []
+    current = system
     pending = list(order)
-    floor = system.next_id()
     while True:
-        current = chain[-1]
         contradictions = (c.cid for c in current.constraints if is_zero_row(c) is RowClass.CONTRADICTION)
         bad = next(contradictions, None)
         if not pending or (bad is not None and stop_at_contradiction):
-            return chain, chosen, trace, bad, history.ints
+            return current, EliminationTrace(frozenset(system.ids()), tuple(history.steps)), bad, history
         var = _cheapest_var(current, pending, history.ints) if greedy else pending[0]
         pending.remove(var)
-        chosen.append(var)
-        current, step_trace = eliminate_var(current, var, floor, history=history)
-        floor = max(floor, current.next_id())
-        trace = trace.extend(step_trace.steps[0])
-        chain.append(current)
+        current, _ = eliminate_var(current, var, history=history)
 
 
 def _pick_midpoint(interval: Interval) -> Fraction:
@@ -324,30 +323,29 @@ def _pick_midpoint(interval: Interval) -> Fraction:
     return ZERO
 
 
-def _back_substitute(chain: list[System], order: list[int], ints: dict[int, IntegerRow]) -> tuple[list[int], int]:
+def _back_substitute(history: _History, nvars: int) -> tuple[list[int], int]:
     """Fix the variables last-eliminated first, each at the midpoint of its
     fiber: the interval (`core.interval_of`) of the rows of its chain system
-    that mention it, with the later variables fixed.  The point is held as
-    integers `known` over one common denominator `den`, so a row with
-    integer form (coefficients, rhs) and x coefficient a bounds a*den*x by
-    rhs*den - sum(coefficients * known); `known` is 0 on the variables not
-    yet fixed.  Returns (known, den).
+    that mention it, as the history saved them, with the later variables
+    fixed.  The point is held as integers `known` over one common
+    denominator `den`, so a row with integer form (coefficients, rhs) and x
+    coefficient a bounds a*den*x by rhs*den - sum(coefficients * known);
+    `known` is 0 on the variables not yet fixed.  Returns (known, den).
 
     Each chain system is an exact projection of the one before, so the point
     lies in the relative interior of the solution set (Rockafellar, Convex
     Analysis, Thm 6.8, by induction down the chain): a <= row is tight there
     iff it is tight at every feasible point.
     """
-    known = [0] * len(chain[0].variables)
+    known = [0] * nvars
     den = 1
-    for i in range(len(order) - 1, -1, -1):
-        var = order[i]
-        fiber = []
-        for c in chain[i].constraints:
-            coeffs, rhs, _ = ints[c.cid]
-            if a := coeffs[var]:
-                fiber.append((a * den, rhs * den - sum(map(mul, coeffs, known)), c.relation is Relation.LT))
-        mid = _pick_midpoint(interval_of(fiber))
+    for step, fiber in zip(reversed(history.steps), reversed(history.fibers)):
+        var = step.var
+        bounds = [
+            (coeffs[var] * den, rhs * den - sum(map(mul, coeffs, known)), c.relation is Relation.LT)
+            for c, coeffs, rhs, _ in fiber
+        ]
+        mid = _pick_midpoint(interval_of(bounds))
         if den % mid.denominator:
             grown = lcm(den, mid.denominator)
             known = [k * (grown // den) for k in known]
@@ -376,7 +374,7 @@ def _cheapest_var(system: System, remaining, ints: dict[int, IntegerRow]) -> int
     return best[1]
 
 
-def feasibility(system: System, order: list[int] | str | None = None) -> FeasibilityVerdict:
+def feasibility(system: System, order: str | None = None) -> FeasibilityVerdict:
     """Decide the system exactly, with evidence either way.
 
     Feasible verdicts carry a witness point (midpoint back-substitution);
@@ -389,38 +387,33 @@ def feasibility(system: System, order: list[int] | str | None = None) -> Feasibi
     By default variables go in table order, which keeps witnesses stable;
     order="greedy" picks the cheapest variable each step instead (same
     verdicts, implicit ids and valid evidence, different intermediate
-    growth), which the cone and implicit modules use.  An explicit order
-    must list each variable exactly once.
+    growth), which the cone and implicit modules use.  Any other order is
+    refused with LincertError.
 
     The greedy verdict is kept in the system's memo under
     "greedy_feasibility" (core.System): the analyses ask it of one system
     more than once, as implicit_set then is_full_dimensional do, and the
-    second time repeats no elimination.  Table order (the check path,
-    asked once per system) and an explicit order list are decided afresh
-    every time: callers pass a list to see that order's own elimination
-    and witness, and keying on every list would keep one verdict per order
-    tried.  The verdict's lazy
+    second time repeats no elimination.  Table order, which the check path
+    asks once per system, is decided afresh every time.  The verdict's lazy
     evidence holds the rows, the trace and the input rows' integer forms,
     never the system, so the memo makes no reference cycle; it is dropped
     once the evidence is read.
     """
-    nvars = len(system.variables)
     if order == "greedy":
-        return system._remember("greedy_feasibility", partial(_decide, system, list(range(nvars)), True))
-    if order is None:
-        order = list(range(nvars))
-    elif sorted(order) != list(range(nvars)):
-        raise LincertError("elimination order must list each variable exactly once")
-    return _decide(system, order, False)
+        return system._remember("greedy_feasibility", partial(_decide, system, True))
+    if order is not None:
+        raise LincertError(f'elimination order must be None (table order) or "greedy", not {order!r}')
+    return _decide(system, False)
 
 
-def _decide(system: System, order: list[int], greedy: bool) -> FeasibilityVerdict:
-    chain, chosen, trace, bad, ints = _chain(system, order, greedy)
+def _decide(system: System, greedy: bool) -> FeasibilityVerdict:
+    nvars = len(system.variables)
+    _, trace, bad, history = _chain(system, list(range(nvars)), greedy)
     if bad is not None:
         return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
-    known, den = _back_substitute(chain, chosen, ints)
+    known, den = _back_substitute(history, nvars)
     witness = Point(tuple((v, Fraction(k, den)) for v, k in enumerate(known)))
-    rows = [(c.cid, ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
+    rows = [(c.cid, history.ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
     evidence = partial(_equality_evidence, system.variables, system.constraints, trace, rows, known, den)
     return FeasibilityVerdict(True, witness, _find_evidence=evidence)
 
@@ -453,7 +446,7 @@ def project(system: System, keep: set[int] | frozenset[int]) -> System:
         if not 0 <= v < len(system.variables):
             raise UnknownVariableError(f"no variable index {v}")
     order = [v for v in range(len(system.variables)) if v not in keep]
-    return _chain(system, order, stop_at_contradiction=False)[0][-1]
+    return _chain(system, order, stop_at_contradiction=False)[0]
 
 
 def _spread(weights: dict[int, Fraction], derivation: Derivation, w: Fraction) -> None:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .core import InvariantError, LincertError, System, evaluate, make_system
 from .cone import is_bounded, is_reduced_to_origin
 from .fourier import feasibility, is_infeasibility_certificate
-from .pipeline import ExploreBudgetExceeded, MAIN_ROWS_FIRST, explore, run
+from .pipeline import ExploreBudgetExceeded, explore, run
 from .sysfile import format_rational, print_system
 
 EXPLORE_LAMBDA_LIMIT = 6  # trials whose working system has more multipliers skip explore
@@ -70,16 +70,6 @@ class GenParams:
             raise LincertError("empty coefficient range")
         if self.mode not in ("box", "filter"):
             raise LincertError(f"unknown boundedness mode {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_vars": self.max_vars,
-            "max_cons": self.max_cons,
-            "coeff_lo": self.coeff_lo,
-            "coeff_hi": self.coeff_hi,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
 
 
 def generate_bounded(stream: CounterStream, params: GenParams) -> System:
@@ -163,7 +153,7 @@ class AggregateReport:
         d = {
             "kind": "difftest-report",
             "version": 1,
-            "params": self.params.to_dict(),
+            "params": asdict(self.params),
             "trial_count": self.trial_count,
             "agreement_count": self.agreement_count,
             "agreement_rate": (
@@ -202,7 +192,7 @@ def oracle_verdict(system: System) -> bool:
     return verdict.feasible
 
 
-def run_trial(index: int, system: System, rule=MAIN_ROWS_FIRST) -> TrialReport:
+def run_trial(index: int, system: System) -> TrialReport:
     """Decide one system both ways and record the outcome.
 
     The trial works on its own copy of the system, so the primal cone,
@@ -215,7 +205,7 @@ def run_trial(index: int, system: System, rule=MAIN_ROWS_FIRST) -> TrialReport:
     text = print_system(system)
     try:
         oracle = oracle_verdict(system)
-        trace = run(system, rule)
+        trace = run(system)
         solvable = trace.solvable
         agreement = oracle == solvable
         sensitive = None

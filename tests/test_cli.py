@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lincert.cli import main
 
@@ -247,3 +251,78 @@ def test_console_entry_point(files):
     )
     assert proc.returncode == 1
     assert "infeasible" in proc.stdout
+
+
+def _cli_outcome(text, row_id):
+    """What check, implicit and cone --analyze decide about a system file:
+    each exit code, implicit's feasible flag and implicit row ids mapped
+    through row_id, and the cone analysis's three flags (None where a
+    command refuses)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "system.sys"
+        path.write_text(text)
+        outcome = []
+        for argv in (["check"], ["implicit"], ["cone", "--analyze"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(path), *argv[1:], "--json"])
+            outcome.append((code, json.loads(out.getvalue()) if code in (0, 1) else None))
+    (check, _), (implicit_code, implicit), (cone, analysis) = outcome
+    return (
+        check,
+        implicit_code,
+        implicit and (implicit["feasible"], frozenset(row_id[cid] for cid in implicit["implicit_ids"])),
+        cone,
+        analysis and analysis["analysis"],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_renaming_and_permuting_a_file_keeps_what_the_cli_decides(data):
+    """Renaming the variables, permuting the variable table, the rows and
+    the nonneg list changes no verdict: each command's exit code,
+    implicit's feasible flag and implicit rows (mapped through the row
+    permutation) and cone --analyze's three flags stay.  solve9 is left
+    out: its default main-first pivot rule reads the rows in file order."""
+    nvars = data.draw(st.integers(1, 3))
+    old = [f"x{i}" for i in range(nvars)]
+    new = data.draw(st.permutations([f"v{i}" for i in range(nvars)]))
+    rename = dict(zip(old, new))
+    coefficient = st.integers(-3, 3)
+    # cone --analyze refuses strict rows and unsigned variables, so most
+    # draws have neither.
+    relations = data.draw(st.sampled_from([("<=", ">="), ("<=", ">="), ("<=", "<", ">=", ">")]))
+    rows = data.draw(
+        st.lists(
+            st.tuples(st.lists(coefficient, min_size=nvars, max_size=nvars), st.sampled_from(relations), coefficient),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    signed = data.draw(st.sampled_from([old, old, None])) or data.draw(st.lists(st.sampled_from(old), unique=True))
+
+    def file_text(names, table, rows, signed):
+        lines = [f"vars: {' '.join(table)}"]
+        for coeffs, rel, rhs in rows:
+            terms = dict(zip(names, coeffs))
+            lhs = " ".join(f"{'-' if terms[n] < 0 else '+'} {abs(terms[n])}*{n}" for n in table)
+            lines.append(f"{lhs} {rel} {rhs}")
+        if signed:
+            lines.append(f"nonneg: {' '.join(signed)}")
+        return "\n".join(lines) + "\n"
+
+    row_order = data.draw(st.permutations(range(len(rows))))
+    sign_order = data.draw(st.permutations(signed))
+    renamed = file_text(
+        new,
+        data.draw(st.permutations(new)),
+        [rows[i] for i in row_order],
+        [rename[n] for n in sign_order],
+    )
+    # Row ids: main rows in file order, then one sign row per nonneg name.
+    new_id = {i: row_order.index(i) for i in range(len(rows))}
+    new_id.update({len(rows) + signed.index(n): len(rows) + sign_order.index(n) for n in signed})
+
+    same_id = {cid: cid for cid in new_id.values()}
+    assert _cli_outcome(renamed, same_id) == _cli_outcome(file_text(old, old, rows, signed), new_id)

@@ -110,20 +110,21 @@ def test_bundled_cones_agree_as_fixed_trials():
         nonneg="all",
         is_cone=True,
     )
+    # The documented pivot sequence decides the pinched cone as the oracle
+    # does.
     from lincert.pipeline import pivot_sequence
 
     documented = pivot_sequence([("l3", "row-x"), ("l2", "sign-l3")])
-    report = run_trial(1, pinched, rule=documented)
-    assert report.oracle_feasible is False and report.pipeline_solvable is False
-    assert report.agreement is True
-    assert report.pivot_sensitive is True  # the two-row cone is the sensitive one
+    assert oracle_verdict(pinched) is False and run(pinched, documented).solvable is False
 
     # Under the default rule the same cone is a recorded disagreement: the
     # default pivot order ends at the point interval {1}.
     default_report = run_trial(1, pinched)
+    assert default_report.oracle_feasible is False
     assert default_report.pipeline_solvable is True
     assert default_report.agreement is False
     assert default_report.detail is not None
+    assert default_report.pivot_sensitive is True  # the two-row cone is the sensitive one
 
 
 def test_difftest_zero_trials():
