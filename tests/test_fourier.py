@@ -15,6 +15,7 @@ from fraction_reference import (
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
+    LincertError,
     LinearExpr,
     MultiplierVector,
     Point,
@@ -137,6 +138,17 @@ def test_feasibility_infeasible_variant_certifies():
     assert is_infeasibility_certificate(sys, lam)
     # Rows 1 + 2 alone already force [0] <= -1.
     assert lam == MultiplierVector.of({0: 1, 1: 1})
+
+
+def test_explicit_order_must_list_each_variable_once():
+    # No explicit list is an order any more, not even a permutation of the
+    # variables: only table order (None) and "greedy" are.  Both verdicts
+    # refuse the rest before any elimination, storing nothing.
+    for sys in (section2_primal(), section2_primal(rhs1=-2, rhs2=1)):
+        for order in ([1, 0], [0], [0, 0], [0, 1, 2], "table", "", 0, False):
+            with pytest.raises(LincertError, match="greedy"):
+                feasibility(sys, order)
+            assert sys._memo == {}
 
 
 def test_feasibility_empty_system():
