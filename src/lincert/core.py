@@ -338,7 +338,7 @@ class MultiplierVector:
             if w < 0:
                 raise NegativeMultiplierError(f"multiplier for constraint {cid} is negative: {w}")
             if w != 0:
-                acc[cid] = acc.get(cid, ZERO) + w
+                acc[cid] = acc[cid] + w if cid in acc else w
         return MultiplierVector(tuple(sorted(acc.items())))
 
     def get(self, cid: int) -> Fraction:
@@ -426,8 +426,15 @@ class Interval:
 
 def interval_of(rows: Iterable[tuple]) -> Interval:
     """The solution set of one variable l under rows a*l <= rhs (a*l < rhs
-    when strict), given as (a, rhs, strict) triples of ints or Fractions."""
-    lo = hi = None
+    when strict), given as (a, rhs, strict) triples of ints or Fractions.
+
+    Each bound rhs/a is kept as its pair (rhs, a) and compared by cross
+    multiplication, so no Fraction is built per row: with the upper bound
+    H/h so far (h > 0), a row with a > 0 is tighter iff rhs*h < H*a, and
+    with the lower bound L/l (l < 0), a row with a < 0 is tighter iff
+    rhs*l > L*a.  A tie goes to the strict row, in either order.  Only the
+    winning lo and hi become Fractions."""
+    lo = hi = None  # (rhs, a) of the bound so far
     lo_open = hi_open = False
     empty = False
     for a, rhs, strict in rows:
@@ -435,31 +442,39 @@ def interval_of(rows: Iterable[tuple]) -> Interval:
             if rhs < 0 or (strict and rhs == 0):
                 empty = True
             continue
-        bound = Fraction(rhs, a)
         if a > 0:
-            if hi is None or bound < hi or (bound == hi and strict):
-                hi, hi_open = bound, strict
+            if hi is None or (side := rhs * hi[1] - hi[0] * a) < 0 or (side == 0 and strict):
+                hi, hi_open = (rhs, a), strict
         else:
-            if lo is None or bound > lo or (bound == lo and strict):
-                lo, lo_open = bound, strict
+            if lo is None or (side := rhs * lo[1] - lo[0] * a) > 0 or (side == 0 and strict):
+                lo, lo_open = (rhs, a), strict
     if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
+        # lo > hi iff L/l > H/h iff L*h < H*l, as l*h < 0
+        side = lo[0] * hi[1] - hi[0] * lo[1]
+        if side < 0 or (side == 0 and (lo_open or hi_open)):
             empty = True
     if empty:
         return Interval(empty=True)
-    return Interval(False, lo, lo_open, hi, hi_open)
+    return Interval(
+        False,
+        None if lo is None else Fraction(*lo),
+        lo_open,
+        None if hi is None else Fraction(*hi),
+        hi_open,
+    )
 
 
-def combine(system: System, lam: MultiplierVector) -> Constraint:
-    """Nonnegative combination sum(w_i * row_i) of inequality rows.
+def _combination(system: System, lam: MultiplierVector) -> tuple[dict[int, int], int, int, bool]:
+    """sum(w_i * row_i) on integers: (coefficient sums, rhs sum, den,
+    strict), the combination being the sums over den.
 
-    The result relation is strict iff a strict row carries positive weight.
-    """
+    Each row is taken times the lcm of its denominators, so its weight
+    becomes w_i over that lcm, and den is the lcm of those scaled weights'
+    denominators.  Strict iff a strict row is listed, whatever its weight.
+    Raises as combine does, on the first offending entry."""
     by_id = {c.cid: c for c in system.constraints}
-    terms = []
-    rhs = ZERO
+    scaled = []
     strict = False
-    parents = []
     for cid, w in lam.entries:
         if w < 0:
             raise NegativeMultiplierError(f"multiplier for constraint {cid} is negative")
@@ -471,13 +486,34 @@ def combine(system: System, lam: MultiplierVector) -> Constraint:
                 f"constraint {cid} is an equality; expand it to inequality form first"
             )
         w = rat(w)
-        terms.extend((v, a * w) for v, a in row.expr.terms)
-        rhs += row.rhs * w
+        row_den = lcm(row.rhs.denominator, *(a.denominator for _, a in row.expr.terms))
+        scaled.append((row, row_den, w.numerator, w.denominator * row_den))
         if row.relation is Relation.LT:
             strict = True
-        parents.append(cid)
+    den = lcm(*(w_den for *_, w_den in scaled))
+    sums: dict[int, int] = {}
+    rhs = 0
+    for row, row_den, w_num, w_den in scaled:
+        m = w_num * (den // w_den)
+        if not m:
+            continue
+        for v, a in row.expr.terms:
+            sums[v] = sums.get(v, 0) + m * a.numerator * (row_den // a.denominator)
+        rhs += m * row.rhs.numerator * (row_den // row.rhs.denominator)
+    return sums, rhs, den, strict
+
+
+def combine(system: System, lam: MultiplierVector) -> Constraint:
+    """Nonnegative combination sum(w_i * row_i) of inequality rows, one
+    Fraction per nonzero entry built from _combination's integer sums.
+
+    The result relation is strict iff a strict row is listed; only a
+    directly built MultiplierVector lists a row with weight zero.
+    """
+    sums, rhs, den, strict = _combination(system, lam)
+    expr = LinearExpr(tuple(sorted((v, Fraction(s, den)) for v, s in sums.items() if s)))
     rel = Relation.LT if strict else Relation.LE
-    return Constraint(-1, LinearExpr.from_terms(terms), rel, rhs, Provenance.derived(sorted(parents)))
+    return Constraint(-1, expr, rel, Fraction(rhs, den), Provenance.derived(sorted(lam.ids())))
 
 
 def evaluate(constraint: Constraint, point: Point) -> bool:
@@ -505,8 +541,8 @@ def check_multiplier_certificate(system: System, lam: MultiplierVector) -> bool:
     equality.  The all-zero vector passes trivially; callers that need a
     nontrivial certificate must additionally require lam != 0.
     """
-    combined = combine(system, lam)
-    return combined.expr.is_zero and combined.rhs == 0
+    sums, rhs, _, _ = _combination(system, lam)
+    return rhs == 0 and not any(sums.values())
 
 
 def expand_equalities(system: System) -> System:

@@ -91,11 +91,14 @@ def strong_elementary_dual(
     nvars = len(primal.variables)
     sigma = rat(sigma) if sigma is not None else None
     variables = lam_names if sigma is not None else lam_names + primal.variables
+    columns = [[] for _ in range(nvars)]  # dual row j: (i, -a) per main row i with a*x_j
+    for i, row in enumerate(mains):
+        for j, a in row.expr.terms:
+            columns[j].append((i, -a))
     rows = []
     row_origin = []
-    for j in range(nvars):
-        expr = LinearExpr.from_terms({i: -mains[i].expr.coeff(j) for i in range(nlam)})
-        rows.append(Constraint(j, expr, Relation.LE, -objective.coeff(j), Provenance.main()))
+    for j, column in enumerate(columns):
+        rows.append(Constraint(j, LinearExpr(tuple(column)), Relation.LE, -objective.coeff(j), Provenance.main()))
         row_origin.append((j, j))
     ext_id = nvars
     ext_terms = {i: mains[i].rhs for i in range(nlam)}

@@ -41,8 +41,14 @@ input row's when the chain starts and a kept row's by the pair step, and
 kept in _History.  The pair split, the choice of the next variable,
 back-substitution and the tight-row test all read it.  Rows between steps
 are still Fraction Constraints, built once per kept row with one Fraction
-per nonzero entry; back-substitution builds one Fraction per bound and
-one per midpoint.
+per nonzero entry.  The back half builds Fractions only for what it
+returns: back-substitution compares each fiber's bounds as integer pairs
+(core.interval_of) and builds its two winning bounds and its midpoint;
+both replays carry unreduced integer (numerator, denominator) weights
+and build one Fraction per input row; and the certificate checks,
+is_infeasibility_certificate here and core.check_multiplier_certificate,
+read core._combination's integer sums.  feasibility checks every Farkas
+certificate it replays.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ from .core import (
     UnknownConstraintError,
     UnknownVariableError,
     ZERO,
+    _combination,
     check_multiplier_certificate,
-    combine,
     integer_row,
     interval_of,
     is_zero_row,
@@ -382,7 +388,8 @@ def feasibility(system: System, order: str | None = None) -> FeasibilityVerdict:
     weighting exactly them are found on first read and checked against
     each other, a mismatch raising InvariantError (FeasibilityVerdict).
     Infeasible verdicts carry nonnegative multipliers over the input rows
-    whose combination is a contradiction row.
+    whose combination is a contradiction row, checked before they are
+    returned (InvariantError if the check fails).
 
     By default variables go in table order, which keeps witnesses stable;
     order="greedy" picks the cheapest variable each step instead (same
@@ -410,7 +417,10 @@ def _decide(system: System, greedy: bool) -> FeasibilityVerdict:
     nvars = len(system.variables)
     _, trace, bad, history = _chain(system, list(range(nvars)), greedy)
     if bad is not None:
-        return FeasibilityVerdict(False, certificate=farkas_from_trace(trace, bad))
+        certificate = farkas_from_trace(trace, bad)
+        if not is_infeasibility_certificate(system, certificate):
+            raise InvariantError("Farkas certificate does not combine the rows into a contradiction")
+        return FeasibilityVerdict(False, certificate=certificate)
     known, den = _back_substitute(history, nvars)
     witness = Point(tuple((v, Fraction(k, den)) for v, k in enumerate(known)))
     rows = [(c.cid, history.ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
@@ -449,10 +459,20 @@ def project(system: System, keep: set[int] | frozenset[int]) -> System:
     return _chain(system, order, stop_at_contradiction=False)[0]
 
 
-def _spread(weights: dict[int, Fraction], derivation: Derivation, w: Fraction) -> None:
-    """Pass weight w on a row down one of its derivations to its parents."""
+def _spread(weights: dict[int, tuple[int, int]], derivation: Derivation, num: int, den: int) -> None:
+    """Pass weight num/den on a row down one of its derivations to its
+    parents.  Weights are unreduced (numerator, denominator) pairs of ints;
+    the replays make one Fraction per input row at the end."""
     for parent, coeff in derivation:
-        weights[parent] = weights.get(parent, ZERO) + w * coeff
+        n = num * coeff.numerator
+        d = den * coeff.denominator
+        old = weights.get(parent)
+        if old is None:
+            weights[parent] = (n, d)
+        elif old[1] == d:
+            weights[parent] = (old[0] + n, d)
+        else:
+            weights[parent] = (old[0] * d + n * old[1], old[1] * d)
 
 
 def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:
@@ -463,16 +483,16 @@ def farkas_from_trace(trace: EliminationTrace, cid: int) -> MultiplierVector:
     later ones).  A step's derivations use rows of the system before it, so
     one pass over the steps, last first, leaves weight on input rows only.
     """
-    weights = {cid: Fraction(1)}
+    weights = {cid: (1, 1)}
     for step in reversed(trace.steps):
         for row in step.produced:
             w = weights.pop(row.cid, None)
             if w is not None:
-                _spread(weights, row.derivations[0], w)
+                _spread(weights, row.derivations[0], *w)
     for current in weights:
         if current not in trace.input_ids:
             raise UnknownConstraintError(f"constraint {current} is not recorded in the trace")
-    return MultiplierVector.of(weights)
+    return MultiplierVector.of((current, Fraction(n, d)) for current, (n, d) in weights.items())
 
 
 def equality_certificate(system: System, trace: EliminationTrace) -> MultiplierVector:
@@ -493,28 +513,28 @@ def equality_certificate(system: System, trace: EliminationTrace) -> MultiplierV
         for cid, _ in step.merged:
             ways[cid] += 1
     weights = {
-        c.cid: Fraction(1) for c in system.constraints if c.relation is Relation.LE and c.expr.is_zero and c.rhs == 0
+        c.cid: (1, 1) for c in system.constraints if c.relation is Relation.LE and c.expr.is_zero and c.rhs == 0
     }
     for step in reversed(trace.steps):
         for derivation in step.zero_rows:
-            _spread(weights, derivation, Fraction(1))
+            _spread(weights, derivation, 1, 1)
         for cid, derivation in step.merged:
             if cid in weights:
-                _spread(weights, derivation, weights[cid] / ways[cid])
+                num, den = weights[cid]
+                _spread(weights, derivation, num, den * ways[cid])
         for row in step.produced:
             w = weights.pop(row.cid, None)
             if w is not None:
                 for derivation in row.derivations:
-                    _spread(weights, derivation, w / ways[row.cid])
-    return MultiplierVector.of((cid, w / ways[cid]) for cid, w in weights.items())
+                    _spread(weights, derivation, w[0], w[1] * ways[row.cid])
+    return MultiplierVector.of((cid, Fraction(n, d * ways[cid])) for cid, (n, d) in weights.items())
 
 
 def is_infeasibility_certificate(system: System, lam: MultiplierVector) -> bool:
     """True iff the combination is a contradiction row ([0] <= r < 0, or
-    [0] < r <= 0 when strict rows carry weight)."""
-    combined = combine(system, lam)
-    if not combined.expr.is_zero:
+    [0] < r <= 0 when strict rows carry weight), read off the integer sums
+    of core._combination."""
+    sums, rhs, _, strict = _combination(system, lam)
+    if any(sums.values()):
         return False
-    if combined.relation is Relation.LT:
-        return combined.rhs <= 0
-    return combined.rhs < 0
+    return rhs <= 0 if strict else rhs < 0

@@ -1,13 +1,15 @@
 """Independent Fraction references for Gaussian substitution, the Fourier
 pair step, Fourier back-substitution and the tight-row test, the Farkas
-replay, the terminal interval and the multiplier combination, and the
-helpers the tests share.
+and equality-certificate replays, the one-variable interval, the
+multiplier combination and the certificate checks built on it, the strong
+elementary dual, and the helpers the tests share.
 
-`lincert.gauss` substitutes and `lincert.fourier` combines pairs,
-back-substitutes and tests rows for tightness on integer rows; the tests
-compare them, and the pipeline built on them, with the textbook formulas
-on Fraction rows written out here, so the kernels are never checked
-against themselves.
+`lincert.gauss` substitutes, `lincert.fourier` combines pairs,
+back-substitutes, tests rows for tightness and replays its traces, and
+`lincert.core` reads intervals and combines rows, all on integers; the
+tests compare them, and the pipeline built on them, with the textbook
+formulas on Fraction rows written out here, so the kernels are never
+checked against themselves.
 """
 
 from fractions import Fraction
@@ -26,12 +28,35 @@ from lincert.core import (
     Relation,
     RelationError,
     RowClass,
+    System,
     UnknownConstraintError,
     ZERO,
-    interval_of,
     is_zero_row,
+    rat,
+    validate_standard_shape,
 )
+from lincert.dual import ElementaryDual
 from lincert.fourier import EliminationStep, ProducedRow, _pick_midpoint, project
+
+
+def interval_of_reference(rows):
+    """The interval of l under (a, rhs, strict) rows a*l <= rhs (< when
+    strict), one Fraction rhs/a per bound compared as Fractions; a strict
+    row wins a tie, and a var-free row that fails empties the interval."""
+    lo = hi = None
+    lo_open = hi_open = empty = False
+    for a, rhs, strict in rows:
+        if a == 0:
+            empty = empty or rhs < 0 or (strict and rhs == 0)
+            continue
+        bound = Fraction(rhs) / a
+        if a > 0 and (hi is None or bound < hi or (bound == hi and strict)):
+            hi, hi_open = bound, strict
+        elif a < 0 and (lo is None or bound > lo or (bound == lo and strict)):
+            lo, lo_open = bound, strict
+    if empty or (lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_open or hi_open)))):
+        return Interval(empty=True)
+    return Interval(False, lo, lo_open, hi, hi_open)
 
 
 def combine_reference(system, lam):
@@ -54,6 +79,21 @@ def combine_reference(system, lam):
         parents.append(cid)
     rel = Relation.LT if strict else Relation.LE
     return Constraint(-1, expr, rel, rhs, Provenance.derived(sorted(parents)))
+
+
+def is_equality_certificate_reference(system, lam):
+    """`combine_reference` sums the weighted rows to [0] <= 0."""
+    combined = combine_reference(system, lam)
+    return combined.expr.is_zero and combined.rhs == 0
+
+
+def is_infeasibility_certificate_reference(system, lam):
+    """`combine_reference` sums the weighted rows to [0] <= r < 0, or to
+    [0] < r <= 0 when a strict row is listed."""
+    combined = combine_reference(system, lam)
+    if not combined.expr.is_zero:
+        return False
+    return combined.rhs <= 0 if combined.relation is Relation.LT else combined.rhs < 0
 
 
 def substitute_fraction(system, var, pivot_id):
@@ -158,7 +198,7 @@ def back_substitute_fraction(chain, order):
             if a:
                 rest = sum((x * known[v] for v, x in c.expr.terms if v != var), ZERO)
                 fiber.append((a, c.rhs - rest, c.relation is Relation.LT))
-        known[var] = _pick_midpoint(interval_of(fiber))
+        known[var] = _pick_midpoint(interval_of_reference(fiber))
     return Point.of(known)
 
 
@@ -189,10 +229,69 @@ def farkas_reference(trace, cid):
     return MultiplierVector.of(weights)
 
 
+def equality_certificate_reference(system, trace):
+    """Every [0] <= 0 row of the chain, input or dropped, replayed to the
+    input rows in Fraction weights, step by step, last step first: a row's
+    weight is split evenly over its derivations, an input row counting as
+    one of its own, and a pass-through row's merged derivation takes its
+    share when its step comes up."""
+    ways = {cid: 1 for cid in trace.input_ids}
+    for step in trace.steps:
+        ways.update((row.cid, len(row.derivations)) for row in step.produced)
+        for cid, _ in step.merged:
+            ways[cid] += 1
+    weights = {}
+
+    def spread(derivation, w):
+        for parent, coeff in derivation:
+            weights[parent] = weights.get(parent, ZERO) + w * coeff
+
+    for c in system.constraints:
+        if c.relation is Relation.LE and c.expr.is_zero and c.rhs == 0:
+            weights[c.cid] = Fraction(1)
+    for step in reversed(trace.steps):
+        for derivation in step.zero_rows:
+            spread(derivation, Fraction(1))
+        for cid, derivation in step.merged:
+            if cid in weights:
+                spread(derivation, weights[cid] / ways[cid])
+        for row in step.produced:
+            if row.cid in weights:
+                w = weights.pop(row.cid) / ways[row.cid]
+                for derivation in row.derivations:
+                    spread(derivation, w)
+    return MultiplierVector.of((cid, w / ways[cid]) for cid, w in weights.items())
+
+
+def strong_elementary_dual_reference(primal, objective, sigma=None):
+    """The strong elementary dual coefficient by coefficient: dual row j is
+    -sum_i a_ij l_i <= -c_j, each entry read by `LinearExpr.coeff`; the
+    extension and sign rows as in `lincert.dual`."""
+    mains, _ = validate_standard_shape(primal)
+    nlam = len(mains)
+    lam_names = tuple(f"l{i + 1}" for i in range(nlam))
+    nvars = len(primal.variables)
+    sigma = rat(sigma) if sigma is not None else None
+    variables = lam_names if sigma is not None else lam_names + primal.variables
+    rows = []
+    for j in range(nvars):
+        expr = LinearExpr.from_terms({i: -mains[i].expr.coeff(j) for i in range(nlam)})
+        rows.append(Constraint(j, expr, Relation.LE, -objective.coeff(j), Provenance.main()))
+    ext = {i: mains[i].rhs for i in range(nlam)}
+    if sigma is None:
+        ext.update((nlam + j, -c) for j, c in objective.terms)
+    ext_rhs = ZERO if sigma is None else sigma
+    rows.append(Constraint(nvars, LinearExpr.from_terms(ext), Relation.LE, ext_rhs, Provenance.extension()))
+    for i in range(nlam):
+        rows.append(Constraint(nvars + 1 + i, LinearExpr.from_terms({i: -1}), Relation.LE, ZERO, Provenance.sign()))
+    origin = tuple((i, mains[i].cid) for i in range(nlam))
+    row_origin = tuple((j, j) for j in range(nvars))
+    return ElementaryDual(System(variables, tuple(rows)), nvars, origin, row_origin, objective, sigma)
+
+
 def terminal_interval(system, var):
     """Exact feasible interval of a one-variable system, bound by bound."""
-    lo = hi = None
-    lo_open = hi_open = empty = False
+    rows = []
     for c in system.constraints:
         extra = [v for v, _ in c.expr.terms if v != var]
         if extra:
@@ -200,16 +299,8 @@ def terminal_interval(system, var):
             raise LincertError(f"terminal system still mentions {names}")
         if c.relation is Relation.EQ:
             raise LincertError(f"terminal system contains an equality row {c.cid}")
-        a, strict = c.expr.coeff(var), c.relation is Relation.LT
-        if a == 0:
-            empty = empty or not c.relation.holds(0, c.rhs)
-        elif a > 0 and (hi is None or c.rhs / a < hi or (c.rhs / a == hi and strict)):
-            hi, hi_open = c.rhs / a, strict
-        elif a < 0 and (lo is None or c.rhs / a > lo or (c.rhs / a == lo and strict)):
-            lo, lo_open = c.rhs / a, strict
-    if empty or (lo is not None and hi is not None and (lo > hi or (lo == hi and (lo_open or hi_open)))):
-        return Interval(empty=True)
-    return Interval(False, lo, lo_open, hi, hi_open)
+        rows.append((c.expr.coeff(var), c.rhs, c.relation is Relation.LT))
+    return interval_of_reference(rows)
 
 
 def sample_point(system, rng):
@@ -227,7 +318,7 @@ def sample_point(system, rng):
             if c.expr.coeff(var):
                 rest = sum(x * known[v] for v, x in c.expr.terms if v != var)
                 rows.append((c.expr.coeff(var), c.rhs - rest, c.relation is Relation.LT))
-        fiber = interval_of(rows)
+        fiber = interval_of_reference(rows)
         lo, hi = fiber.lo, fiber.hi
         if lo is not None and hi is not None:
             known[var] = lo if lo == hi else lo + (hi - lo) * Fraction(rng.randint(1, 15), 16)

@@ -99,6 +99,18 @@ def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):
     assert capsys.readouterr().err == "internal error: oracle witness failed verification\n"
 
 
+def test_a_wrong_farkas_certificate_exits_4(files, capsys, monkeypatch):
+    # feasibility checks the certificate it replays, so `check` reports a
+    # wrong one as an internal error rather than printing it.
+    from lincert.core import MultiplierVector
+
+    monkeypatch.setattr("lincert.fourier.farkas_from_trace", lambda trace, cid: MultiplierVector.of({0: 1}))
+    assert main(["check", files["sec2_inf"], "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: Farkas certificate does not combine the rows into a contradiction\n"
+
+
 def test_fourier_projection(files, capsys):
     code, data = run_json(capsys, ["fourier", files["sec2"], "--eliminate", "x"])
     assert code == 0

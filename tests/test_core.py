@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fraction_reference import combine_reference
+from fraction_reference import (
+    combine_reference,
+    interval_of_reference,
+    is_equality_certificate_reference,
+    is_infeasibility_certificate_reference,
+)
 
 from lincert import cone, gauss
 from lincert.core import (
@@ -31,7 +36,7 @@ from lincert.core import (
     rat,
     validate_standard_shape,
 )
-from lincert.fourier import feasibility
+from lincert.fourier import feasibility, is_infeasibility_certificate
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -176,6 +181,42 @@ def test_combine_matches_the_fraction_reference(case):
     if lam.entries and all(w >= 0 for _, w in lam.entries):
         positive = MultiplierVector.of((cid, 1) for cid, _ in lam.entries)
         assert _outcome(combine, system, positive) == _outcome(combine_reference, system, positive)
+
+
+@given(case=weighted_rows())
+def test_certificate_checks_match_the_fraction_reference(case):
+    # Both predicates, on the drawn weights and on weight 1 for every pair
+    # of rows (which meets the cancelling pair when one is drawn), agree
+    # with the Fraction combination, errors by type and message included.
+    system, lam = case
+    ids = system.ids()
+    vectors = [lam] + [MultiplierVector.of({i: 1, j: 1}) for i in ids for j in ids if i < j]
+    for vector in vectors:
+        for fn, reference in (
+            (check_multiplier_certificate, is_equality_certificate_reference),
+            (is_infeasibility_certificate, is_infeasibility_certificate_reference),
+        ):
+            assert _outcome(fn, system, vector) == _outcome(reference, system, vector)
+
+
+@pytest.mark.parametrize(
+    "rows, weights, equality, infeasible",
+    [
+        # [0] <= 0, [0] < 0 and [0] <= -1, each from a pair with denominators
+        ([({"x": Fraction(1, 2)}, "<=", Fraction(1, 3)), ({"x": -3}, "<=", -2)], {0: 6, 1: 1}, True, False),
+        ([({"x": Fraction(1, 2)}, "<", Fraction(1, 3)), ({"x": -3}, "<=", -2)], {0: 6, 1: 1}, True, True),
+        ([({"x": Fraction(2, 3)}, "<=", -1), ({"x": -1}, "<=", 0)], {0: Fraction(3, 2), 1: 1}, False, True),
+        # a strict row listed with weight zero still makes the sum strict
+        ([({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"x": 1}, "<", 5)], {0: 1, 1: 1, 2: 0}, True, True),
+    ],
+)
+def test_certificate_checks_on_rows_with_denominators(rows, weights, equality, infeasible):
+    system = make_system(["x"], mains=rows)
+    lam = MultiplierVector(tuple(sorted(weights.items())))
+    assert check_multiplier_certificate(system, lam) is equality
+    assert is_infeasibility_certificate(system, lam) is infeasible
+    assert is_equality_certificate_reference(system, lam) is equality
+    assert is_infeasibility_certificate_reference(system, lam) is infeasible
 
 
 def test_the_memo_is_no_part_of_the_system_value():
@@ -341,3 +382,28 @@ def test_interval_of_reads_the_tightest_bounds(rows, expected):
     # row that fails empties the interval.
     assert interval_of(rows).describe() == expected
 
+
+bound_numbers = st.sampled_from([0, 1, 2, 3, -1, -2, -3]) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def fiber_rows(draw):
+    """(a, rhs, strict) rows of ints or Fractions, a = 0 among them, each
+    sometimes repeated scaled by k > 0 with its strictness flipped, so
+    that bounds tie; one-sided and empty lists too."""
+    signs = draw(st.sampled_from([(-1, 0, 1), (0, 1), (-1, 0), (-1, 1)]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        a = draw(st.sampled_from(signs)) * abs(draw(bound_numbers))
+        rows.append((a, draw(bound_numbers), draw(st.booleans())))
+    for a, rhs, strict in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else ():
+        k = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+        rows.append((a * k, rhs * k, not strict))
+    return draw(st.permutations(rows))
+
+
+@given(rows=fiber_rows())
+def test_interval_of_matches_the_fraction_reference(rows):
+    # The cross-multiplied comparison reads the same interval, types
+    # included, as one Fraction per bound.
+    assert repr(interval_of(rows)) == repr(interval_of_reference(rows))

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lincert.dual
+from fraction_reference import strong_elementary_dual_reference
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
@@ -102,6 +104,26 @@ def test_strong_dual_degenerates_to_elementary():
     sd = strong_elementary_dual(primal, LinearExpr(), sigma=0)
     ed = elementary_dual(primal)
     assert [c.key() for c in sd.system.constraints] == [c.key() for c in ed.system.constraints]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transposed_dual_matches_the_coefficient_formula(data):
+    # p/q coefficients with zeros among them, a last variable no main row
+    # mentions, an objective, and sigma None (the mixed form) or a value:
+    # the dual built column by column equals, by repr, the one read
+    # coefficient by coefficient.
+    nvars = data.draw(st.integers(1, 4))
+    names = [f"x{i}" for i in range(nvars)]
+    values = st.fractions(-3, 3, max_denominator=4)
+    rows = [
+        ({n: data.draw(values) for n in names[:-1]}, "<=", data.draw(values))
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    primal = make_system(names, mains=rows, nonneg="all", objective={n: data.draw(values) for n in names})
+    for sigma in (None, data.draw(values)):
+        dual = strong_elementary_dual(primal, primal.objective, sigma)
+        assert repr(dual) == repr(strong_elementary_dual_reference(primal, primal.objective, sigma))
 
 
 def test_strong_dual_symbolic_form_of_maximization_example():

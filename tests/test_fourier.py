@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fraction_reference import (
     back_substitute_fraction,
     eliminate_var_fraction,
+    equality_certificate_reference,
     farkas_reference,
     normalized_key,
     sample_point,
@@ -15,6 +17,7 @@ from fraction_reference import (
 from lincert.core import (
     Constraint,
     InfeasibleSystemError,
+    InvariantError,
     LincertError,
     LinearExpr,
     MultiplierVector,
@@ -33,6 +36,7 @@ from lincert.fourier import (
     _History,
     _chain,
     eliminate_var,
+    equality_certificate,
     farkas_from_trace,
     feasibility,
     is_infeasibility_certificate,
@@ -138,6 +142,18 @@ def test_feasibility_infeasible_variant_certifies():
     assert is_infeasibility_certificate(sys, lam)
     # Rows 1 + 2 alone already force [0] <= -1.
     assert lam == MultiplierVector.of({0: 1, 1: 1})
+
+
+def test_feasibility_checks_its_farkas_certificate(monkeypatch):
+    # A replay that gives a vector whose combination is no contradiction
+    # is a lincert bug: feasibility raises in either order and stores
+    # nothing.
+    sys = section2_primal(rhs1=-2, rhs2=1)
+    monkeypatch.setattr("lincert.fourier.farkas_from_trace", lambda trace, cid: MultiplierVector.of({0: 1}))
+    for order in (None, "greedy"):
+        with pytest.raises(InvariantError, match="Farkas certificate"):
+            feasibility(sys, order)
+    assert sys._memo == {}
 
 
 def test_explicit_order_must_list_each_variable_once():
@@ -434,6 +450,65 @@ def test_integer_back_half_matches_the_fraction_reference(data):
             witness = back_substitute_fraction(chain, chosen)
             assert verdict.witness == witness
             assert verdict.implicit_ids == tight_rows_fraction(system, witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_equality_certificate_matches_the_fraction_replay(data):
+    # Fractional, partly strict rows, then copies of some of them scaled
+    # by k (k < 0 makes the row and its copy an equality pair, so [0] <= 0
+    # rows are derived), sometimes the coprime sum of a pair that cancels
+    # x0 (it merges with the row eliminating x0 derives), perhaps with its
+    # negation (so the merged row carries weight), and a [0] <= 0 row.  On every feasible chain, in table and in greedy order, the
+    # integer replay equals the Fraction one by repr.
+    nvars = data.draw(st.integers(1, 4))
+    names = [f"x{i}" for i in range(nvars)]
+    row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), le_or_lt, small_fractions)
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(data.draw(st.integers(0, 4))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        a, rel, r = rows[i]
+        k = data.draw(st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-1, 2)]))
+        if k < 0:
+            rel = "<="
+            rows[i] = (a, rel, r)
+        rows.append(([k * x for x in a], rel, k * r))
+    pos = [row for row in rows if row[0][0] > 0]
+    neg = [row for row in rows if row[0][0] < 0]
+    if pos and neg and data.draw(st.booleans()):
+        (p, p_rel, p_rhs), (n, n_rel, n_rhs) = data.draw(st.sampled_from(pos)), data.draw(st.sampled_from(neg))
+        values = [x / p[0] - y / n[0] for x, y in zip(p + [p_rhs], n + [n_rhs])]
+        den = lcm(*(v.denominator for v in values))
+        ints = [int(v * den) for v in values]
+        g = gcd(*ints) or 1
+        rows.append(([x // g for x in ints[:-1]], "<" if "<" in (p_rel, n_rel) else "<=", ints[-1] // g))
+        if rows[-1][1] == "<=" and data.draw(st.booleans()):
+            rows.append(([-x // g for x in ints[:-1]], "<=", -ints[-1] // g))
+    if data.draw(st.booleans()):
+        rows.append(([0] * nvars, "<=", 0))
+    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
+    system = make_system(names, mains=[(dict(zip(names, a)), rel, r) for a, rel, r in rows], nonneg=nonneg)
+    for greedy in (False, True):
+        _, trace, bad, _ = _chain(system, list(range(nvars)), greedy)
+        if bad is None:
+            lam = equality_certificate(system, trace)
+            assert repr(lam) == repr(equality_certificate_reference(system, trace))
+
+
+def test_equality_certificate_splits_a_merged_row_over_its_derivations():
+    # Eliminating x derives y <= 1 from rows 0 and 1 with weights (1/2,
+    # 1/2); it merges into row 2, which then has two derivations.  Rows 2
+    # and 3 cancel to [0] <= 0 when y goes, so row 2's weight 1 splits in
+    # half: 1/2 stays on it and 1/2 flows down the merged derivation.
+    system = make_system(
+        ["x", "y"],
+        mains=[({"x": 1, "y": 1}, "<=", 1), ({"x": -1, "y": 1}, "<=", 1), ({"y": 1}, "<=", 1), ({"y": -1}, "<=", -1)],
+    )
+    _, trace, bad, _ = _chain(system, [0, 1])
+    assert bad is None and trace.steps[0].merged and trace.steps[1].zero_rows
+    expected = MultiplierVector.of({0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2), 3: 1})
+    assert equality_certificate(system, trace) == expected == equality_certificate_reference(system, trace)
+    assert feasibility(system).equality_certificate == expected
 
 
 def test_merged_duplicate_keeps_every_history():
