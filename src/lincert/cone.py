@@ -11,7 +11,7 @@ dimension is read off the implicit equalities of one elimination
 (fourier.feasibility).
 
 is_reduced_to_origin answers from that equivalence while the primal the
-cone was built from is alive, reading the primal's greedy verdict and its
+cone was built from is alive, reading the primal's Fourier verdict and its
 ray search, which analyses of the primal have often already asked.  A cone
 with no primal (read from a file flagged `cone`, a copy made with
 with_rows, or one whose primal is gone) gets its own probe instead.
@@ -19,13 +19,13 @@ with_rows, or one whose primal is gone) gets its own probe instead.
 Boundedness and that probe are settled without elimination when capping
 rows cover every variable: for x >= 0 with Ax <= 0, a sum y'A of rows with
 no negative coefficient that is positive on every variable gives
-0 >= y'Ax = sum_j (A'y)_j x_j >= 0, so x = 0.  Only otherwise does a greedy
+0 >= y'Ax = sum_j (A'y)_j x_j >= 0, so x = 0.  Only otherwise does a
 Fourier probe run.
 
 Each system is immutable, so primal_cone and has_solution_at_infinity (and
 with it is_bounded) keep their answer in the system's memo (core.System),
 keyed "primal_cone" and "has_solution_at_infinity", and fourier.feasibility
-keeps its greedy verdict there too: is_full_dimensional after implicit_set,
+keeps its verdict there too: is_full_dimensional after implicit_set,
 or pipeline.run after is_bounded and primal_cone on the same system, repeats
 no elimination.  The ray a search returns never refers back to the system,
 and the cone a PrimalCone holds refers to its primal only weakly (its memo
@@ -50,6 +50,7 @@ from .core import (
     RelationError,
     System,
     ZERO,
+    sign_row,
     validate_standard_shape,
 )
 from .fourier import feasibility
@@ -86,14 +87,13 @@ def _homogenize(primal: System) -> PrimalCone:
     origin = []
     cid = 0
     for row in mains:
-        terms = dict(row.expr.terms)
-        if row.rhs != 0:
-            terms[z] = -row.rhs
-        rows.append(Constraint(cid, LinearExpr.from_terms(terms), Relation.LE, ZERO, Provenance.main()))
+        # z is the last index, so the row's sorted nonzero terms stay so.
+        expr = LinearExpr(row.expr.terms + ((z, -row.rhs),)) if row.rhs else row.expr
+        rows.append(Constraint(cid, expr, Relation.LE, ZERO, Provenance.main()))
         origin.append((cid, row.cid))
         cid += 1
     for v in range(len(variables)):
-        rows.append(Constraint(cid, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
+        rows.append(sign_row(cid, v))
         cid += 1
     cone = System(variables, tuple(rows), is_cone=True)
     cone._memo["primal"] = weakref.ref(primal)
@@ -117,8 +117,8 @@ def _signed_ray(system: System, signed: set[int]) -> Point | None:
     No elimination runs when the capping rows settle it (module docstring):
     every variable signed, every row <= or < with a right side <= 0 (so the
     points satisfy x >= 0 and Ax <= 0), and the main rows with no negative
-    coefficient mentioning every variable.  Otherwise one greedy Fourier
-    probe decides."""
+    coefficient mentioning every variable.  Otherwise one Fourier probe
+    decides."""
     rows = system.constraints
     nvars = len(system.variables)
     if len(signed) == nvars and all(c.relation is not Relation.EQ and c.rhs <= 0 for c in rows):
@@ -127,7 +127,7 @@ def _signed_ray(system: System, signed: set[int]) -> Point | None:
             return None
     expr = LinearExpr.from_terms({v: -1 for v in signed})
     probe = Constraint(system.next_id(), expr, Relation.LE, ZERO - 1, Provenance.main())
-    verdict = feasibility(system.with_rows(rows + (probe,)), order="greedy")
+    verdict = feasibility(system.with_rows(rows + (probe,)))
     return verdict.witness if verdict.feasible else None
 
 
@@ -161,7 +161,7 @@ def _search_rays(system: System) -> tuple[bool, Point | None]:
             continue
         for expr in (LinearExpr.from_terms({v: -1}), LinearExpr.from_terms({v: 1})):
             probe_row = Constraint(cid, expr, Relation.LE, ZERO - 1, Provenance.main())
-            verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)), order="greedy")
+            verdict = feasibility(recession.with_rows(recession.constraints + (probe_row,)))
             if verdict.feasible:
                 return True, verdict.witness
     return False, None
@@ -182,7 +182,7 @@ def is_reduced_to_origin(cone: System) -> bool:
 
     A cone built by primal_cone whose primal is still alive is the origin
     alone exactly when that primal is unsolvable and bounded (module
-    docstring), so the primal's memoized greedy verdict and ray search
+    docstring), so the primal's memoized verdict and ray search
     answer.  Any other cone gets one probe: under x >= 0, sum(x) >= 1
     decides it, and capping rows that cover every variable settle it first,
     with no probe: 0 >= y'Ax = sum_j (A'y)_j x_j >= 0 forces x = 0."""
@@ -195,14 +195,14 @@ def is_reduced_to_origin(cone: System) -> bool:
     ref = cone._memo.get("primal")
     primal = ref() if ref is not None else None
     if primal is not None:
-        return not feasibility(primal, order="greedy").feasible and is_bounded(primal)
+        return not feasibility(primal).feasible and is_bounded(primal)
     return _signed_ray(cone, set(range(len(cone.variables)))) is None
 
 
 def is_full_dimensional(system: System) -> bool:
     """An interior point exists: the system is feasible and every implicit
     equality has an all-zero left side ([0] <= 0 cuts no dimension)."""
-    verdict = feasibility(system, order="greedy")
+    verdict = feasibility(system)
     return verdict.feasible and all(system.constraint(cid).expr.is_zero for cid in verdict.implicit_ids)
 
 

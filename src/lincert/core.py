@@ -191,8 +191,8 @@ class System:
 
     A system is immutable, so every question asked of it has one answer, and
     the analyses keep the costly ones in a private memo on the system, one
-    entry per call kind: fourier.feasibility's greedy verdict under
-    "greedy_feasibility", cone.primal_cone under "primal_cone",
+    entry per call kind: fourier.feasibility's verdict under
+    "feasibility", cone.primal_cone under "primal_cone",
     cone.has_solution_at_infinity (read by is_bounded) under
     "has_solution_at_infinity" and pipeline.build_working_system (read by
     run and explore) under "working_system".  A call that raises stores
@@ -210,10 +210,10 @@ class System:
     System, its rows about as many as the primal's), the ray found or
     None, the working system (the strong dual's integer rows and row
     labels, and the cone's main rows, from which the capped cone and the
-    dual are built as Systems when first read) and the greedy verdict
+    dual are built as Systems when first read) and the Fourier verdict
     with its witness; until its implicit ids are first read, that verdict
-    also holds the elimination trace and the input rows' integer forms,
-    which the read frees.
+    also holds the elimination trace and the ids of the rows tight at the
+    witness, which the read frees.
     """
 
     variables: tuple[str, ...]
@@ -279,6 +279,11 @@ class System:
         return memo[key]
 
 
+def sign_row(cid: int, var: int) -> Constraint:
+    """The sign row -x_var <= 0 under id cid."""
+    return Constraint(cid, LinearExpr(((var, _MINUS_ONE),)), Relation.LE, ZERO, Provenance.sign())
+
+
 def make_system(
     variables: Iterable[str],
     mains: Iterable[tuple] = (),
@@ -316,8 +321,7 @@ def make_system(
     for name in sign_names:
         if name not in index:
             raise UnknownVariableError(f"no variable named {name!r}")
-        expr = LinearExpr.from_terms({index[name]: -1})
-        rows.append(Constraint(cid, expr, Relation.LE, ZERO, Provenance.sign()))
+        rows.append(sign_row(cid, index[name]))
         cid += 1
     obj = expr_of(objective) if objective is not None else None
     return System(names, tuple(rows), obj, is_cone)

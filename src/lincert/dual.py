@@ -31,6 +31,7 @@ from .core import (
     System,
     ZERO,
     rat,
+    sign_row,
     validate_standard_shape,
 )
 from .fourier import feasibility
@@ -110,9 +111,7 @@ def strong_elementary_dual(
             mixed[nlam + j] = -c
         rows.append(Constraint(ext_id, LinearExpr.from_terms(mixed), Relation.LE, ZERO, Provenance.extension()))
     for i in range(nlam):
-        rows.append(
-            Constraint(ext_id + 1 + i, LinearExpr.from_terms({i: -1}), Relation.LE, ZERO, Provenance.sign())
-        )
+        rows.append(sign_row(ext_id + 1 + i, i))
     system = System(variables, tuple(rows))
     origin = tuple((i, mains[i].cid) for i in range(nlam))
     return ElementaryDual(system, ext_id, origin, tuple(row_origin), objective, sigma)
@@ -120,7 +119,7 @@ def strong_elementary_dual(
 
 def extension_status(dual: ElementaryDual) -> ExtensionStatus:
     """Implicit-equality status of the extension row, with evidence, from
-    one table-order feasibility call.
+    one feasibility call.
 
     Implicit: the joint equality certificate, positive on the extension (the
     primal is solvable).  Not implicit: the dual witness, a relative-interior

@@ -21,10 +21,11 @@ Three rules keep the rows in check, and none changes a solution set:
 derived tautologies are dropped, exact duplicates merge, and within a chain
 of eliminations Chernikov's history rule skips every pair whose derived row
 is redundant before the pair is combined (see _History).  Every elimination
-chain runs through one loop, _chain, and keeps its whole state in one
-_History: the depth, each row's histories and integer form, the id floor,
-the steps and, per step, the fiber (the rows that mention the eliminated
-variable).  Back-substitution walks the steps and fibers last first.
+chain runs through one loop, _chain, which eliminates the cheapest
+variable first each step, and keeps its whole state in one _History: each
+row's histories and integer form, the id floor, the steps and, per step,
+the fiber (the rows that mention the eliminated variable).
+Back-substitution walks the steps and fibers last first.
 
 A pair is combined on integer rows, in the fraction-free style of Bareiss
 (1968).  With P and N the two rows times the lcm of their denominators
@@ -39,16 +40,17 @@ gcd of its entries and right side, and its derivation weights are
 B*den_P/g and A*den_N/g.  Each chain row's integer form is made once, an
 input row's when the chain starts and a kept row's by the pair step, and
 kept in _History.  The pair split, the choice of the next variable,
-back-substitution and the tight-row test all read it.  Rows between steps
-are still Fraction Constraints, built once per kept row with one Fraction
-per nonzero entry.  The back half builds Fractions only for what it
-returns: back-substitution compares each fiber's bounds as integer pairs
-(core.interval_of) and builds its two winning bounds and its midpoint;
-both replays carry unreduced integer (numerator, denominator) weights
-and build one Fraction per input row; and the certificate checks,
-is_infeasibility_certificate here and core.check_multiplier_certificate,
-read core._combination's integer sums.  feasibility checks every Farkas
-certificate it replays.
+back-substitution and the witness check, which also finds the tight rows,
+all read it.  Rows between steps are still Fraction Constraints, built
+once per kept row with one Fraction per nonzero entry.  The back half
+builds Fractions only for what it returns: back-substitution compares
+each fiber's bounds as integer pairs (core.interval_of) and builds its two
+winning bounds and its midpoint; both replays carry unreduced integer
+(numerator, denominator) weights and build one Fraction per input row;
+and the certificate checks, is_infeasibility_certificate here and
+core.check_multiplier_certificate, read core._combination's integer sums.
+feasibility checks every witness it makes and every Farkas certificate it
+replays.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from .core import (
     Constraint,
     Interval,
     InvariantError,
-    LincertError,
     LinearExpr,
     MultiplierVector,
     Point,
@@ -116,13 +117,13 @@ class FeasibilityVerdict:
 
     A feasible verdict also answers implicit_ids, the <= rows tight at the
     witness (the implicit equalities), and equality_certificate, a replay
-    of the trace positive on exactly those rows.  Both are found together
-    the first time either is read, checked against each other
-    (InvariantError on a mismatch) and kept, so a caller that reads only
-    the flag or the witness never pays for them and no caller sees ids
-    that were not checked; the trace they are found from is dropped once
-    they are kept.  An infeasible verdict has no implicit ids and no
-    equality certificate.
+    of the trace positive on exactly those rows.  The tight rows are found
+    when the witness is checked, but the replay runs, and is checked
+    against them (InvariantError on a mismatch), only the first time
+    either is read; both are then kept, so a caller that reads only the
+    flag or the witness never pays for the replay and no caller sees ids
+    that were not checked.  The trace is dropped once they are kept.  An
+    infeasible verdict has no implicit ids and no equality certificate.
     """
 
     feasible: bool
@@ -185,13 +186,13 @@ class _History:
     core.integer_row when the chain starts, a kept row's is the reduced
     vector the pair step computed, with den 1.  `next_id` is the floor for
     fresh ids, so ids are unique along the chain and one dict serves every
-    chain system.  `steps` holds each EliminationStep in order, and
-    `fibers` the matching rows that mention the eliminated variable, as
+    chain system.  `steps` holds each EliminationStep in order (during
+    step k, k - 1 of them: the history rule reads k off it), and `fibers`
+    the matching rows that mention the eliminated variable, as
     (row, coefficients, rhs, den): back-substitution reads them.
     """
 
     def __init__(self, system: System):
-        self.depth = 0
         self.of = {c.cid: {frozenset((c.cid,))} for c in system.constraints}
         nvars = len(system.variables)
         self.ints = {c.cid: integer_row(c, nvars) for c in system.constraints}
@@ -226,8 +227,7 @@ def eliminate_var(system: System, var: int, *, history: _History | None = None) 
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
     if history is None:
         history = _History(system)
-    history.depth += 1
-    limit = history.depth + 1
+    limit = len(history.steps) + 2  # step k = len(steps) + 1 allows k + 1 ids
 
     ints = history.ints
     passthrough = []
@@ -294,22 +294,22 @@ def eliminate_var(system: System, var: int, *, history: _History | None = None) 
 
 
 def _chain(
-    system: System, order: list[int], greedy: bool = False, stop_at_contradiction: bool = True
+    system: System, pending: set[int], stop_at_contradiction: bool = True
 ) -> tuple[System, EliminationTrace, int | None, _History]:
-    """The one elimination loop: eliminate `order` in turn (greedy: the
-    cheapest remaining variable each step), threading the chain's history
+    """The one elimination loop: eliminate the variables in `pending`, the
+    cheapest first each step (_cheapest_var), threading the chain's history
     through eliminate_var.  Returns the last system, the trace, the id of a
     contradiction row in the last system or None, and the history (the
     chain state); by default it stops at the first contradiction."""
     history = _History(system)
     current = system
-    pending = list(order)
+    pending = set(pending)
     while True:
         contradictions = (c.cid for c in current.constraints if is_zero_row(c) is RowClass.CONTRADICTION)
         bad = next(contradictions, None)
         if not pending or (bad is not None and stop_at_contradiction):
             return current, EliminationTrace(frozenset(system.ids()), tuple(history.steps)), bad, history
-        var = _cheapest_var(current, pending, history.ints) if greedy else pending[0]
+        var = _cheapest_var(current, pending, history.ints)
         pending.remove(var)
         current, _ = eliminate_var(current, var, history=history)
 
@@ -380,51 +380,49 @@ def _cheapest_var(system: System, remaining, ints: dict[int, IntegerRow]) -> int
     return best[1]
 
 
-def feasibility(system: System, order: str | None = None) -> FeasibilityVerdict:
-    """Decide the system exactly, with evidence either way.
+def feasibility(system: System) -> FeasibilityVerdict:
+    """Decide the system exactly, with evidence either way, eliminating the
+    cheapest variable first each step (_chain).
 
-    Feasible verdicts carry a witness point (midpoint back-substitution);
-    the implicit equalities (the <= rows tight there) and a certificate
-    weighting exactly them are found on first read and checked against
-    each other, a mismatch raising InvariantError (FeasibilityVerdict).
-    Infeasible verdicts carry nonnegative multipliers over the input rows
-    whose combination is a contradiction row, checked before they are
-    returned (InvariantError if the check fails).
+    Feasible verdicts carry a witness point (midpoint back-substitution),
+    checked against every input row before it is returned: a row it fails,
+    or a strict row tight there, raises InvariantError.  The implicit
+    equalities (the <= rows tight there) and a certificate weighting
+    exactly them are checked against each other on first read, a mismatch
+    raising InvariantError (FeasibilityVerdict).  Infeasible verdicts carry
+    nonnegative multipliers over the input rows whose combination is a
+    contradiction row, checked before they are returned (InvariantError if
+    the check fails).
 
-    By default variables go in table order, which keeps witnesses stable;
-    order="greedy" picks the cheapest variable each step instead (same
-    verdicts, implicit ids and valid evidence, different intermediate
-    growth), which the cone and implicit modules use.  Any other order is
-    refused with LincertError.
-
-    The greedy verdict is kept in the system's memo under
-    "greedy_feasibility" (core.System): the analyses ask it of one system
-    more than once, as implicit_set then is_full_dimensional do, and the
-    second time repeats no elimination.  Table order, which the check path
-    asks once per system, is decided afresh every time.  The verdict's lazy
-    evidence holds the rows, the trace and the input rows' integer forms,
-    never the system, so the memo makes no reference cycle; it is dropped
-    once the evidence is read.
+    The verdict is kept in the system's memo under "feasibility"
+    (core.System): the analyses ask it of one system more than once, as
+    implicit_set then is_full_dimensional do, and the second time repeats
+    no elimination.  The verdict's lazy evidence holds the rows, the trace
+    and the ids of the rows tight at the witness, never the system, so the
+    memo makes no reference cycle; it is dropped once the evidence is read.
     """
-    if order == "greedy":
-        return system._remember("greedy_feasibility", partial(_decide, system, True))
-    if order is not None:
-        raise LincertError(f'elimination order must be None (table order) or "greedy", not {order!r}')
-    return _decide(system, False)
+    return system._remember("feasibility", partial(_decide, system))
 
 
-def _decide(system: System, greedy: bool) -> FeasibilityVerdict:
+def _decide(system: System) -> FeasibilityVerdict:
     nvars = len(system.variables)
-    _, trace, bad, history = _chain(system, list(range(nvars)), greedy)
+    _, trace, bad, history = _chain(system, set(range(nvars)))
     if bad is not None:
         certificate = farkas_from_trace(trace, bad)
         if not is_infeasibility_certificate(system, certificate):
             raise InvariantError("Farkas certificate does not combine the rows into a contradiction")
         return FeasibilityVerdict(False, certificate=certificate)
     known, den = _back_substitute(history, nvars)
+    tight = set()
+    for c in system.constraints:
+        coeffs, rhs, _ = history.ints[c.cid]
+        slack = rhs * den - sum(map(mul, coeffs, known))  # the row's slack at known/den, times den * its den
+        if not c.relation.holds(0, slack):
+            raise InvariantError(f"witness fails constraint {c.cid}")
+        if slack == 0 and c.relation is Relation.LE:
+            tight.add(c.cid)
     witness = Point(tuple((v, Fraction(k, den)) for v, k in enumerate(known)))
-    rows = [(c.cid, history.ints[c.cid]) for c in system.constraints if c.relation is Relation.LE]
-    evidence = partial(_equality_evidence, system.variables, system.constraints, trace, rows, known, den)
+    evidence = partial(_equality_evidence, system.variables, system.constraints, trace, frozenset(tight))
     return FeasibilityVerdict(True, witness, _find_evidence=evidence)
 
 
@@ -432,17 +430,14 @@ def _equality_evidence(
     variables: tuple[str, ...],
     constraints: tuple[Constraint, ...],
     trace: EliminationTrace,
-    rows: list[tuple[int, IntegerRow]],
-    known: list[int],
-    den: int,
+    implicit: frozenset[int],
 ) -> tuple[frozenset[int], MultiplierVector]:
-    """(implicit ids, equality certificate) of a feasible chain: the <= rows,
-    given as (cid, integer form), tight at the witness known/den, and the
-    trace's equality certificate, which must weight exactly them.  The
-    system is rebuilt from its variables and rows for the replay and the
-    check, and dropped after them."""
+    """(implicit ids, equality certificate) of a feasible chain: the <= rows
+    tight at the witness, `implicit`, and the trace's equality certificate,
+    which must weight exactly them.  The system is rebuilt from its
+    variables and rows for the replay and the check, and dropped after
+    them."""
     system = System(variables, constraints)
-    implicit = frozenset(cid for cid, (coeffs, rhs, _) in rows if sum(map(mul, coeffs, known)) == rhs * den)
     lam = equality_certificate(system, trace)
     if set(lam.ids()) != implicit or not check_multiplier_certificate(system, lam):
         raise InvariantError("equality certificate does not match the rows tight at the witness")
@@ -450,13 +445,13 @@ def _equality_evidence(
 
 
 def project(system: System, keep: set[int] | frozenset[int]) -> System:
-    """Eliminate every variable not in `keep` (table order); solution set is
-    the coordinate projection."""
+    """Eliminate every variable not in `keep`, the cheapest first (_chain);
+    the solution set is the coordinate projection."""
     for v in keep:
         if not 0 <= v < len(system.variables):
             raise UnknownVariableError(f"no variable index {v}")
-    order = [v for v in range(len(system.variables)) if v not in keep]
-    return _chain(system, order, stop_at_contradiction=False)[0]
+    eliminated = set(range(len(system.variables))) - set(keep)
+    return _chain(system, eliminated, stop_at_contradiction=False)[0]
 
 
 def _spread(weights: dict[int, tuple[int, int]], derivation: Derivation, num: int, den: int) -> None:

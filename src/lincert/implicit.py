@@ -40,7 +40,7 @@ def implicit_set(system: System) -> ImplicitReport:
     for c in system.constraints:
         if c.relation is Relation.EQ:
             raise RelationError(f"constraint {c.cid} is an equality; expand it first")
-    verdict = feasibility(system, order="greedy")
+    verdict = feasibility(system)
     if not verdict.feasible:
         return ImplicitReport(False, frozenset(), MultiplierVector())
     return ImplicitReport(True, verdict.implicit_ids, verdict.equality_certificate)
@@ -71,7 +71,7 @@ def nonzero_multiplier_exists(system: System) -> tuple[bool, MultiplierVector | 
     eqs.append(({n: -c for n, c in rhs_coeffs.items()}, "<=", 0))
 
     probe = eqs + [({n: -1 for n in names}, "<=", -1)]
-    verdict = feasibility(make_system(names, mains=probe, nonneg="all"), order="greedy")
+    verdict = feasibility(make_system(names, mains=probe, nonneg="all"))
     if not verdict.feasible:
         return False, None
     lam = MultiplierVector.of({rows[j].cid: verdict.witness.value(j) for j in range(len(rows))})

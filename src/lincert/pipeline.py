@@ -49,9 +49,9 @@ from .core import (
     Provenance,
     Relation,
     System,
-    ZERO,
     integer_row,
     interval_of,
+    sign_row,
     validate_standard_shape,
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
@@ -116,7 +116,7 @@ class WorkingSystem:
             rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
         cid = 1 + len(self.cone_rows)
         for v in range(nvars):
-            rows.append(Constraint(cid + v, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
+            rows.append(sign_row(cid + v, v))
         return System(self.cone_variables, tuple(rows))
 
     @cached_property

@@ -26,7 +26,7 @@ from .core import (
     Provenance,
     Relation,
     System,
-    ZERO,
+    sign_row,
 )
 
 
@@ -161,9 +161,7 @@ def parse(text: str) -> System:
         if n in seen:
             continue
         seen.add(n)
-        rows.append(
-            Constraint(cid, LinearExpr.from_terms({index[n]: -1}), Relation.LE, ZERO, Provenance.sign())
-        )
+        rows.append(sign_row(cid, index[n]))
         cid += 1
     return System(variables, tuple(rows), objective, is_cone)
 

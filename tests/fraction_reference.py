@@ -2,7 +2,8 @@
 pair step, Fourier back-substitution and the tight-row test, the Farkas
 and equality-certificate replays, the one-variable interval, the
 multiplier combination and the certificate checks built on it, the strong
-elementary dual, and the helpers the tests share.
+elementary dual, the homogenized primal cone, and the helpers the tests
+share.
 
 `lincert.gauss` substitutes, `lincert.fourier` combines pairs,
 back-substitutes, tests rows for tightness and replays its traces, and
@@ -35,6 +36,7 @@ from lincert.core import (
     rat,
     validate_standard_shape,
 )
+from lincert.cone import PrimalCone
 from lincert.dual import ElementaryDual
 from lincert.fourier import EliminationStep, ProducedRow, _pick_midpoint, project
 
@@ -287,6 +289,23 @@ def strong_elementary_dual_reference(primal, objective, sigma=None):
     origin = tuple((i, mains[i].cid) for i in range(nlam))
     row_origin = tuple((j, j) for j in range(nvars))
     return ElementaryDual(System(variables, tuple(rows)), nvars, origin, row_origin, objective, sigma)
+
+
+def homogenize_reference(primal):
+    """The primal cone through `LinearExpr.from_terms`: main row i becomes
+    a_i x - r_i z <= 0 under id i, then one sign row per variable, z
+    (named "z") last, as in `lincert.cone`."""
+    mains, _ = validate_standard_shape(primal)
+    z = len(primal.variables)
+    rows = []
+    for i, row in enumerate(mains):
+        terms = dict(row.expr.terms)
+        terms[z] = -row.rhs
+        rows.append(Constraint(i, LinearExpr.from_terms(terms), Relation.LE, ZERO, Provenance.main()))
+    for v in range(z + 1):
+        rows.append(Constraint(len(mains) + v, LinearExpr.from_terms({v: -1}), Relation.LE, ZERO, Provenance.sign()))
+    origin = tuple((i, row.cid) for i, row in enumerate(mains))
+    return PrimalCone(System(primal.variables + ("z",), tuple(rows), is_cone=True), z, origin)
 
 
 def terminal_interval(system, var):

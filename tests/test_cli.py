@@ -91,7 +91,7 @@ def test_internal_error_has_its_own_exit_code(files, capsys, monkeypatch):
     import lincert.cli
     from lincert.core import InvariantError
 
-    def broken(system, order=None):
+    def broken(system):
         raise InvariantError("oracle witness failed verification")
 
     monkeypatch.setattr(lincert.cli, "feasibility", broken)
@@ -109,6 +109,17 @@ def test_a_wrong_farkas_certificate_exits_4(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: Farkas certificate does not combine the rows into a contradiction\n"
+
+
+def test_a_witness_off_the_system_exits_4(files, capsys, monkeypatch):
+    # feasibility checks the witness it makes, so `check` reports one that
+    # fails a row as an internal error rather than printing it.  The origin
+    # fails x - y <= -1 (row 1).
+    monkeypatch.setattr("lincert.fourier._back_substitute", lambda history, nvars: ([0] * nvars, 1))
+    assert main(["check", files["sec2"], "--json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: witness fails constraint 1\n"
 
 
 def test_fourier_projection(files, capsys):

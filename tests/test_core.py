@@ -222,8 +222,8 @@ def test_certificate_checks_on_rows_with_denominators(rows, weights, equality, i
 def test_the_memo_is_no_part_of_the_system_value():
     s = section2_primal()
     fresh = System(s.variables, s.constraints, s.objective, s.is_cone)
-    assert feasibility(s, "greedy") is feasibility(s, "greedy")
-    assert set(s._memo) == {"greedy_feasibility"} and fresh._memo == {}
+    assert feasibility(s) is feasibility(s)
+    assert set(s._memo) == {"feasibility"} and fresh._memo == {}
     assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
     assert "_memo" not in repr(s)
     assert s.with_rows(s.constraints)._memo == {}
@@ -231,30 +231,26 @@ def test_the_memo_is_no_part_of_the_system_value():
     assert expand_equalities(s)._memo == {}
 
 
-def test_only_the_greedy_order_is_served_from_the_memo():
-    s = section2_primal(rhs2=1)
-    greedy = feasibility(s, "greedy")
-    first, second = feasibility(s), feasibility(s)
-    assert first is not second and first == second
-    assert first is not greedy
-    assert set(s._memo) == {"greedy_feasibility"}
-    assert feasibility(s, "greedy") is greedy
+def test_every_verdict_is_served_from_the_memo():
+    # Fourier has one elimination order, so a system has one verdict, kept
+    # under one key: asking again, feasible or not, repeats no elimination.
+    for s in (section2_primal(rhs2=1), section2_primal(rhs1=-2, rhs2=1)):
+        first = feasibility(s)
+        assert feasibility(s) is first
+        assert set(s._memo) == {"feasibility"}
 
 
 def test_a_call_that_raises_stores_nothing():
     pinned = make_system(["x"], mains=[({"x": 1}, "=", 0)], nonneg="all")
     unsigned = make_system(["x"], mains=[({"x": 1}, "<=", 1)])
     for fn, system, error in [
-        (lambda system: feasibility(system, "greedy"), pinned, RelationError),
+        (feasibility, pinned, RelationError),
         (cone.is_bounded, pinned, RelationError),
         (cone.primal_cone, unsigned, ShapeError),
     ]:
         with pytest.raises(error):
             fn(system)
         assert system._memo == {}
-    with pytest.raises(LincertError):
-        feasibility(unsigned, [0, 0])
-    assert unsigned._memo == {}
 
 
 def test_evaluate_examples():

@@ -178,15 +178,15 @@ def test_extension_status_of_unsolvable_primal():
 def test_extension_status_makes_one_probe(monkeypatch):
     calls = []
 
-    def counted(system, order=None):
-        calls.append(order)
-        return feasibility(system, order)
+    def counted(system):
+        calls.append(system)
+        return feasibility(system)
 
     monkeypatch.setattr(lincert.dual, "feasibility", counted)
     assert extension_status(elementary_dual(section2_primal())).implicit
-    assert calls == [None]
+    assert len(calls) == 1
     assert not extension_status(elementary_dual(section2_primal(rhs1=-2, rhs2=1))).implicit
-    assert calls == [None, None]
+    assert len(calls) == 2
 
 
 def test_extension_status_of_infeasible_strong_dual_is_an_error():

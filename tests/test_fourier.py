@@ -18,7 +18,6 @@ from lincert.core import (
     Constraint,
     InfeasibleSystemError,
     InvariantError,
-    LincertError,
     LinearExpr,
     MultiplierVector,
     Point,
@@ -146,25 +145,31 @@ def test_feasibility_infeasible_variant_certifies():
 
 def test_feasibility_checks_its_farkas_certificate(monkeypatch):
     # A replay that gives a vector whose combination is no contradiction
-    # is a lincert bug: feasibility raises in either order and stores
-    # nothing.
+    # is a lincert bug: feasibility raises and stores nothing.
     sys = section2_primal(rhs1=-2, rhs2=1)
     monkeypatch.setattr("lincert.fourier.farkas_from_trace", lambda trace, cid: MultiplierVector.of({0: 1}))
-    for order in (None, "greedy"):
-        with pytest.raises(InvariantError, match="Farkas certificate"):
-            feasibility(sys, order)
+    with pytest.raises(InvariantError, match="Farkas certificate"):
+        feasibility(sys)
     assert sys._memo == {}
 
 
-def test_explicit_order_must_list_each_variable_once():
-    # No explicit list is an order any more, not even a permutation of the
-    # variables: only table order (None) and "greedy" are.  Both verdicts
-    # refuse the rest before any elimination, storing nothing.
-    for sys in (section2_primal(), section2_primal(rhs1=-2, rhs2=1)):
-        for order in ([1, 0], [0], [0, 0], [0, 1, 2], "table", "", 0, False):
-            with pytest.raises(LincertError, match="greedy"):
-                feasibility(sys, order)
-            assert sys._memo == {}
+@pytest.mark.parametrize(
+    "rows, point, failing",
+    [
+        # The origin fails x - y <= -1 (row 1).
+        ([({"x": -1, "y": 1}, "<=", 2), ({"x": 1, "y": -1}, "<=", -1)], [0, 0], 1),
+        # x = 1 is on the feasible side of x < 1 but tight there (row 0).
+        ([({"x": 1}, "<", 1), ({"x": -1}, "<", 1)], [1, 0], 0),
+    ],
+)
+def test_feasibility_checks_its_witness(monkeypatch, rows, point, failing):
+    # A back-substitution that gives a point failing a row, or tight on a
+    # strict row, is a lincert bug: feasibility raises and stores nothing.
+    sys = make_system(["x", "y"], mains=rows)
+    monkeypatch.setattr("lincert.fourier._back_substitute", lambda history, nvars: (point, 1))
+    with pytest.raises(InvariantError, match=f"witness fails constraint {failing}$"):
+        feasibility(sys)
+    assert sys._memo == {}
 
 
 def test_feasibility_empty_system():
@@ -377,8 +382,8 @@ def test_certificates_always_verify(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_verdict_is_invariant_under_order_permutation_and_scaling(data):
-    # Table order on a system whose variable table is permuted eliminates
-    # the variables in that permuted order.
+    # Permuting the variable table changes which variable wins a tie for
+    # the cheapest, so the chain may eliminate in another order.
     names, rows = _draw_mixed_rows(data, max_vars=4, max_rows=6)
     base = make_system(names, mains=rows)
     expected = feasibility(base)
@@ -391,38 +396,36 @@ def test_verdict_is_invariant_under_order_permutation_and_scaling(data):
         mains=[({n: c * k for n, c in coeffs.items()}, rel, rhs * k) for (coeffs, rel, rhs), k in zip(rows, scales)],
     )
     for sys in (base, reordered, permuted, scaled):
-        for how in (None, "greedy"):
-            verdict = feasibility(sys, order=how)
-            assert verdict.feasible == expected.feasible
-            assert _evidence_holds(sys, verdict)
+        verdict = feasibility(sys)
+        assert verdict.feasible == expected.feasible
+        assert _evidence_holds(sys, verdict)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_farkas_replay_matches_the_descending_id_walk(data):
-    # On an infeasible chain, in table and in greedy order, every derived
-    # row, the contradiction among them, replays step by step to the same
-    # multipliers as the walk by descending ids.
+    # On an infeasible chain every derived row, the contradiction among
+    # them, replays step by step to the same multipliers as the walk by
+    # descending ids.
     names, rows = _draw_mixed_rows(data, max_vars=4, max_rows=7)
     nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
     system = make_system(names, mains=rows, nonneg=nonneg)
     assume(not feasibility(system).feasible)
-    for greedy in (False, True):
-        _, trace, bad, _ = _chain(system, list(range(len(names))), greedy)
-        assert bad is not None
-        for cid in [bad] + [row.cid for step in trace.steps for row in step.produced]:
-            assert farkas_from_trace(trace, cid) == farkas_reference(trace, cid)
+    _, trace, bad, _ = _chain(system, set(range(len(names))))
+    assert bad is not None
+    for cid in [bad] + [row.cid for step in trace.steps for row in step.produced]:
+        assert farkas_from_trace(trace, cid) == farkas_reference(trace, cid)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_integer_back_half_matches_the_fraction_reference(data):
     # Rows with p/q coefficients, all four relations and some variables
-    # unsigned, in table and in greedy order: the witness and the implicit
-    # ids (checked against the equality certificate on read) equal the
-    # Fraction back-substitution and tight-row test exactly.  The chain
-    # systems the reference reads are rebuilt by public eliminate_var calls
-    # over one history, in the order the chain chose.
+    # unsigned: the witness and the implicit ids (checked against the
+    # equality certificate on read) equal the Fraction back-substitution
+    # and tight-row test exactly.  The chain systems the reference reads
+    # are rebuilt by public eliminate_var calls over one history, in the
+    # order the chain chose.
     nvars = data.draw(st.integers(1, 4))
     names = [f"x{i}" for i in range(nvars)]
     lines = [f"vars: {' '.join(names)}"]
@@ -436,20 +439,19 @@ def test_integer_back_half_matches_the_fraction_reference(data):
     if signed:
         lines.append("nonneg: " + " ".join(signed))
     system = parse("\n".join(lines) + "\n")
-    for how, greedy in ((None, False), ("greedy", True)):
-        last, trace, bad, _ = _chain(system, list(range(nvars)), greedy)
-        verdict = feasibility(system, order=how)
-        assert verdict.feasible == (bad is None)
-        if verdict.feasible:
-            chosen = [step.var for step in trace.steps]
-            history = _History(system)
-            chain = [system]
-            for var in chosen:
-                chain.append(eliminate_var(chain[-1], var, history=history)[0])
-            assert chain[-1] == last and tuple(history.steps) == trace.steps
-            witness = back_substitute_fraction(chain, chosen)
-            assert verdict.witness == witness
-            assert verdict.implicit_ids == tight_rows_fraction(system, witness)
+    last, trace, bad, _ = _chain(system, set(range(nvars)))
+    verdict = feasibility(system)
+    assert verdict.feasible == (bad is None)
+    if verdict.feasible:
+        chosen = [step.var for step in trace.steps]
+        history = _History(system)
+        chain = [system]
+        for var in chosen:
+            chain.append(eliminate_var(chain[-1], var, history=history)[0])
+        assert chain[-1] == last and tuple(history.steps) == trace.steps
+        witness = back_substitute_fraction(chain, chosen)
+        assert verdict.witness == witness
+        assert verdict.implicit_ids == tight_rows_fraction(system, witness)
 
 
 @settings(max_examples=200, deadline=None)
@@ -459,8 +461,9 @@ def test_equality_certificate_matches_the_fraction_replay(data):
     # by k (k < 0 makes the row and its copy an equality pair, so [0] <= 0
     # rows are derived), sometimes the coprime sum of a pair that cancels
     # x0 (it merges with the row eliminating x0 derives), perhaps with its
-    # negation (so the merged row carries weight), and a [0] <= 0 row.  On every feasible chain, in table and in greedy order, the
-    # integer replay equals the Fraction one by repr.
+    # negation (so the merged row carries weight), and a [0] <= 0 row.  On
+    # every feasible chain the integer replay equals the Fraction one by
+    # repr.
     nvars = data.draw(st.integers(1, 4))
     names = [f"x{i}" for i in range(nvars)]
     row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), le_or_lt, small_fractions)
@@ -488,11 +491,10 @@ def test_equality_certificate_matches_the_fraction_replay(data):
         rows.append(([0] * nvars, "<=", 0))
     nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
     system = make_system(names, mains=[(dict(zip(names, a)), rel, r) for a, rel, r in rows], nonneg=nonneg)
-    for greedy in (False, True):
-        _, trace, bad, _ = _chain(system, list(range(nvars)), greedy)
-        if bad is None:
-            lam = equality_certificate(system, trace)
-            assert repr(lam) == repr(equality_certificate_reference(system, trace))
+    _, trace, bad, _ = _chain(system, set(range(nvars)))
+    if bad is None:
+        lam = equality_certificate(system, trace)
+        assert repr(lam) == repr(equality_certificate_reference(system, trace))
 
 
 def test_equality_certificate_splits_a_merged_row_over_its_derivations():
@@ -504,7 +506,7 @@ def test_equality_certificate_splits_a_merged_row_over_its_derivations():
         ["x", "y"],
         mains=[({"x": 1, "y": 1}, "<=", 1), ({"x": -1, "y": 1}, "<=", 1), ({"y": 1}, "<=", 1), ({"y": -1}, "<=", -1)],
     )
-    _, trace, bad, _ = _chain(system, [0, 1])
+    _, trace, bad, _ = _chain(system, {0, 1})
     assert bad is None and trace.steps[0].merged and trace.steps[1].zero_rows
     expected = MultiplierVector.of({0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2), 3: 1})
     assert equality_certificate(system, trace) == expected == equality_certificate_reference(system, trace)
@@ -528,7 +530,7 @@ def test_merged_duplicate_keeps_every_history():
     sys = base.with_rows(
         Constraint(c.cid, c.expr, Relation.LT, c.rhs, c.provenance) if c.cid == 4 else c for c in base.constraints
     )
-    verdict = feasibility(sys, order="greedy")
+    verdict = feasibility(sys)
     assert not verdict.feasible
     assert is_infeasibility_certificate(sys, verdict.certificate)
 

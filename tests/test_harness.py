@@ -4,10 +4,9 @@ from pathlib import Path
 import pytest
 
 import lincert.pipeline
-from lincert import harness
-from lincert.core import InvariantError, LincertError, Point, evaluate, make_system
+from lincert.core import InvariantError, LincertError, evaluate, make_system
 from lincert.cone import is_bounded
-from lincert.fourier import FeasibilityVerdict, feasibility, is_infeasibility_certificate
+from lincert.fourier import feasibility, is_infeasibility_certificate
 from lincert.harness import (
     CounterStream,
     GenParams,
@@ -168,11 +167,11 @@ def test_oracle_evidence_is_rechecked_per_trial():
 
 
 def test_run_trial_raises_when_oracle_evidence_fails(monkeypatch):
-    # A witness that fails its check is a lincert bug, not a trial result.
+    # A witness that fails its check is a lincert bug, not a trial result:
+    # feasibility raises on it and run_trial re-raises.  x = 5 fails x <= 1.
     system = make_system(["x"], mains=[({"x": 1}, "<=", 1)], nonneg="all")
-    bad = FeasibilityVerdict(True, witness=Point.of({0: 5}))
-    monkeypatch.setattr(harness, "feasibility", lambda system, order=None: bad)
-    with pytest.raises(InvariantError):
+    monkeypatch.setattr("lincert.fourier._back_substitute", lambda history, nvars: ([5] * nvars, 1))
+    with pytest.raises(InvariantError, match="witness fails constraint 0"):
         run_trial(0, system)
 
 

@@ -52,7 +52,7 @@ def _implicit_by_row(system):
     return {
         c.cid
         for c in system.constraints
-        if c.relation is Relation.LE and not feasibility(_strict(system, {c.cid}), order="greedy").feasible
+        if c.relation is Relation.LE and not feasibility(_strict(system, {c.cid})).feasible
     }
 
 
@@ -231,9 +231,9 @@ def test_nonzero_multiplier_exists_matches_per_row_probes(sys):
 def _count_feasibility_calls(monkeypatch):
     calls = []
 
-    def counted(system, order=None):
-        calls.append(order)
-        return feasibility(system, order)
+    def counted(system):
+        calls.append(system)
+        return feasibility(system)
 
     monkeypatch.setattr(lincert.implicit, "feasibility", counted)
     return calls
@@ -278,8 +278,8 @@ def test_flag_only_callers_never_replay_the_equality_certificate(monkeypatch):
     replays = _count_certificate_replays(monkeypatch)
     feasible_seen = []
     for module in (lincert.cone, lincert.harness):
-        def recorded(system, order=None):
-            verdict = feasibility(system, order)
+        def recorded(system):
+            verdict = feasibility(system)
             feasible_seen.append(verdict.feasible)
             return verdict
         monkeypatch.setattr(module, "feasibility", recorded)
@@ -328,19 +328,19 @@ def _tight_rows(system, point):
 def test_rows_tight_at_the_witness_are_the_implicit_equalities(sys, data):
     # The witness lies in the relative interior of the solution set, so under
     # any elimination order the rows tight there are the implicit equalities.
-    # Table order on the system with its variable table permuted is one more
-    # order; row ids stay, so the implicit set does too.
+    # Permuting the variable table changes which variable wins a tie for the
+    # cheapest, so it may give one more order; row ids stay, so the implicit
+    # set does too.
     if not feasibility(sys).feasible:
         return
     per_row = _implicit_by_row(sys)
     renamed = _renamed(sys, data.draw(st.permutations(range(len(sys.variables)))))
     for system in (sys, renamed):
-        for order in (None, "greedy"):
-            verdict = feasibility(system, order=order)
-            assert verdict.feasible
-            assert _tight_rows(system, verdict.witness) == verdict.implicit_ids == per_row
-            lam = verdict.equality_certificate
-            assert set(lam.ids()) == per_row and check_multiplier_certificate(system, lam)
+        verdict = feasibility(system)
+        assert verdict.feasible
+        assert _tight_rows(system, verdict.witness) == verdict.implicit_ids == per_row
+        lam = verdict.equality_certificate
+        assert set(lam.ids()) == per_row and check_multiplier_certificate(system, lam)
 
 
 def _renamed(system, permutation):
@@ -406,7 +406,7 @@ def test_full_dimension_after_implicit_set_repeats_no_elimination(monkeypatch):
     assert not is_full_dimensional(pinned)
     assert len(chains) == 1 and len(replays) == 1
     assert feasibility(pinned).feasible and feasibility(pinned).feasible
-    assert len(chains) == 3
+    assert len(chains) == 1
 
 
 def test_origin_test_reads_the_primals_memo(monkeypatch):
@@ -452,7 +452,6 @@ def _fresh(system):
 @given(sys=small_systems())
 def test_memoized_answers_match_a_fresh_copy(sys):
     questions = [
-        lambda s: _verdict_answers(feasibility(s, "greedy")),
         lambda s: _verdict_answers(feasibility(s)),
         implicit_set,
         is_full_dimensional,
@@ -470,7 +469,7 @@ def test_a_dropped_system_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         system = pinned()
-        verdict = feasibility(system, "greedy")
+        verdict = feasibility(system)
         held = weakref.ref(system)
         del system
         assert held() is None
@@ -483,7 +482,7 @@ def test_a_dropped_system_is_freed_without_the_cycle_collector():
         assert run(system).solvable
         assert not explore(system).pivot_sensitive
         assert set(system._memo) == {
-            "greedy_feasibility", "primal_cone", "has_solution_at_infinity", "working_system"
+            "feasibility", "primal_cone", "has_solution_at_infinity", "working_system"
         }
         held = weakref.ref(system)
         del system
