@@ -39,6 +39,7 @@ MODES = [
     ["cone", "FILE", "--analyze", "--json"],
     ["fourier", "FILE", "--eliminate", "x1", "--json"],
     ["dual", "FILE", "--json"],
+    ["dual", "FILE", "--strong", "--objective", "x1", "--sigma", "2", "--json"],
 ]
 
 # Runs in the child: reads [system text, ...] on stdin, writes

@@ -137,6 +137,8 @@ def cmd_fourier(args) -> int:
 
 def cmd_dual(args) -> int:
     out = Output(args)
+    if not args.strong and (args.objective is not None or args.sigma is not None):
+        raise LincertError("--objective and --sigma need --strong")
     primal = _read_system(args.file)
     if args.strong:
         if args.objective:
@@ -150,7 +152,6 @@ def cmd_dual(args) -> int:
         sigma = parse_rational(args.sigma) if args.sigma is not None else None
         dual = strong_elementary_dual(primal, objective, sigma)
     else:
-        objective = None
         dual = elementary_dual(primal)
     comments = {}
     for cid, var in dual.row_origin:

@@ -4,16 +4,20 @@ Setting a pivot row a0*x0 + L0 <= r0 to equality substitutes
 x0 = (r0 - L0)/a0 into every other row.  On a cone this is the classic
 single-pivot step; unlike Fourier pairing it can create "parasite"
 multipliers: weightings valid on the new system that do not lift back to the
-old one.  The transfer table scales weights by each row's |coefficient| on
-x0, the eliminated variable's sign row turns into a main row carrying its old
-weight, and the reversal formula
+old one.  Everything the certificate side needs is the pivot column, each
+row's coefficient a_i on x0.  A row that mentions x0 becomes
+(row_i - (a_i/a0)*pivot) / |a_i|, so a weighting mu transfers as
+mu'_i = |a_i| * mu_i on every row that mentions x0 (the sign row -x0 <= 0
+keeps its weight) and mu'_i = mu_i on the rest.  The new weighted sum is
+then sum(mu_i * row_i) over the other rows plus the pivot weighted
+-sum(a_i * mu_i) / a0, so the lift back is mu_i = mu'_i / |a_i| with the
+pivot's weight from the column balance
 
-    |a0| * mu_pivot = -sum(same-sign weights) + sum(opposite weights)
-                      + sign(a0) * promoted-row weight
+    a0 * mu_pivot + sum(a_i * mu_i) = 0,
 
-recovers the pivot's weight.  A negative reconstruction is exactly the
-parasite case, and rearranging the identity then exhibits the pivot row as a
-nonnegative combination of the others (the pivot was redundant).
+for any right sides and for a pivot that only pins x0.  A negative mu_pivot
+is exactly the parasite case, and the balance then exhibits the pivot row as
+a nonnegative combination of the others (the pivot was redundant).
 
 The substitution itself runs once, on integer rows, in the fraction-free
 style of Bareiss (1968).  Each row is held as a positive integer multiple R
@@ -26,11 +30,11 @@ has no x0 term, and N / (|A|*|A0|) is exactly the row the Fraction formula
 below emits: the scales of R and P cancel.  `pivot_integer_rows` computes N
 and keeps it divided by its gcd; `pivot_system` also returns the `Fraction`
 system, one Fraction(N_v, |A|*|A0|) per entry, and `substitute_through` is
-that on a `System`.  `classify` groups the rows around a pivot for the
+that on a `System`.  `classify` records the pivot column for the
 certificate side: `transfer_multipliers`, `reverse_multipliers` and
-`redundancy_witness` work from its grouping.  Transformed rows keep their
-constraint ids (the pivot's id disappears), so multiplier vectors on the old
-and new systems share a key space.
+`redundancy_witness` work from it.  Transformed rows keep their constraint
+ids (the pivot's id disappears), so multiplier vectors on the old and new
+systems share a key space.
 """
 
 from __future__ import annotations
@@ -45,13 +49,12 @@ from .core import (
     LincertError,
     LinearExpr,
     MultiplierVector,
-    NonHomogeneousError,
     Provenance,
     Relation,
     RelationError,
     System,
-    ZERO,
     check_multiplier_certificate,
+    combine,
     integer_row,
 )
 
@@ -65,20 +68,7 @@ class PivotClassification:
     system: System
     var: int
     pivot_id: int
-    pivot_scale: Fraction             # |a0| > 0
-    pivot_sign: int                   # sign of a0
-    same_sign: tuple[int, ...]        # rows whose x0 coefficient matches sign(a0)
-    opposite: tuple[int, ...]
-    free: tuple[int, ...]             # non-sign rows without x0
-    var_sign_id: int | None           # the -x0 <= 0 row, when present
-    other_signs: tuple[int, ...]
-    scales: tuple[tuple[int, Fraction], ...]  # |x0 coefficient| per grouped row
-
-    def scale_of(self, cid: int) -> Fraction:
-        for i, s in self.scales:
-            if i == cid:
-                return s
-        raise LincertError(f"constraint {cid} carries no scale factor")
+    column: tuple[tuple[int, Fraction], ...]  # (cid, coefficient on var) per row, in system order
 
 
 @dataclass(frozen=True)
@@ -88,79 +78,43 @@ class ReversalResult:
     pivot_weight: Fraction                # may be negative (the parasite signal)
 
 
-def classify(system: System, var: int, pivot_id: int, homogeneous: bool = True) -> PivotClassification:
-    """Group rows around a pivot for substitution-elimination of `var`.
-
-    Requires a usable pivot: nonzero coefficient on `var` and a remainder
-    that is not the zero form (a bare a*x0 <= 0 row just pins the variable;
-    callers handle that case their own way).
-    """
+def _checked_pivot(system: System, var: int, pivot_id: int) -> Constraint:
+    """The pivot row, once every row is '<=' and the pivot mentions var."""
     pivot = system.constraint(pivot_id)
     for c in system.constraints:
         if c.relation is not Relation.LE:
             raise RelationError(f"constraint {c.cid} has relation {c.relation.value!r}; expected '<='")
-        if homogeneous and c.rhs != 0:
-            raise NonHomogeneousError(f"constraint {c.cid} has nonzero right side {c.rhs}")
-    a0 = pivot.expr.coeff(var)
-    if a0 == 0:
+    if pivot.expr.coeff(var) == 0:
         raise PivotError(f"pivot row {pivot_id} has no {system.variables[var]!r} term")
-    if homogeneous and pivot.expr.drop(var).is_zero:
-        raise PivotError(f"pivot row {pivot_id} has zero remainder; it only pins the variable")
+    return pivot
 
-    same, opp, free, others = [], [], [], []
-    var_sign_id = None
-    scales = []
-    for c in system.constraints:
-        if c.cid == pivot_id:
-            continue
-        if c.provenance.kind == "sign":
-            if c.expr.coeff(var) != 0:
-                var_sign_id = c.cid
-            else:
-                others.append(c.cid)
-            continue
-        a = c.expr.coeff(var)
-        if a == 0:
-            free.append(c.cid)
-        elif (a > 0) == (a0 > 0):
-            same.append(c.cid)
-            scales.append((c.cid, abs(a)))
-        else:
-            opp.append(c.cid)
-            scales.append((c.cid, abs(a)))
-    return PivotClassification(
-        system=system,
-        var=var,
-        pivot_id=pivot_id,
-        pivot_scale=abs(a0),
-        pivot_sign=1 if a0 > 0 else -1,
-        same_sign=tuple(same),
-        opposite=tuple(opp),
-        free=tuple(free),
-        var_sign_id=var_sign_id,
-        other_signs=tuple(others),
-        scales=tuple(scales),
-    )
+
+def classify(system: System, var: int, pivot_id: int) -> PivotClassification:
+    """The pivot column of substitution-elimination of `var` through
+    `pivot_id`, checked as `substitute_through` checks its input."""
+    _checked_pivot(system, var, pivot_id)
+    column = tuple((c.cid, c.expr.coeff(var)) for c in system.constraints)
+    return PivotClassification(system, var, pivot_id, column)
 
 
 def integer_rows(system: System) -> tuple:
-    """The rows of `system` as (cid, coefficients, rhs, strict, pivotable),
-    in system order: the coefficients are a dense tuple over the variables
+    """The rows of `system` as (cid, coefficients, rhs, pivotable), in
+    system order: the coefficients are a dense tuple over the variables
     and, with rhs, the coprime integer positive multiple of the row
-    (`core.integer_row` divided by its gcd).  Sign and extension rows are
-    not pivotable."""
+    (`core.integer_row` divided by its gcd).  Every row must be '<='.
+    Sign and extension rows are not pivotable."""
     rows = []
     nvars = len(system.variables)
     for c in system.constraints:
-        if c.relation is Relation.EQ:
-            raise RelationError(f"constraint {c.cid} is an equality; expand it first")
+        if c.relation is not Relation.LE:
+            raise RelationError(f"constraint {c.cid} has relation {c.relation.value!r}; expected '<='")
         coeffs, rhs, _ = integer_row(c, nvars)
         g = gcd(*coeffs, rhs)
         if g > 1:
             coeffs = [x // g for x in coeffs]
             rhs //= g
         pivotable = c.provenance.kind not in ("sign", "extension")
-        rows.append((c.cid, tuple(coeffs), rhs, c.relation is Relation.LT, pivotable))
+        rows.append((c.cid, tuple(coeffs), rhs, pivotable))
     return tuple(rows)
 
 
@@ -171,7 +125,7 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = N
     and every other row becomes N = |a0|*row - a*sign(a0)*pivot divided by
     its gcd, pivotable.  When `unreduced` is a list, each rewritten row's
     (N, N's rhs) before that division is appended to it, in row order."""
-    _, pivot, pivot_rhs, _, _ = rows[p]
+    _, pivot, pivot_rhs, _ = rows[p]
     a0 = pivot[var]
     m0 = abs(a0)
     s0 = 1 if a0 > 0 else -1
@@ -179,7 +133,7 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = N
     for i, row in enumerate(rows):
         if i == p:
             continue
-        cid, coeffs, rhs, strict, _ = row
+        cid, coeffs, rhs, _ = row
         a = coeffs[var]
         if not a:
             out.append(row)
@@ -193,7 +147,7 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = N
         if g > 1:
             new = [x // g for x in new]
             new_rhs //= g
-        out.append((cid, tuple(new), new_rhs, strict, True))
+        out.append((cid, tuple(new), new_rhs, True))
     return tuple(out)
 
 
@@ -225,61 +179,44 @@ def substitute_through(system: System, var: int, pivot_id: int) -> System:
 
     Each other row a*x0 + L <= r with a != 0 becomes
         (1/|a|)L - (sign(a)/a0)L0 <= r/|a| - sign(a)*r0/a0,
-    the substituted row divided by |a|, matching the transfer table.  The
+    the substituted row divided by |a|, as transfer_multipliers assumes.  The
     variable's sign row -x0 <= 0 thereby becomes the main row
     (1/a0)L0 <= r0/a0.  Rows without x0 pass through unchanged and every row
     keeps its id.  Right sides may be nonzero.  Only what the substitution
     needs is checked: every row is '<=' and the pivot mentions x0; `classify`
-    carries the certificate bookkeeping.
+    records the pivot column for the certificate side.
 
     The rows are computed on integer rows (`pivot_system`): with R and P
     the coprime integer rows of a row and of the pivot, and A, A0 their x0
     coefficients, the row above is exactly (|A0|*R - A*sign(A0)*P) / (|A|*|A0|).
     """
-    pivot = system.constraint(pivot_id)
-    for c in system.constraints:
-        if c.relation is not Relation.LE:
-            raise RelationError(f"constraint {c.cid} has relation {c.relation.value!r}; expected '<='")
-    if pivot.expr.coeff(var) == 0:
-        raise PivotError(f"pivot row {pivot_id} has no {system.variables[var]!r} term")
+    pivot = _checked_pivot(system, var, pivot_id)
     p = system.constraints.index(pivot)
     return pivot_system(system, integer_rows(system), p, var)[1]
 
 
 def transfer_multipliers(cls: PivotClassification, mu: MultiplierVector) -> MultiplierVector:
-    """Push a valid certificate through the substitution.
-
-    Same-sign and opposite rows pick up their |coefficient| as a factor, free
-    rows and untouched sign rows keep their weights, and the promoted row
-    inherits the sign row's weight unscaled.  The pivot's weight is dropped;
-    reverse_multipliers recovers it.
-    """
+    """Push a valid certificate through the substitution: each row that
+    mentions the variable picks up its |coefficient| as a factor, the other
+    rows keep their weights, and the pivot's weight is dropped
+    (reverse_multipliers recovers it)."""
     if not check_multiplier_certificate(cls.system, mu):
         raise LincertError("multipliers are not a valid certificate on the source system")
-    weights: dict[int, Fraction] = {}
-    for cid in cls.same_sign + cls.opposite:
-        weights[cid] = mu.get(cid) * cls.scale_of(cid)
-    for cid in cls.free + cls.other_signs:
-        weights[cid] = mu.get(cid)
-    if cls.var_sign_id is not None:
-        weights[cls.var_sign_id] = mu.get(cls.var_sign_id)
-    return MultiplierVector.of(weights)
+    column = dict(cls.column)
+    return MultiplierVector.of((cid, w * (abs(column[cid]) or 1)) for cid, w in mu.entries if cid != cls.pivot_id)
 
 
-def _reconstruct(cls: PivotClassification, mu_new: MultiplierVector):
-    promoted = mu_new.get(cls.var_sign_id) if cls.var_sign_id is not None else ZERO
-    pivot_weight = (
-        -sum((mu_new.get(cid) for cid in cls.same_sign), ZERO)
-        + sum((mu_new.get(cid) for cid in cls.opposite), ZERO)
-        + cls.pivot_sign * promoted
-    ) / cls.pivot_scale
-    weights: dict[int, Fraction] = {cls.pivot_id: pivot_weight}
-    for cid in cls.same_sign + cls.opposite:
-        weights[cid] = mu_new.get(cid) / cls.scale_of(cid)
-    for cid in cls.free + cls.other_signs:
-        weights[cid] = mu_new.get(cid)
-    if cls.var_sign_id is not None:
-        weights[cls.var_sign_id] = promoted
+def _lift(cls: PivotClassification, mu_new: MultiplierVector) -> tuple[Fraction, dict[int, Fraction]]:
+    """(pivot weight, the other rows' weights) on the source system for a
+    certificate on the substituted system: mu_i = mu'_i / |a_i| on the rows
+    that mention the variable, mu_i = mu'_i on the rest, and the pivot's
+    weight from the column balance a0 * mu_p + sum(a_i * mu_i) = 0."""
+    new_system = substitute_through(cls.system, cls.var, cls.pivot_id)
+    if not check_multiplier_certificate(new_system, mu_new):
+        raise LincertError("multipliers are not a valid certificate on the substituted system")
+    column = dict(cls.column)
+    weights = {cid: w / (abs(column[cid]) or 1) for cid, w in mu_new.entries}
+    pivot_weight = -sum(column[cid] * w for cid, w in weights.items()) / column[cls.pivot_id]
     return pivot_weight, weights
 
 
@@ -287,17 +224,14 @@ def reverse_multipliers(cls: PivotClassification, mu_new: MultiplierVector) -> R
     """Lift a certificate on the substituted system back, or report Parasite.
 
     Legitimate means the reconstructed pivot weight is nonnegative; the
-    transfer identity then makes the reconstructed vector a certificate on
+    column balance then makes the reconstructed vector a certificate on
     the source system, and a failed check is an InvariantError.  A negative
     weight is a parasite weighting and a redundancy witness for the pivot row.
     """
-    new_system = substitute_through(cls.system, cls.var, cls.pivot_id)
-    if not check_multiplier_certificate(new_system, mu_new):
-        raise LincertError("multipliers are not a valid certificate on the substituted system")
-    pivot_weight, weights = _reconstruct(cls, mu_new)
+    pivot_weight, weights = _lift(cls, mu_new)
     if pivot_weight < 0:
         return ReversalResult(False, None, pivot_weight)
-    lifted = MultiplierVector.of(weights)
+    lifted = MultiplierVector.of(weights | {cls.pivot_id: pivot_weight})
     if not check_multiplier_certificate(cls.system, lifted):
         raise InvariantError("lifted multipliers failed their check on the source system")
     return ReversalResult(True, lifted, pivot_weight)
@@ -306,21 +240,12 @@ def reverse_multipliers(cls: PivotClassification, mu_new: MultiplierVector) -> R
 def redundancy_witness(cls: PivotClassification, mu_new: MultiplierVector) -> MultiplierVector:
     """For a parasite weighting, express the pivot row as a nonnegative
     combination of the other rows."""
-    result = reverse_multipliers(cls, mu_new)
-    if result.legitimate:
+    pivot_weight, weights = _lift(cls, mu_new)
+    if pivot_weight >= 0:
         raise LincertError("pivot row is not redundant: the multipliers lift back")
-    _, weights = _reconstruct(cls, mu_new)
-    scale = -result.pivot_weight
-    witness = MultiplierVector.of(
-        {cid: w / scale for cid, w in weights.items() if cid != cls.pivot_id}
-    )
+    witness = MultiplierVector.of({cid: w / -pivot_weight for cid, w in weights.items()})
     pivot = cls.system.constraint(cls.pivot_id)
-    total = LinearExpr()
-    rhs = ZERO
-    for cid, w in witness.entries:
-        row = cls.system.constraint(cid)
-        total = total + row.expr.scale(w)
-        rhs += row.rhs * w
-    if total != pivot.expr or rhs != pivot.rhs:
+    total = combine(cls.system, witness)
+    if total.expr != pivot.expr or total.rhs != pivot.rhs:
         raise InvariantError("redundancy witness failed verification")  # pragma: no cover
     return witness

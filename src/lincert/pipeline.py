@@ -228,11 +228,11 @@ def _build_working_system(primal: System) -> WorkingSystem:
     for j in range(nvars):
         coeffs = [-a[j] * (den // d) for a, _, d in forms]
         g = gcd(*coeffs, den)
-        rows.append((j, tuple(x // g for x in coeffs), -den // g, False, True))
+        rows.append((j, tuple(x // g for x in coeffs), -den // g, True))
     ext_id = nvars
-    rows.append((ext_id, (1,) + (0,) * (nlam - 1), 1, False, False))
+    rows.append((ext_id, (1,) + (0,) * (nlam - 1), 1, False))
     for i in range(nlam):
-        rows.append((ext_id + 1 + i, tuple(-1 if k == i else 0 for k in range(nlam)), 0, False, False))
+        rows.append((ext_id + 1 + i, tuple(-1 if k == i else 0 for k in range(nlam)), 0, False))
 
     labels = [(j, f"row-{cone.variables[j]}") for j in range(nvars)]
     labels.append((ext_id, "extension"))
@@ -248,7 +248,7 @@ def _pivot_kind(label: str) -> str:
 def _main_first(rows: tuple, labels: dict[int, str], var: int) -> int | None:
     """Index of the pivot the default rule takes: among the pivotable rows
     that mention var, the original main rows first, then the lowest id."""
-    candidates = [i for i, row in enumerate(rows) if row[4] and row[1][var]]
+    candidates = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
     if not candidates:
         return None
     originals = [i for i in candidates if labels[rows[i][0]].startswith("row-")]
@@ -277,7 +277,7 @@ def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str
     if row_label not in by_label:
         raise PivotRuleError(f"no row labeled {row_label!r} at this step")
     p = by_label[row_label]
-    if not rows[p][4]:
+    if not rows[p][3]:
         raise PivotRuleError(f"row {row_label!r} is not an admissible pivot")
     if not rows[p][1][var]:
         raise PivotRuleError(f"row {row_label!r} does not mention {names[var]}")
@@ -285,8 +285,9 @@ def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str
 
 
 def _outcome(rows: tuple) -> tuple[Interval, str]:
-    """The interval and verdict of integer rows that mention only l1."""
-    interval = interval_of((coeffs[LAMBDA_ONE], rhs, strict) for _, coeffs, rhs, strict, _ in rows)
+    """The interval and verdict of integer rows that mention only l1; every
+    row is '<=' (`gauss.integer_rows`)."""
+    interval = interval_of((coeffs[LAMBDA_ONE], rhs, False) for _, coeffs, rhs, _ in rows)
     return interval, "solvable" if interval.is_point(1) else "unsolvable"
 
 
@@ -338,7 +339,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     when two sequences end in different verdicts.
 
     The walk runs on the working system's integer rows (`gauss.integer_rows`'
-    form: constraint id, coefficients, rhs, strict, pivotable), each the coprime
+    form: constraint id, coefficients, rhs, pivotable), each the coprime
     integer multiple of its row, in constraint-id order, and pivots with
     `gauss.pivot_integer_rows`.  A rewritten row is |a|*|a0| times the row
     `substitute_through` emits, divided by its gcd, the promoted sign row
@@ -381,7 +382,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
             moves = [
                 (labels[row[0]], pivot_integer_rows(rows, i, var))
                 for i, row in enumerate(rows)
-                if row[4] and row[1][var]
+                if row[3] and row[1][var]
             ]
             for label, new_rows in moves or [("zero", _drop_sign_row(rows, var))]:
                 sub_outcomes, sub_count = visit(new_rows, rest)
@@ -412,7 +413,7 @@ def _drop_sign_row(rows: tuple, var: int) -> tuple:
     dropped = False
     for row in rows:
         if row[1][var]:
-            if not dropped and not row[4] and row[1] == sign:
+            if not dropped and not row[3] and row[1] == sign:
                 dropped = True
                 continue
             raise InvariantError("fallback hit a row that still mentions the variable")

@@ -294,37 +294,32 @@ def test_criterion_8_cone_dichotomy():
 
 def test_criterion_9_transfer_round_trip():
     with Budget("criterion 9: multiplier transfer round trip", 60.0):
+        # Nonzero right sides, and pivots on any row, sign rows and rows
+        # that only pin their variable included.
         stream = CounterStream(20244, "planted")
-        done = 0
-        while done < 200:
+        for _ in range(200):
             nvars = stream.randint(1, 3)
             names = [f"x{i + 1}" for i in range(nvars)]
             k = stream.randint(2, 4)
-            rows = [{n: stream.randint(-3, 3) for n in names} for _ in range(k - 1)]
+            rows = [({n: stream.randint(-3, 3) for n in names}, stream.randint(-3, 3)) for _ in range(k - 1)]
             weights = [Fraction(stream.randint(1, 4)) for _ in range(k)]
             sign_weights = [Fraction(stream.randint(0, 2)) for _ in range(nvars)]
             total = {n: Fraction(0) for n in names}
-            for row, w in zip(rows, weights[:-1]):
+            total_rhs = Fraction(0)
+            for (row, rhs), w in zip(rows, weights[:-1]):
                 for n, c in row.items():
                     total[n] += w * c
+                total_rhs += w * rhs
             for i, n in enumerate(names):
                 total[n] -= sign_weights[i]
-            rows.append({n: -total[n] / weights[-1] for n in names})
-            system = make_system(names, mains=[(r, "<=", 0) for r in rows], nonneg="all")
+            rows.append(({n: -total[n] / weights[-1] for n in names}, -total_rhs / weights[-1]))
+            system = make_system(names, mains=[(r, "<=", rhs) for r, rhs in rows], nonneg="all")
             mu = MultiplierVector.of(
                 {i: weights[i] for i in range(k)}
                 | {k + i: sign_weights[i] for i in range(nvars)}
             )
             assert check_multiplier_certificate(system, mu)
-            pivots = [
-                (v, c.cid)
-                for c in system.main_rows()
-                for v, _ in c.expr.terms
-                if not c.expr.drop(v).is_zero
-            ]
-            if not pivots:
-                continue
-            done += 1
+            pivots = [(v, c.cid) for c in system.constraints for v, _ in c.expr.terms]
             var, pid = pivots[stream.randint(0, len(pivots) - 1)]
             cls = classify(system, var, pid)
             moved = transfer_multipliers(cls, mu)

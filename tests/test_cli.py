@@ -163,6 +163,14 @@ def test_dual_strong_needs_objective(files, capsys):
     assert main(["dual", files["sec2"], "--strong"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--sigma", "3"], ["--objective", "x"], ["--objective", "x", "--sigma", "3"]])
+def test_dual_refuses_strong_dual_flags_without_strong(files, capsys, flags):
+    assert main(["dual", files["sec2"], *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --objective and --sigma need --strong\n"
+
+
 def test_implicit_report(tmp_path, capsys):
     p = tmp_path / "im.sys"
     p.write_text("vars: y\n-3*y <= 0\ny <= 0\n")

@@ -11,7 +11,7 @@ from fraction_reference import (
     is_infeasibility_certificate_reference,
 )
 
-from lincert import cone, gauss
+from lincert import cone, pipeline
 from lincert.core import (
     Constraint,
     LincertError,
@@ -50,7 +50,7 @@ def section2_primal(rhs1=2, rhs2=-1):
 
 
 def test_non_homogeneous_error_is_shared():
-    assert gauss.NonHomogeneousError is cone.NonHomogeneousError is NonHomogeneousError
+    assert pipeline.NonHomogeneousError is cone.NonHomogeneousError is NonHomogeneousError
 
 
 def test_rat_rejects_floats():

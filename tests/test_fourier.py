@@ -34,6 +34,7 @@ from lincert.fourier import (
     ProducedRow,
     _History,
     _chain,
+    _cheapest_var,
     eliminate_var,
     equality_certificate,
     farkas_from_trace,
@@ -239,11 +240,11 @@ def test_farkas_multi_step_chain():
     assert verdict.certificate == MultiplierVector.of({0: 1, 1: 1, 2: 1})
 
 
-def _random_system(rng, max_vars=3, max_rows=4, bound=3, relations=("<=",)):
-    nvars = rng.randint(1, max_vars)
+def _random_system(rng, max_vars=3, max_rows=4, bound=3, relations=("<=",), min_vars=1, min_rows=1):
+    nvars = rng.randint(min_vars, max_vars)
     names = [f"x{i}" for i in range(nvars)]
     rows = []
-    for _ in range(rng.randint(1, max_rows)):
+    for _ in range(rng.randint(min_rows, max_rows)):
         coeffs = {n: rng.randint(-bound, bound) for n in names}
         rows.append((coeffs, rng.choice(relations), rng.randint(-bound, bound)))
     return make_system(names, mains=rows)
@@ -534,6 +535,23 @@ def test_merged_duplicate_keeps_every_history():
     assert not verdict.feasible
     assert is_infeasibility_certificate(sys, verdict.certificate)
 
+
+
+def test_chernikov_limit_bounds_every_history():
+    # After k eliminations every history holds at most k + 1 input ids
+    # (_History).  A merged duplicate's first derivation may span more, so
+    # the bound is read off the histories step by step, not off the trace.
+    for seed in range(200):
+        rng = random.Random(seed)
+        system = _random_system(rng, max_vars=4, max_rows=7, relations=("<=", "<"), min_vars=3, min_rows=4)
+        history = _History(system)
+        pending = set(range(len(system.variables)))
+        while pending:
+            var = _cheapest_var(system, pending, history.ints)
+            pending.remove(var)
+            system, _ = eliminate_var(system, var, history=history)
+            k = len(history.steps)
+            assert all(len(h) <= k + 1 for hs in history.of.values() for h in hs), (seed, k)
 
 
 def matches_fraction_reference(system, var):

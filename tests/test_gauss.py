@@ -15,9 +15,9 @@ from lincert.core import (
     make_system,
 )
 from lincert.gauss import (
-    NonHomogeneousError,
     PivotError,
     classify,
+    integer_rows,
     redundancy_witness,
     reverse_multipliers,
     substitute_through,
@@ -39,12 +39,7 @@ def parasite_cone():
 
 def test_classify_parasite_cone():
     cls = classify(parasite_cone(), 0, 0)
-    assert cls.pivot_scale == 1 and cls.pivot_sign == 1
-    assert cls.same_sign == (1,)
-    assert cls.opposite == (2,)
-    assert cls.free == ()
-    assert cls.var_sign_id is None
-    assert cls.scale_of(1) == 2 and cls.scale_of(2) == 1
+    assert cls.column == ((0, 1), (1, 2), (2, -1))
 
 
 def test_classify_negative_pivot_coefficient():
@@ -57,9 +52,7 @@ def test_classify_negative_pivot_coefficient():
         ],
     )
     cls = classify(sys, 0, 0)
-    assert cls.pivot_sign == -1 and cls.pivot_scale == 1
-    assert cls.same_sign == (2,)  # same sign as the pivot's -1
-    assert cls.opposite == (1,)
+    assert cls.column == ((0, -1), (1, 2), (2, -3))
 
 
 def test_classify_sign_rows_are_slotted():
@@ -69,21 +62,17 @@ def test_classify_sign_rows_are_slotted():
         nonneg="all",
     )
     cls = classify(sys, 0, 0)
-    assert cls.var_sign_id == 2  # the -x <= 0 row
-    assert 3 in cls.other_signs
-    assert cls.free == (1,)
+    assert cls.column == ((0, 1), (1, 0), (2, -1), (3, 0))  # row 2 is -x <= 0
 
 
 def test_classify_errors():
     sys = parasite_cone()
     with pytest.raises(PivotError):
         classify(make_system(["x", "y"], mains=[({"y": 1}, "<=", 0), ({"x": 1, "y": 1}, "<=", 0)]), 0, 0)
-    with pytest.raises(PivotError):
-        classify(make_system(["x", "y"], mains=[({"x": 2}, "<=", 0), ({"x": 1, "y": 1}, "<=", 0)]), 0, 0)
-    with pytest.raises(NonHomogeneousError):
-        classify(make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<=", 1)]), 0, 0)
     with pytest.raises(RelationError):
         classify(make_system(["x", "y"], mains=[({"x": 1, "y": 1}, "<", 0)]), 0, 0)
+    with pytest.raises(UnknownConstraintError):
+        classify(sys, 0, 7)
 
 
 def test_substitute_through_checks_its_own_inputs():
@@ -93,6 +82,12 @@ def test_substitute_through_checks_its_own_inputs():
         substitute_through(make_system(["x", "y"], mains=[({"y": 1}, "<=", 0), ({"x": 1, "y": 1}, "<=", 0)]), 0, 0)
     with pytest.raises(UnknownConstraintError):
         substitute_through(parasite_cone(), 0, 7)
+
+
+def test_integer_rows_refuse_strict_and_equality_rows():
+    for rel in ("<", "="):
+        with pytest.raises(RelationError, match="expected '<='"):
+            integer_rows(make_system(["x"], mains=[({"x": 1}, "<=", 0), ({"x": 1}, rel, 1)]))
 
 
 def test_substitute_parasite_cone_rows():
@@ -173,49 +168,45 @@ def test_transfer_rejects_invalid_certificates():
 
 
 def _planted_instance(rng, max_vars=3, max_rows=4):
-    """Homogeneous system with sign rows and a planted positive certificate."""
+    """System with sign rows, nonzero right sides and a planted positive
+    certificate: the weighted rows sum to [0] <= 0, right sides included."""
     nvars = rng.randint(1, max_vars)
     names = [f"x{i}" for i in range(nvars)]
     k = rng.randint(2, max_rows)
     rows = []
     for _ in range(k - 1):
-        rows.append({n: rng.randint(-3, 3) for n in names})
+        rows.append(({n: rng.randint(-3, 3) for n in names}, rng.randint(-3, 3)))
     weights = [Fraction(rng.randint(1, 4)) for _ in range(k)]
     sign_weights = [Fraction(rng.randint(0, 2)) for _ in range(nvars)]
     total = {n: Fraction(0) for n in names}
-    for row, w in zip(rows, weights[:-1]):
+    total_rhs = Fraction(0)
+    for (row, rhs), w in zip(rows, weights[:-1]):
         for n, c in row.items():
             total[n] += w * c
+        total_rhs += w * rhs
     for i, n in enumerate(names):
         total[n] -= sign_weights[i]
-    last = {n: -total[n] / weights[-1] for n in names}
-    rows.append(last)
-    sys = make_system(names, mains=[(r, "<=", 0) for r in rows], nonneg="all")
+    rows.append(({n: -total[n] / weights[-1] for n in names}, -total_rhs / weights[-1]))
+    sys = make_system(names, mains=[(r, "<=", rhs) for r, rhs in rows], nonneg="all")
     mu = {i: weights[i] for i in range(k)}
     for i in range(nvars):
         mu[k + i] = sign_weights[i]
     return sys, MultiplierVector.of(mu)
 
 
-def _usable_pivots(sys):
-    out = []
-    for c in sys.main_rows():
-        for v, _ in c.expr.terms:
-            if not c.expr.drop(v).is_zero:
-                out.append((v, c.cid))
-    return out
+def _pivots(sys):
+    """Every (variable, row) a pivot can be taken on, sign rows and rows
+    that only pin their variable included."""
+    return [(v, c.cid) for c in sys.constraints for v, _ in c.expr.terms]
 
 
 def test_transfer_and_reverse_round_trip_on_planted_instances():
     rng = random.Random(41)
-    done = 0
-    while done < 80:
+    pinning = inhomogeneous = 0
+    for _ in range(80):
         sys, mu = _planted_instance(rng)
         assert check_multiplier_certificate(sys, mu)
-        pivots = _usable_pivots(sys)
-        if not pivots:
-            continue
-        done += 1
+        pivots = _pivots(sys)
         var, pid = pivots[rng.randrange(len(pivots))]
         cls = classify(sys, var, pid)
         moved = transfer_multipliers(cls, mu)
@@ -225,6 +216,10 @@ def test_transfer_and_reverse_round_trip_on_planted_instances():
         assert result.legitimate
         assert result.multipliers == mu
         assert result.pivot_weight == mu.get(pid)
+        pinning += sys.constraint(pid).expr.drop(var).is_zero
+        inhomogeneous += any(c.rhs for c in sys.constraints)
+    # The draws reach nonzero right sides and pivots that only pin their variable.
+    assert pinning and inhomogeneous
 
 
 def test_parasite_detection_on_worked_example():
@@ -265,7 +260,7 @@ def test_reverse_multipliers_raises_when_a_nonnegative_lift_fails(monkeypatch):
     # A nonnegative pivot weight lifts to a certificate by the transfer
     # identity; a lift that fails its check is a bug, not a parasite.
     cls = classify(parasite_cone(), 0, 0)
-    monkeypatch.setattr(gauss, "_reconstruct", lambda cls, mu_new: (Fraction(1), {0: Fraction(1)}))
+    monkeypatch.setattr(gauss, "_lift", lambda cls, mu_new: (Fraction(1), {}))
     with pytest.raises(InvariantError):
         reverse_multipliers(cls, MultiplierVector.of({}))
 

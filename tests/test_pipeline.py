@@ -160,6 +160,7 @@ def test_working_rows_are_the_integer_rows_of_the_fraction_dual(data):
     augmented, ones = capped_cone_reference(primal)
     assert ws.augmented == augmented
     assert ws.system == strong_elementary_dual(augmented, ones, sigma=2).system
+    # integer_rows refuses a '<' row, so the working rows need no strict flag.
     assert ws.rows == integer_rows(ws.system)
     assert ws.variables == ws.system.variables
     assert [cid for cid, _ in ws.labels] == list(ws.system.ids())
@@ -297,7 +298,7 @@ def test_sigma_certificate_survives_each_step():
         var = system.variables.index(var_name)
         labels = {cid: lab for cid, lab in ws.labels if system.has_constraint(cid)}
         pivot = next(c for c in system.constraints if labels.get(c.cid) == row_label)
-        cls = classify(system, var, pivot.cid, homogeneous=False)
+        cls = classify(system, var, pivot.cid)
         lam = transfer_multipliers(cls, lam)
         system = substitute_through(system, var, pivot.cid)
         assert check_multiplier_certificate(system, lam)
@@ -384,9 +385,9 @@ def test_fallback_zero_refuses_a_row_that_still_mentions_the_variable():
 
 def test_drop_sign_row_refuses_a_row_that_still_mentions_the_variable():
     rows = (
-        ("extension", (2, 1), 2, False, False),
-        ("sign-l1", (-1, 0), 0, False, False),
-        ("sign-l2", (0, -1), 0, False, False),
+        ("extension", (2, 1), 2, False),
+        ("sign-l1", (-1, 0), 0, False),
+        ("sign-l2", (0, -1), 0, False),
     )
     assert _drop_sign_row(rows[1:], 1) == rows[1:2]
     with pytest.raises(InvariantError, match="still mentions"):
