@@ -141,7 +141,7 @@ def cmd_dual(args) -> int:
         raise LincertError("--objective and --sigma need --strong")
     primal = _read_system(args.file)
     if args.strong:
-        if args.objective:
+        if args.objective is not None:
             objective = parse_expr(
                 args.objective, {n: i for i, n in enumerate(primal.variables)}, 0
             )

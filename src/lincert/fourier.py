@@ -37,20 +37,28 @@ a = A/den_P and -b = -B/den_N, and
 
 so the derived row, a coprime integer vector, is (B*P + A*N)/g with g the
 gcd of its entries and right side, and its derivation weights are
-B*den_P/g and A*den_N/g.  Each chain row's integer form is made once, an
-input row's when the chain starts and a kept row's by the pair step, and
-kept in _History.  The pair split, the choice of the next variable,
-back-substitution and the witness check, which also finds the tight rows,
-all read it.  Rows between steps are still Fraction Constraints, built
-once per kept row with one Fraction per nonzero entry.  The back half
-builds Fractions only for what it returns: back-substitution compares
-each fiber's bounds as integer pairs (core.interval_of) and builds its two
-winning bounds and its midpoint; both replays carry unreduced integer
-(numerator, denominator) weights and build one Fraction per input row;
-and the certificate checks, is_infeasibility_certificate here and
-core.check_multiplier_certificate, read core._combination's integer sums.
-feasibility checks every witness it makes and every Farkas certificate it
-replays.
+B*den_P/g and A*den_N/g.  The chain's state is integers only (_History):
+each row is one tuple (cid, coefficients, rhs, den, strict), an input
+row's made when the chain starts and a kept row's by the pair step, and
+each history is a bitmask over the input positions.  The pair split, the
+duplicate-merge keys, the choice of the next variable, the contradiction
+check, the fibers, back-substitution and the witness check, which also
+finds the tight rows, read only these tuples.  Each step still returns a
+Fraction System: a kept row's Constraint takes its Fractions from a memo
+that lives as long as the chain, so each distinct integer becomes one
+Fraction per chain.  A chain that stops at a contradiction (feasibility,
+not project) ends its step at the first contradiction row it derives;
+that is the row the full step would offer first, since the rows passed
+through were checked before the step and ids follow creation order.
+
+The back half builds Fractions only for what it returns:
+back-substitution compares each fiber's bounds as integer pairs
+(core.interval_of) and builds its two winning bounds and its midpoint;
+both replays carry unreduced integer (numerator, denominator) weights and
+build one Fraction per input row; and the certificate checks,
+is_infeasibility_certificate here and core.check_multiplier_certificate,
+read core._combination's integer sums.  feasibility checks every witness
+it makes and every Farkas certificate it replays.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Callable
@@ -72,7 +81,6 @@ from .core import (
     Provenance,
     Relation,
     RelationError,
-    RowClass,
     System,
     UnknownConstraintError,
     UnknownVariableError,
@@ -81,13 +89,13 @@ from .core import (
     check_multiplier_certificate,
     integer_row,
     interval_of,
-    is_zero_row,
 )
 
 # One derivation: ((parent_id, coefficient > 0), ...) whose weighted sum is the row.
 Derivation = tuple[tuple[int, Fraction], ...]
-# A row's integer form (coefficients, rhs, den), as core.integer_row makes it.
-IntegerRow = tuple[list[int], int, int]
+# A chain row (cid, coefficients, rhs, den, strict): the row times den, the
+# lcm of its denominators (core.integer_row), strict for a < row.
+ChainRow = tuple[int, tuple[int, ...], int, int, bool]
 
 
 @dataclass(frozen=True)
@@ -150,14 +158,23 @@ class FeasibilityVerdict:
         return self._evidence[1]
 
 
+class _Fractions(dict):
+    """A chain's memo of Fraction(n) per integer n, made on first use."""
+
+    def __missing__(self, n: int) -> Fraction:
+        value = self[n] = Fraction(n)
+        return value
+
+
 class _History:
     """The state of one elimination chain, and Chernikov's history rule
     (Kohler 1967) that it serves.
 
     Each chain row carries its histories: per derivation, the set of chain
-    inputs its multipliers are positive on.  After k eliminations a pair is
-    skipped before it is combined when every union of its parents' histories
-    has more than k + 1 ids.  Imbert's 1990 refinement is not used.
+    inputs its multipliers are positive on, as a bitmask over the inputs'
+    positions.  After k eliminations a pair is skipped before it is
+    combined when every union of its parents' histories has more than
+    k + 1 bits.  Imbert's 1990 refinement is not used.
 
     Why the solution set stays exact.  A chain row combines the inputs by a
     lambda in C_k = {lambda >= 0 : lambda A = 0}, A being the input columns
@@ -180,25 +197,37 @@ class _History:
     smallest history can skip them and leave back-substitution an empty
     interval.
 
-    The history also holds the rest of the chain state.  `ints` maps each
-    chain row's id to its integer form (coefficients, rhs, den), the row
-    times den as a dense integer vector: an input row's comes from
-    core.integer_row when the chain starts, a kept row's is the reduced
-    vector the pair step computed, with den 1.  `next_id` is the floor for
-    fresh ids, so ids are unique along the chain and one dict serves every
-    chain system.  `steps` holds each EliminationStep in order (during
-    step k, k - 1 of them: the history rule reads k off it), and `fibers`
-    the matching rows that mention the eliminated variable, as
-    (row, coefficients, rhs, den): back-substitution reads them.
+    The history also holds the rest of the chain state, all of it integers
+    but the trace.  `rows` holds the current chain system's rows as
+    ChainRow tuples, in its order, and `inputs` the input system's; `of`
+    maps each current row's id to its histories.  `bad` is the id of the
+    chain's first contradiction row, or None: an input row is checked when
+    the chain starts, a derived row when the pair step makes it, and a
+    contradiction, free of every variable, passes through every later step.
+    With `stop_at_contradiction` the step that derives it ends there.
+    `fractions` is the chain's Fraction memo.  `next_id` is the floor for
+    fresh ids, so ids are unique along the chain.  `steps` holds each
+    EliminationStep in order (during step k, k - 1 of them: the history
+    rule reads k off it), and `fibers` the matching rows that mention the
+    eliminated variable: back-substitution reads them.
     """
 
-    def __init__(self, system: System):
-        self.of = {c.cid: {frozenset((c.cid,))} for c in system.constraints}
+    def __init__(self, system: System, stop_at_contradiction: bool = False):
         nvars = len(system.variables)
-        self.ints = {c.cid: integer_row(c, nvars) for c in system.constraints}
+        self.rows: list[ChainRow] = []
+        self.bad: int | None = None
+        for c in system.constraints:
+            coeffs, rhs, den = integer_row(c, nvars)
+            self.rows.append((c.cid, tuple(coeffs), rhs, den, c.relation is Relation.LT))
+            if self.bad is None and not any(coeffs) and not c.relation.holds(0, rhs):
+                self.bad = c.cid
+        self.inputs = self.rows
+        self.of = {row[0]: {1 << i} for i, row in enumerate(self.rows)}
+        self.stop_at_contradiction = stop_at_contradiction
+        self.fractions = _Fractions()
         self.next_id = system.next_id()
         self.steps: list[EliminationStep] = []
-        self.fibers: list[list[tuple[Constraint, list[int], int, int]]] = []
+        self.fibers: list[list[ChainRow]] = []
 
 
 def eliminate_var(system: System, var: int, *, history: _History | None = None) -> tuple[System, EliminationTrace]:
@@ -216,81 +245,90 @@ def eliminate_var(system: System, var: int, *, history: _History | None = None) 
     derivation, so certificates are unaffected.  The step also records dropped
     [0] <= 0 rows and duplicates of pass-through rows (equality_certificate).
 
-    The chain loop passes the chain's history, which supplies the id floor
-    and records the step and its fiber.  A lone call needs none: every pair
-    then has a 2-id history, within the limit 1 + 1.
+    The chain loop passes the chain's history, which holds the system's
+    rows as integers, supplies the id floor and records the step and its
+    fiber; a history made with stop_at_contradiction ends the step at the
+    first contradiction row it derives.  A lone call needs none: every pair
+    then has a 2-id history, within the limit 1 + 1, and the step is full.
     """
     if not 0 <= var < len(system.variables):
         raise UnknownVariableError(f"no variable index {var}")
-    for c in system.constraints:
-        if c.relation is Relation.EQ:
-            raise RelationError(f"constraint {c.cid} is an equality; expand it first")
     if history is None:
         history = _History(system)
+    if not history.steps:  # later chain systems hold only rows this check passed and derived rows
+        for c in system.constraints:
+            if c.relation is Relation.EQ:
+                raise RelationError(f"constraint {c.cid} is an equality; expand it first")
     limit = len(history.steps) + 2  # step k = len(steps) + 1 allows k + 1 ids
 
-    ints = history.ints
-    passthrough = []
+    constraints = []
+    rows = []
     positive = []
     negative = []
-    for c in system.constraints:
-        form = ints[c.cid]
-        a = form[0][var]
+    for c, row in zip(system.constraints, history.rows):
+        a = row[1][var]
         if a == 0:
-            passthrough.append(c)
+            constraints.append(c)
+            rows.append(row)
         else:
-            (positive if a > 0 else negative).append((c, *form))
+            (positive if a > 0 else negative).append(row)
 
-    rows = list(passthrough)
-    histories = {c.cid: history.of[c.cid] for c in passthrough}
+    of = history.of
+    histories = {row[0]: of[row[0]] for row in rows}
     derivations_of: dict[int, tuple[Derivation, ...]] = {}
     zero_rows: list[Derivation] = []
     merged: list[tuple[int, Derivation]] = []
-    by_key = {(c.expr.terms, c.relation, c.rhs): c.cid for c in passthrough}
+    by_key = {row[1:]: row[0] for row in rows}  # (coefficients, rhs, den, strict) names the Fraction row
+    fractions = history.fractions
     next_id = history.next_id
-    for pos, p, p_rhs, den_p in positive:
+    for (p_cid, p, p_rhs, den_p, p_strict), (n_cid, n, n_rhs, den_n, n_strict) in product(positive, negative):
+        fits = {u for h in of[p_cid] for g in of[n_cid] if (u := h | g).bit_count() <= limit}
+        if not fits:
+            continue  # redundant by Chernikov's rule
         a = p[var]
-        pos_histories = history.of[pos.cid]
-        for neg, n, n_rhs, den_n in negative:
-            fits = {u for h in pos_histories for g in history.of[neg.cid] if len(u := h | g) <= limit}
-            if not fits:
-                continue  # redundant by Chernikov's rule
-            b = -n[var]
-            row = [b * x + a * y for x, y in zip(p, n)]
-            rhs = b * p_rhs + a * n_rhs
-            rel = Relation.LT if Relation.LT in (pos.relation, neg.relation) else Relation.LE
-            if not any(row) and rel.holds(0, rhs):
-                if rhs == 0:
-                    zero_rows.append(((pos.cid, Fraction(den_p, a)), (neg.cid, Fraction(den_n, b))))
-                continue  # derived tautology: var-free, never binds
-            g = gcd(*row, rhs) or a * b  # a strict pair cancelling to [0] < 0: weights as above
-            derivation: Derivation = ((pos.cid, Fraction(b * den_p, g)), (neg.cid, Fraction(a * den_n, g)))
-            terms = tuple((v, x // g) for v, x in enumerate(row) if x)
-            rhs //= g
-            key = (terms, rel, rhs)  # ints equal and hash as the Fractions they stand for
-            cid = by_key.get(key)
-            if cid is not None:
-                histories[cid] = histories[cid] | fits
-                if cid in derivations_of:
-                    derivations_of[cid] += (derivation,)
-                else:
-                    merged.append((cid, derivation))
-                continue
-            expr = LinearExpr(tuple((v, Fraction(x)) for v, x in terms))
-            rows.append(Constraint(next_id, expr, rel, Fraction(rhs), Provenance.derived((pos.cid, neg.cid))))
-            ints[next_id] = ([x // g for x in row], rhs, 1)
-            histories[next_id] = fits
-            derivations_of[next_id] = (derivation,)
-            by_key[key] = next_id
-            next_id += 1
+        b = -n[var]
+        row = [b * x + a * y for x, y in zip(p, n)]
+        rhs = b * p_rhs + a * n_rhs
+        strict = p_strict or n_strict
+        var_free = not any(row)
+        if var_free and (rhs > 0 or rhs == 0 and not strict):
+            if rhs == 0:
+                zero_rows.append(((p_cid, Fraction(den_p, a)), (n_cid, Fraction(den_n, b))))
+            continue  # derived tautology: var-free, never binds
+        g = gcd(*row, rhs) or a * b  # a strict pair cancelling to [0] < 0: weights as above
+        derivation: Derivation = ((p_cid, Fraction(b * den_p, g)), (n_cid, Fraction(a * den_n, g)))
+        coeffs = tuple(x // g for x in row)
+        rhs //= g
+        key = (coeffs, rhs, 1, strict)
+        cid = by_key.get(key)
+        if cid is not None:
+            histories[cid] = histories[cid] | fits
+            if cid in derivations_of:
+                derivations_of[cid] += (derivation,)
+            else:
+                merged.append((cid, derivation))
+            continue
+        expr = LinearExpr(tuple((v, fractions[x]) for v, x in enumerate(coeffs) if x))
+        relation = Relation.LT if strict else Relation.LE
+        constraints.append(Constraint(next_id, expr, relation, fractions[rhs], Provenance.derived((p_cid, n_cid))))
+        rows.append((next_id, *key))
+        histories[next_id] = fits
+        derivations_of[next_id] = (derivation,)
+        by_key[key] = next_id
+        next_id += 1
+        if var_free and history.bad is None:  # a contradiction: tautologies were dropped above
+            history.bad = next_id - 1
+            if history.stop_at_contradiction:
+                break
 
+    history.rows = rows
     history.of = histories
     history.next_id = next_id
     produced = tuple(ProducedRow(cid, d) for cid, d in derivations_of.items())
     step = EliminationStep(var, produced, tuple(zero_rows), tuple(merged))
     history.steps.append(step)
     history.fibers.append(positive + negative)
-    return system.with_rows(rows), EliminationTrace(frozenset(system.ids()), (step,))
+    return system.with_rows(constraints), EliminationTrace(frozenset(system.ids()), (step,))
 
 
 def _chain(
@@ -298,20 +336,17 @@ def _chain(
 ) -> tuple[System, EliminationTrace, int | None, _History]:
     """The one elimination loop: eliminate the variables in `pending`, the
     cheapest first each step (_cheapest_var), threading the chain's history
-    through eliminate_var.  Returns the last system, the trace, the id of a
-    contradiction row in the last system or None, and the history (the
-    chain state); by default it stops at the first contradiction."""
-    history = _History(system)
+    through eliminate_var.  Returns the last system, the trace, the id of
+    the chain's first contradiction row or None, and the history (the chain
+    state); by default it stops at the first contradiction, mid-step."""
+    history = _History(system, stop_at_contradiction)
     current = system
     pending = set(pending)
-    while True:
-        contradictions = (c.cid for c in current.constraints if is_zero_row(c) is RowClass.CONTRADICTION)
-        bad = next(contradictions, None)
-        if not pending or (bad is not None and stop_at_contradiction):
-            return current, EliminationTrace(frozenset(system.ids()), tuple(history.steps)), bad, history
-        var = _cheapest_var(current, pending, history.ints)
+    while pending and not (stop_at_contradiction and history.bad is not None):
+        var = _cheapest_var(history.rows, pending)
         pending.remove(var)
         current, _ = eliminate_var(current, var, history=history)
+    return current, EliminationTrace(frozenset(system.ids()), tuple(history.steps)), history.bad, history
 
 
 def _pick_midpoint(interval: Interval) -> Fraction:
@@ -348,8 +383,8 @@ def _back_substitute(history: _History, nvars: int) -> tuple[list[int], int]:
     for step, fiber in zip(reversed(history.steps), reversed(history.fibers)):
         var = step.var
         bounds = [
-            (coeffs[var] * den, rhs * den - sum(map(mul, coeffs, known)), c.relation is Relation.LT)
-            for c, coeffs, rhs, _ in fiber
+            (coeffs[var] * den, rhs * den - sum(map(mul, coeffs, known)), strict)
+            for _, coeffs, rhs, _, strict in fiber
         ]
         mid = _pick_midpoint(interval_of(bounds))
         if den % mid.denominator:
@@ -360,16 +395,15 @@ def _back_substitute(history: _History, nvars: int) -> tuple[list[int], int]:
     return known, den
 
 
-def _cheapest_var(system: System, remaining, ints: dict[int, IntegerRow]) -> int:
+def _cheapest_var(rows: list[ChainRow], remaining) -> int:
     """Variable whose elimination adds the fewest rows (classic FM heuristic);
-    deterministic tie-break on the index.  Signs are read off the rows'
-    integer forms (_History)."""
-    rows = [ints[c.cid][0] for c in system.constraints]
+    deterministic tie-break on the index.  Signs are read off the chain
+    rows (_History)."""
     best = None
     for var in sorted(remaining):
         pos = neg = 0
-        for coeffs in rows:
-            a = coeffs[var]
+        for row in rows:
+            a = row[1][var]
             if a > 0:
                 pos += 1
             elif a < 0:
@@ -414,8 +448,7 @@ def _decide(system: System) -> FeasibilityVerdict:
         return FeasibilityVerdict(False, certificate=certificate)
     known, den = _back_substitute(history, nvars)
     tight = set()
-    for c in system.constraints:
-        coeffs, rhs, _ = history.ints[c.cid]
+    for c, (_, coeffs, rhs, _, _) in zip(system.constraints, history.inputs):
         slack = rhs * den - sum(map(mul, coeffs, known))  # the row's slack at known/den, times den * its den
         if not c.relation.holds(0, slack):
             raise InvariantError(f"witness fails constraint {c.cid}")

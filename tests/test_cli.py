@@ -163,6 +163,17 @@ def test_dual_strong_needs_objective(files, capsys):
     assert main(["dual", files["sec2"], "--strong"]) == 2
 
 
+def test_dual_strong_refuses_an_empty_objective(tmp_path, capsys):
+    # An empty --objective is an expression to parse, not a missing flag:
+    # the file's maximize: line must not stand in for it.
+    p = tmp_path / "max.sys"
+    p.write_text("vars: x y\nmaximize: x + y\n-x + y <= 2\nx - y <= -1\nnonneg: all\n")
+    assert main(["dual", str(p), "--strong", "--objective", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 0: empty expression\n"
+
+
 @pytest.mark.parametrize("flags", [["--sigma", "3"], ["--objective", "x"], ["--objective", "x", "--sigma", "3"]])
 def test_dual_refuses_strong_dual_flags_without_strong(files, capsys, flags):
     assert main(["dual", files["sec2"], *flags]) == 2

@@ -31,6 +31,7 @@ from lincert.core import (
     make_system,
 )
 from lincert.fourier import (
+    EliminationTrace,
     ProducedRow,
     _History,
     _chain,
@@ -407,15 +408,27 @@ def test_verdict_is_invariant_under_order_permutation_and_scaling(data):
 def test_farkas_replay_matches_the_descending_id_walk(data):
     # On an infeasible chain every derived row, the contradiction among
     # them, replays step by step to the same multipliers as the walk by
-    # descending ids.
+    # descending ids.  The chain ends its last step at the contradiction;
+    # full steps by lone eliminate_var calls over one history, in the
+    # chain's order, reach the same first contradiction, and its replay
+    # is the verdict's certificate.
     names, rows = _draw_mixed_rows(data, max_vars=4, max_rows=7)
     nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
     system = make_system(names, mains=rows, nonneg=nonneg)
-    assume(not feasibility(system).feasible)
+    verdict = feasibility(system)
+    assume(not verdict.feasible)
     _, trace, bad, _ = _chain(system, set(range(len(names))))
     assert bad is not None
     for cid in [bad] + [row.cid for step in trace.steps for row in step.produced]:
         assert farkas_from_trace(trace, cid) == farkas_reference(trace, cid)
+    history = _History(system)
+    full = system
+    for step in trace.steps:
+        full = eliminate_var(full, step.var, history=history)[0]
+    full_trace = EliminationTrace(frozenset(system.ids()), tuple(history.steps))
+    contradictions = [c.cid for c in full.constraints if c.expr.is_zero and not c.relation.holds(0, c.rhs)]
+    assert history.bad == contradictions[0] == bad
+    assert verdict.certificate == farkas_from_trace(full_trace, bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -547,11 +560,11 @@ def test_chernikov_limit_bounds_every_history():
         history = _History(system)
         pending = set(range(len(system.variables)))
         while pending:
-            var = _cheapest_var(system, pending, history.ints)
+            var = _cheapest_var(history.rows, pending)
             pending.remove(var)
             system, _ = eliminate_var(system, var, history=history)
             k = len(history.steps)
-            assert all(len(h) <= k + 1 for hs in history.of.values() for h in hs), (seed, k)
+            assert all(h.bit_count() <= k + 1 for hs in history.of.values() for h in hs), (seed, k)
 
 
 def matches_fraction_reference(system, var):
