@@ -5,6 +5,8 @@ Prints every distinct terminal outcome of the elimination loop for the
 solvable three-row cone and for the pinched (origin-only) cone, which is the
 minimal pivot-sensitivity demonstration: one order of eliminations leaves
 the interval [0, 1], another pins l1 = 1.
+
+scripts/explore_examples.expected holds its output; CI diffs against it.
 """
 
 import pathlib
@@ -40,6 +42,7 @@ def main():
         result = explore(system)
         print(f"{name}:")
         print(f"  sequences explored: {result.sequence_count}")
+        print(f"  distinct states: {result.states}")
         print(f"  pivot-sensitive: {result.pivot_sensitive}")
         for outcome in result.outcomes:
             seq = ", ".join(f"{v}@{label}" for v, label in outcome.sequence)

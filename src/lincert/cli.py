@@ -135,6 +135,15 @@ def cmd_fourier(args) -> int:
     return 0
 
 
+def _read_flag(flag: str, read, *args):
+    """A command-line flag's value read by a sysfile parser; its parse
+    error names the flag, as there is no file line to name."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        raise LincertError(f"{flag}: {exc.reason}") from None
+
+
 def cmd_dual(args) -> int:
     out = Output(args)
     if not args.strong and (args.objective is not None or args.sigma is not None):
@@ -142,14 +151,13 @@ def cmd_dual(args) -> int:
     primal = _read_system(args.file)
     if args.strong:
         if args.objective is not None:
-            objective = parse_expr(
-                args.objective, {n: i for i, n in enumerate(primal.variables)}, 0
-            )
+            index = {n: i for i, n in enumerate(primal.variables)}
+            objective = _read_flag("--objective", parse_expr, args.objective, index, 0)
         elif primal.objective is not None:
             objective = primal.objective
         else:
             raise LincertError("--strong needs --objective or a maximize: line in the file")
-        sigma = parse_rational(args.sigma) if args.sigma is not None else None
+        sigma = _read_flag("--sigma", parse_rational, args.sigma) if args.sigma is not None else None
         dual = strong_elementary_dual(primal, objective, sigma)
     else:
         dual = elementary_dual(primal)

@@ -89,7 +89,7 @@ class RowClass(enum.Enum):
     INFORMATIVE = "informative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearExpr:
     """Sparse linear form over variable indices; zero coefficients are never stored."""
 
@@ -146,29 +146,37 @@ class LinearExpr:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
+    """Where a row came from.  `main()`, `sign()` and `extension()` return
+    one shared instance each, so a system's rows hold no copies of them."""
+
     kind: str  # "main" | "sign" | "extension" | "derived"
     parents: tuple[int, ...] = ()
 
     @staticmethod
     def main() -> "Provenance":
-        return Provenance("main")
+        return _MAIN
 
     @staticmethod
     def sign() -> "Provenance":
-        return Provenance("sign")
+        return _SIGN
 
     @staticmethod
     def extension() -> "Provenance":
-        return Provenance("extension")
+        return _EXTENSION
 
     @staticmethod
     def derived(parents: Iterable[int]) -> "Provenance":
         return Provenance("derived", tuple(parents))
 
 
-@dataclass(frozen=True)
+_MAIN = Provenance("main")
+_SIGN = Provenance("sign")
+_EXTENSION = Provenance("extension")
+
+
+@dataclass(frozen=True, slots=True)
 class Constraint:
     cid: int
     expr: LinearExpr

@@ -28,7 +28,9 @@ integer rows through `gauss.pivot_integer_rows`, without fractions (as in
 Bareiss 1968).  `run` records only its moves; the steps' `Fraction`
 systems, which are printed and replayed, are built from those moves the
 first time a step or the terminal system is read.  `explore` only needs
-the verdicts, and merges states that differ only by positive row scaling.
+the verdicts, merges states that differ only by positive row scaling, and
+names each child by the set of pivot rows taken before computing it, so
+it pivots once per distinct pivot set.
 Whether the verdict agrees with direct elimination on the input is
 measured, never assumed; see the harness module.
 """
@@ -350,19 +352,49 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     works from, and each terminal bound rhs/a.  States equal up to that
     scaling therefore have the same subtree, and because rows are kept
     coprime the key (remaining variables, rows) merges them with no
-    normalising pass.  The rows' id order is the order candidates are tried
-    in.  Each distinct terminal (interval, verdict) gets a small int, and
-    outcomes are merged by those ints; Fractions are built only for the
-    terminal intervals.
+    normalising pass.  That memo counts `states` and enforces the budget.
+
+    A child is named before it is computed, by its path signature: the
+    remaining variables, the ids of the pivot rows taken and the ids of
+    the sign rows the zero move dropped.  The signature fixes the rows:
+    - Let C be the pivot rows taken.  Their original forms, restricted to
+      the pivoted variables, form a nonsingular matrix, because every
+      pivot element was nonzero (elimination in any order is an LU
+      factorisation of it).
+    - So each surviving row is the coprime positive multiple of the unique
+      vector in row0 + span{p0 : p in C} that is zero on the pivoted
+      variables (the Schur complement, as in Bareiss 1968).  Which pivot
+      row eliminated which variable does not matter.
+    - The pivoted variables are the eliminated ones (read off the
+      remaining ones) minus those named by the dropped sign rows.
+    - A row is pivotable if and only if its original form mentions a
+      pivoted variable, or it was pivotable at the start: a row changes
+      only when a pivot rewrites it, and it first does so on a variable
+      its original form mentions.
+    - The zero move drops only a sign row that no other row mentions, so
+      it changes no surviving row.  The sign row of a remaining variable
+      is never rewritten, so the row dropped is the one the working system
+      made for that variable, id extension_id + 1 + var.
+    The rows keep constraint-id order, so the child's rows tuple is fixed
+    too.  A second memo keyed by signature holds each child's result, and
+    a pivot is computed only on a miss; a child reached by a new signature
+    still goes through the rows memo, so `states`, the outcomes and the
+    budget are those of the walk without it.
+
+    The rows' id order is the order candidates are tried in.  Each distinct
+    terminal (interval, verdict) gets a small int, and outcomes are merged
+    by those ints; Fractions are built only for the terminal intervals.
     """
     ws = build_working_system(primal)
     names = ws.variables
     labels = dict(ws.labels)
-    memo: dict = {}
+    sign_bits = [1 << (ws.extension_id + 1 + v) for v in range(len(names))]
+    memo: dict = {}  # (remaining, rows) -> (outcomes, count)
+    named: dict = {}  # (remaining, pivot-row bits, dropped sign-row bits) -> (outcomes, count)
     terminals: dict[tuple[Interval, str], int] = {}
     states = 0
 
-    def visit(rows: tuple, remaining: frozenset[int]):
+    def visit(rows: tuple, remaining: frozenset[int], taken: int, dropped: int):
         nonlocal states
         key = (remaining, rows)
         found = memo.get(key)
@@ -379,13 +411,18 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         count = 0
         for var in sorted(remaining):
             rest = remaining - {var}
-            moves = [
-                (labels[row[0]], pivot_integer_rows(rows, i, var))
-                for i, row in enumerate(rows)
-                if row[3] and row[1][var]
-            ]
-            for label, new_rows in moves or [("zero", _drop_sign_row(rows, var))]:
-                sub_outcomes, sub_count = visit(new_rows, rest)
+            pivots = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
+            for p in pivots or [None]:
+                if p is None:
+                    label, signature = "zero", (rest, taken, dropped | sign_bits[var])
+                else:
+                    cid = rows[p][0]
+                    label, signature = labels[cid], (rest, taken | 1 << cid, dropped)
+                found = named.get(signature)
+                if found is None:
+                    new_rows = _drop_sign_row(rows, var) if p is None else pivot_integer_rows(rows, p, var)
+                    found = named[signature] = visit(new_rows, *signature)
+                sub_outcomes, sub_count = found
                 count += sub_count
                 head = (names[var], label)
                 for terminal, suffix in sub_outcomes.items():
@@ -395,7 +432,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         return memo[key]
 
     remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
-    outcomes, count = visit(ws.rows, remaining)
+    outcomes, count = visit(ws.rows, remaining, 0, 0)
     by_id = list(terminals)
     ordered = sorted(
         (ExploreOutcome(*by_id[terminal], seq) for terminal, seq in outcomes.items()),

@@ -34,6 +34,7 @@ class ParseError(LincertError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+        self.reason = message
 
 
 _NAME = r"[A-Za-z_]\w*"

@@ -171,7 +171,25 @@ def test_dual_strong_refuses_an_empty_objective(tmp_path, capsys):
     assert main(["dual", str(p), "--strong", "--objective", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 0: empty expression\n"
+    assert captured.err == "error: --objective: empty expression\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--objective", "x +"], "--objective: cannot read term at '+'"),
+        (["--objective", "x + z"], "--objective: unknown variable 'z'"),
+        (["--objective", "x", "--sigma", "abc"], "--sigma: expected a rational number, got 'abc'"),
+        (["--objective", "x", "--sigma", "1/0"], "--sigma: zero denominator in '1/0'"),
+    ],
+    ids=["objective-dangling-sign", "objective-unknown-variable", "sigma-not-a-number", "sigma-zero-denominator"],
+)
+def test_dual_strong_flag_errors_name_the_flag(files, capsys, flags, message):
+    # A flag has no file line, so its parse error names the flag instead.
+    assert main(["dual", files["sec2"], "--strong", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags", [["--sigma", "3"], ["--objective", "x"], ["--objective", "x", "--sigma", "3"]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fraction_reference import normalized_key, substitute_fraction, terminal_interval
 
@@ -23,7 +23,7 @@ from lincert.core import (
 )
 from lincert.cone import is_reduced_to_origin, primal_cone
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
-from lincert.gauss import classify, integer_rows, substitute_through, transfer_multipliers
+from lincert.gauss import classify, integer_rows, pivot_integer_rows, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded
 from lincert.sysfile import parse
 from lincert.pipeline import (
@@ -513,6 +513,56 @@ def test_explore_is_invariant_under_positive_row_scaling(seed, data):
     base, scaled = explore(system), explore(system.with_rows(rows))
     assert scaled.outcomes == base.outcomes
     assert scaled.sequence_count == base.sequence_count
+
+
+def signature_walk(primal):
+    """Every pivot sequence walked on integer rows, with no memo on the
+    rows alone: the rows met under each path signature (remaining
+    variables, pivot row ids, dropped sign row ids), and the distinct
+    (remaining, rows) states.  A (signature, rows) pair met again is not
+    walked again: its subtree meets the same pairs."""
+    ws = build_working_system(primal)
+    rows_by_signature: dict = {}
+    states = set()
+
+    def walk(rows, remaining, taken, dropped):
+        met = rows_by_signature.setdefault((remaining, taken, dropped), set())
+        if rows in met:
+            return
+        met.add(rows)
+        states.add((remaining, rows))
+        for var in sorted(remaining):
+            rest = remaining - {var}
+            pivots = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
+            for p in pivots:
+                walk(pivot_integer_rows(rows, p, var), rest, taken | {rows[p][0]}, dropped)
+            if not pivots:
+                new_rows = _drop_sign_row(rows, var)
+                gone = {row[0] for row in rows} - {row[0] for row in new_rows}
+                walk(new_rows, rest, taken, dropped | gone)
+
+    remaining = frozenset(v for v in range(len(ws.variables)) if v != LAMBDA_ONE)
+    walk(ws.rows, remaining, frozenset(), frozenset())
+    return rows_by_signature, states
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+@example(seed=150)  # a draw whose walk makes the zero move; about one in 180 does
+def test_pivot_set_fixes_the_rows(seed):
+    # Substituting through a set of pivot rows gives the same rows whatever
+    # order the pivots come in, so explore names each child by its path
+    # signature before computing it; that memo must leave the walk unchanged.
+    system = generate_bounded(CounterStream(seed, "pivot-set"), GenParams(max_vars=3, max_cons=3, seed=seed))
+    if len(build_working_system(system).variables) > 6:
+        return
+    rows_by_signature, states = signature_walk(system)
+    assert all(len(met) == 1 for met in rows_by_signature.values())
+    result = explore(system)
+    assert result.states == len(states)
+    assert explore(system, state_budget=result.states) == result
+    with pytest.raises(ExploreBudgetExceeded):
+        explore(system, state_budget=result.states - 1)
 
 
 BASELINE = Path(__file__).resolve().parent.parent / "baseline" / "difftest-seed42-trials500.json"
