@@ -33,12 +33,14 @@ ROOT = Path(__file__).resolve().parents[1]
 BASELINE = ROOT / "baseline" / "difftest-seed42-trials500.json"
 MODES = [
     ["solve9", "FILE", "--trace", "--json"],
+    ["solve9", "FILE", "--trace"],
     ["solve9", "FILE", "--explore", "--json"],
     ["check", "FILE", "--json"],
     ["implicit", "FILE", "--json"],
     ["cone", "FILE", "--analyze", "--json"],
     ["fourier", "FILE", "--eliminate", "x1", "--json"],
     ["dual", "FILE", "--json"],
+    ["dual", "FILE"],
     ["dual", "FILE", "--strong", "--objective", "x1", "--sigma", "2", "--json"],
 ]
 

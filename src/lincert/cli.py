@@ -401,8 +401,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags whose value is an expression or a rational, which may start with
+# '-'.  argparse reads such a value ("-3/2", "-x + y") as an option of its
+# own unless it looks like "-3" or "-1.5", and then stops with "expected
+# one argument"; _attach_values passes it as --flag=value instead.
+_SIGNED_VALUE_FLAGS = ("--objective", "--sigma")
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if arg in _SIGNED_VALUE_FLAGS and value.startswith("-") and not value.startswith("--"):
+            out.append(f"{arg}={value}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_values(argv))
     try:
         return args.fn(args)
     except InvariantError as exc:

@@ -58,13 +58,21 @@ class InvariantError(LincertError):
     the input.  Harnesses re-raise it instead of recording an error result."""
 
 
+# One shared Fraction per integer in -64..64, which is where most of the
+# coefficients and right sides that systems are built from fall.
+_SMALL = {n: Fraction(n) for n in range(-64, 65)}
+
+
 def rat(value) -> Fraction:
     """Exact rational from ints, Fractions, or 'p/q' strings. Floats are refused.
 
-    A Fraction comes back as it is: it is immutable, so nothing can tell it
-    from a copy."""
+    A Fraction comes back as it is, and an int in -64..64 as the one shared
+    Fraction for it: a Fraction is immutable, so nothing can tell it from a
+    copy."""
     if type(value) is Fraction:
         return value
+    if type(value) is int and -64 <= value <= 64:
+        return _SMALL[value]
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass ints, Fractions, or 'p/q' strings")
     return Fraction(value)

@@ -384,6 +384,12 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     The rows' id order is the order candidates are tried in.  Each distinct
     terminal (interval, verdict) gets a small int, and outcomes are merged
     by those ints; Fractions are built only for the terminal intervals.
+
+    `visit` calls itself, so its closure cell refers to the function that
+    holds it: a reference cycle through which both memos and every rows
+    tuple would wait for the cycle collector.  `visit` is cleared once the
+    walk returns or raises (ExploreBudgetExceeded included), which breaks
+    the cycle, and reference counting frees them at once.
     """
     ws = build_working_system(primal)
     names = ws.variables
@@ -432,7 +438,10 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         return memo[key]
 
     remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
-    outcomes, count = visit(ws.rows, remaining, 0, 0)
+    try:
+        outcomes, count = visit(ws.rows, remaining, 0, 0)
+    finally:
+        visit = None  # breaks the closure's cycle; see the docstring
     by_id = list(terminals)
     ordered = sorted(
         (ExploreOutcome(*by_id[terminal], seq) for terminal, seq in outcomes.items()),

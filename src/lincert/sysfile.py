@@ -26,6 +26,7 @@ from .core import (
     Provenance,
     Relation,
     System,
+    rat,
     sign_row,
 )
 
@@ -48,23 +49,25 @@ def format_rational(q: Fraction) -> str:
     return str(q)  # Fraction prints p or p/q, never a float
 
 
-def _number(digits: str, line: int) -> Fraction:
-    """A token that matched _NUMBER, built from its integers: Fraction(str)
-    would run its own regex over digits already checked."""
+def _number(digits: str, line: int, negative: bool = False) -> Fraction:
+    """A token that matched _NUMBER, negated when `negative`, built from its
+    integers: Fraction(str) would run its own regex over digits already
+    checked.  An integer comes through core.rat, which shares one Fraction
+    per small integer."""
     num, _, den = digits.partition("/")
+    num = -int(num) if negative else int(num)
     if not den:
-        return Fraction(int(num))
+        return rat(num)
     if int(den) == 0:
         raise ParseError(f"zero denominator in {digits!r}", line)
-    return Fraction(int(num), int(den))
+    return Fraction(num, int(den))
 
 
 def parse_rational(token: str, line: int = 0) -> Fraction:
     m = _RHS.match(token)
     if not m:
         raise ParseError(f"expected a rational number, got {token.strip()!r}", line)
-    value = _number(m.group("value"), line)
-    return -value if m.group("sign") == "-" else value
+    return _number(m.group("value"), line, m.group("sign") == "-")
 
 
 def parse_expr(text: str, index: Mapping[str, int], line: int) -> LinearExpr:
@@ -79,9 +82,7 @@ def parse_expr(text: str, index: Mapping[str, int], line: int) -> LinearExpr:
             break
         if not first and m.group("sign") is None:
             raise ParseError(f"missing + or - before {m.group('var')!r}", line)
-        coef = _number(m.group("coef"), line) if m.group("coef") else Fraction(1)
-        if m.group("sign") == "-":
-            coef = -coef
+        coef = _number(m.group("coef") or "1", line, m.group("sign") == "-")
         name = m.group("var")
         if name not in index:
             raise ParseError(f"unknown variable {name!r}", line)
@@ -167,31 +168,55 @@ def parse(text: str) -> System:
     return System(variables, tuple(rows), objective, is_cone)
 
 
-def format_expr(expr: LinearExpr, system: System) -> str:
+def format_expr(expr: LinearExpr, system: System, sign: int = 1) -> str:
+    """expr, each coefficient times sign (-1 prints -expr), written from the
+    coefficients' numerators and denominators: no Fraction arithmetic."""
     if expr.is_zero:
         if not system.variables:
             raise LincertError("cannot print a zero expression without variables")
         return f"0*{system.variables[0]}"
+    names = system.variables
     parts = []
     for var, coef in expr.terms:
-        name = system.variables[var]
-        mag = abs(coef)
-        body = name if mag == 1 else f"{format_rational(mag)}*{name}"
-        if not parts:
-            parts.append(body if coef > 0 else f"-{body}")
+        num, den = sign * coef.numerator, coef.denominator
+        mag = num if num > 0 else -num
+        if den != 1:
+            body = f"{mag}/{den}*{names[var]}"
+        elif mag != 1:
+            body = f"{mag}*{names[var]}"
         else:
-            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+            body = names[var]
+        if parts:
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
+        else:
+            parts.append(body if num > 0 else f"-{body}")
     return " ".join(parts)
 
 
+_GE_SYMBOL = {Relation.LE: ">=", Relation.LT: ">"}
+
+
 def format_constraint(c: Constraint, system: System, orientation: str = "le") -> str:
-    expr, rel, rhs = c.expr, c.relation, c.rhs
-    if orientation == "ge" and rel in (Relation.LE, Relation.LT):
-        expr, rhs = -expr, -rhs
-        symbol = ">=" if rel is Relation.LE else ">"
+    """The row in <= / < form, or with `orientation="ge"` both sides negated
+    into >= / > form; an equation prints as it is."""
+    rel, rhs = c.relation, c.rhs
+    if orientation == "ge" and rel is not Relation.EQ:
+        sign, symbol = -1, _GE_SYMBOL[rel]
     else:
-        symbol = rel.value
-    return f"{format_expr(expr, system)} {symbol} {format_rational(rhs)}"
+        sign, symbol = 1, rel.value
+    num, den = sign * rhs.numerator, rhs.denominator
+    value = num if den == 1 else f"{num}/{den}"
+    return f"{format_expr(c.expr, system, sign)} {symbol} {value}"
+
+
+def _is_plain_sign_row(c: Constraint) -> bool:
+    """Whether c is a sign row -x <= 0, read off its fields; print_system
+    lists such a row on the nonneg: line."""
+    terms = c.expr.terms
+    if c.provenance.kind != "sign" or len(terms) != 1 or c.relation is not Relation.LE:
+        return False
+    coef = terms[0][1]
+    return coef.numerator == -1 and coef.denominator == 1 and c.rhs.numerator == 0
 
 
 def print_system(
@@ -211,9 +236,8 @@ def print_system(
         out.append("maximize: " + format_expr(system.objective, system))
     sign_names = []
     for c in system.constraints:
-        terms = c.expr.terms
-        if c.provenance.kind == "sign" and len(terms) == 1 and c.key() == (((terms[0][0], -1),), Relation.LE, 0):
-            sign_names.append(system.variables[terms[0][0]])
+        if _is_plain_sign_row(c):
+            sign_names.append(system.variables[c.expr.terms[0][0]])
             continue
         if c.cid in comments:
             out.append(f"# {comments[c.cid]}")

@@ -2,15 +2,15 @@
 pair step, Fourier back-substitution and the tight-row test, the Farkas
 and equality-certificate replays, the one-variable interval, the
 multiplier combination and the certificate checks built on it, the strong
-elementary dual, the homogenized primal cone, and the helpers the tests
-share.
+elementary dual, the homogenized primal cone, the system printer, and the
+helpers the tests share.
 
 `lincert.gauss` substitutes, `lincert.fourier` combines pairs,
-back-substitutes, tests rows for tightness and replays its traces, and
-`lincert.core` reads intervals and combines rows, all on integers; the
-tests compare them, and the pipeline built on them, with the textbook
-formulas on Fraction rows written out here, so the kernels are never
-checked against themselves.
+back-substitutes, tests rows for tightness and replays its traces,
+`lincert.core` reads intervals and combines rows, and `lincert.sysfile`
+prints coefficients, all on integers; the tests compare them, and the
+pipeline built on them, with the textbook formulas on Fraction rows
+written out here, so the kernels are never checked against themselves.
 """
 
 from fractions import Fraction
@@ -348,3 +348,58 @@ def sample_point(system, rng):
         else:
             known[var] = Fraction(rng.randint(-4, 4))
     return Point.of(known)
+
+
+def format_expr_reference(expr, system):
+    """`sysfile.format_expr` as it once was: abs, sign tests and str on
+    each Fraction coefficient."""
+    if expr.is_zero:
+        if not system.variables:
+            raise LincertError("cannot print a zero expression without variables")
+        return f"0*{system.variables[0]}"
+    parts = []
+    for var, coef in expr.terms:
+        name = system.variables[var]
+        mag = abs(coef)
+        body = name if mag == 1 else f"{mag}*{name}"
+        if not parts:
+            parts.append(body if coef > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def format_constraint_reference(c, system, orientation="le"):
+    """`sysfile.format_constraint` as it once was: a `>=` row is printed by
+    negating the LinearExpr and the Fraction right side."""
+    expr, rel, rhs = c.expr, c.relation, c.rhs
+    if orientation == "ge" and rel in (Relation.LE, Relation.LT):
+        expr, rhs = -expr, -rhs
+        symbol = ">=" if rel is Relation.LE else ">"
+    else:
+        symbol = rel.value
+    return f"{format_expr_reference(expr, system)} {symbol} {rhs}"
+
+
+def print_system_reference(system, orientation="le", comments=None):
+    """`sysfile.print_system` as it once was: a sign row goes to the
+    nonneg: line when its key equals that of -x <= 0."""
+    comments = comments or {}
+    out = ["vars: " + " ".join(system.variables) if system.variables else "vars:"]
+    if system.is_cone:
+        out.append("cone")
+    if system.objective is not None:
+        out.append("maximize: " + format_expr_reference(system.objective, system))
+    sign_names = []
+    for c in system.constraints:
+        terms = c.expr.terms
+        if c.provenance.kind == "sign" and len(terms) == 1 and c.key() == (((terms[0][0], -1),), Relation.LE, 0):
+            sign_names.append(system.variables[terms[0][0]])
+            continue
+        if c.cid in comments:
+            out.append(f"# {comments[c.cid]}")
+        out.append(format_constraint_reference(c, system, orientation))
+    if sign_names:
+        ordered = [n for n in system.variables if n in sign_names]
+        out.append("nonneg: all" if len(ordered) == len(system.variables) else "nonneg: " + " ".join(ordered))
+    return "\n".join(out) + "\n"

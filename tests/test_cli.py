@@ -192,6 +192,24 @@ def test_dual_strong_flag_errors_name_the_flag(files, capsys, flags, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, attached, sigma",
+    [
+        (["--objective", "x", "--sigma", "-3/2"], ["--objective", "x", "--sigma=-3/2"], "-3/2"),
+        (["--objective", "-x"], ["--objective=-x"], None),
+        (["--objective", "-x", "--sigma", "-1"], ["--objective=-x", "--sigma=-1"], "-1"),
+    ],
+    ids=["sigma-negative-fraction", "objective-leading-minus", "both"],
+)
+def test_dual_strong_takes_flag_values_that_start_with_a_minus(files, capsys, flags, attached, sigma):
+    # argparse alone reads "-3/2" or "-x" after a flag as an option of its
+    # own and exits 2; the value must reach the parser as with "=".
+    code, data = run_json(capsys, ["dual", files["sec2"], "--strong", *flags])
+    assert code == 0
+    assert data["sigma"] == sigma
+    assert data == run_json(capsys, ["dual", files["sec2"], "--strong", *attached])[1]
+
+
 @pytest.mark.parametrize("flags", [["--sigma", "3"], ["--objective", "x"], ["--objective", "x", "--sigma", "3"]])
 def test_dual_refuses_strong_dual_flags_without_strong(files, capsys, flags):
     assert main(["dual", files["sec2"], *flags]) == 2

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from fractions import Fraction
@@ -422,6 +423,41 @@ def test_explore_on_trivial_cone_is_single_outcome():
 def test_explore_budget():
     with pytest.raises(ExploreBudgetExceeded):
         explore(solvable_cone(), state_budget=2)
+
+
+def _cyclic_garbage_after(call):
+    """How many objects the cycle collector finds after call(), run with
+    the collector off from a clean heap."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("budget, draws", [(20, 60), (4000, 20)], ids=["budget-20", "default-budget"])
+def test_explore_leaves_no_cyclic_garbage(budget, draws):
+    # visit calls itself through its closure cell; unless explore clears
+    # it, both memos and every rows tuple wait for the cycle collector,
+    # after a finished walk and after a budget hit alike.
+    params = GenParams(seed=42)
+    systems = [generate_bounded(CounterStream(42, f"trial-{i}"), params) for i in range(draws)]
+    ended = {"returned": 0, "budget hit": 0}
+
+    def walks():
+        for system in systems:
+            try:
+                explore(system, state_budget=budget)
+                ended["returned"] += 1
+            except ExploreBudgetExceeded:
+                ended["budget hit"] += 1
+
+    assert _cyclic_garbage_after(walks) == 0
+    assert min(ended.values()) > 0
 
 
 def test_explore_witness_sequences_replay():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lincert.core import Constraint, Provenance, Relation, make_system
-from lincert.sysfile import ParseError, parse, parse_rational, print_system
+from fraction_reference import format_constraint_reference, print_system_reference
+from lincert.core import Constraint, LinearExpr, Provenance, Relation, System, make_system, sign_row
+from lincert.sysfile import ParseError, format_constraint, parse, parse_rational, print_system
 
 SECTION2 = """\
 # feasibility example
@@ -166,3 +167,44 @@ def test_parse_print_round_trip(data):
         c.provenance.kind for c in sys.constraints
     ]
     assert print_system(back) == text
+
+
+rationals = st.builds(Fraction, st.integers(-80, 80), st.integers(1, 6))
+
+
+def _printed_row(data, cid, nvars):
+    """One row of the kinds the printer tells apart: a plain sign row
+    -x <= 0, a sign-like row (one term, sign or main provenance, e.g.
+    -x <= 3, -2*x <= 0, -x < 0, x <= 0), a zero row, or a general row."""
+    kind = data.draw(st.sampled_from(["sign", "sign-like", "zero", "general"]))
+    var = data.draw(st.integers(0, nvars - 1))
+    if kind == "sign":
+        return sign_row(cid, var)
+    if kind == "sign-like":
+        expr = LinearExpr(((var, data.draw(st.sampled_from([Fraction(-1), Fraction(-2), Fraction(-1, 2), Fraction(1)]))),))
+        rhs = data.draw(st.sampled_from([Fraction(0), Fraction(3), Fraction(-1, 3)]))
+        provenance = data.draw(st.sampled_from([Provenance.sign(), Provenance.main()]))
+        return Constraint(cid, expr, data.draw(st.sampled_from([Relation.LE, Relation.LT])), rhs, provenance)
+    expr = LinearExpr() if kind == "zero" else LinearExpr.from_terms(
+        (v, data.draw(rationals)) for v in range(nvars)
+    )
+    relation = data.draw(st.sampled_from(list(Relation)))
+    return Constraint(cid, expr, relation, data.draw(rationals), Provenance.main())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_print_matches_the_fraction_reference(data):
+    # The printer reads numerators and denominators; the reference does
+    # abs, negation and str on Fractions, as the printer once did.
+    vs = tuple(data.draw(names))
+    rows = [_printed_row(data, cid, len(vs)) for cid in range(data.draw(st.integers(0, 6)))]
+    objective = data.draw(st.one_of(
+        st.none(), st.builds(lambda cs: LinearExpr.from_terms(enumerate(cs)), st.lists(rationals, max_size=len(vs)))
+    ))
+    system = System(vs, tuple(rows), objective, data.draw(st.booleans()))
+    comments = {cid: f"row {cid}" for cid in data.draw(st.sets(st.integers(0, len(rows))))}
+    for orientation in ("le", "ge"):
+        for c in rows:
+            assert format_constraint(c, system, orientation) == format_constraint_reference(c, system, orientation)
+        assert print_system(system, orientation, comments) == print_system_reference(system, orientation, comments)
