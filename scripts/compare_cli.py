@@ -3,7 +3,7 @@
 
     python3 scripts/compare_cli.py PARENT_TREE
 
-Runs each command line in MODES, FILE standing for the system, on two
+Runs each command line in MODES, FILE standing for the system, on three
 corpora in both trees, each tree in its own Python process that imports
 lincert from that tree's src/.  The baseline corpus is the systems of this
 checkout's seed-42 baseline (baseline/difftest-seed42-trials500.json): all
@@ -11,6 +11,9 @@ checkout's seed-42 baseline (baseline/difftest-seed42-trials500.json): all
 a fixed seeded draw of systems with what the baseline lacks: strict and
 `>=` rows, p/q coefficients and right sides, and unsigned variables, so
 Fourier meets strict and one-sided fibers and rows with denominators.
+The cone corpus (cone_corpus) is a fixed seeded draw of sparse
+`cone`-flagged systems, some with all-zero rows, so solve9 and explore
+take the zero move, which the other corpora hardly reach.
 Exit code, stdout and stderr of every call are compared byte for byte.
 Prints, per command line and corpus, how many outputs are identical, and
 the first difference as a unified diff.  Exits 0 when every output is
@@ -102,6 +105,29 @@ def mixed_corpus() -> list[str]:
     return texts
 
 
+def cone_corpus() -> list[str]:
+    """150 `cone`-flagged systems over x1..xn, n in 2..4, with 1 to 5
+    homogeneous `<=` rows each and `nonneg: all`, drawn from a fixed seed.
+    Each coefficient is a nonzero integer in -3..3 with probability 2/5,
+    so some rows come out all zero, and every other system also gets a
+    `0*x1 <= 0` row.  The multiplier of an all-zero cone row takes the
+    zero move on every pivot path."""
+    rng = random.Random(24)
+    texts = []
+    for i in range(150):
+        names = [f"x{j}" for j in range(1, rng.randint(2, 4) + 1)]
+        lines = ["vars: " + " ".join(names), "cone"]
+        for _ in range(rng.randint(1, 5)):
+            terms = [(rng.choice((-3, -2, -1, 1, 2, 3)), name) for name in names if rng.random() < 0.4]
+            expr = " ".join(f"{'-' if a < 0 else '+'} {abs(a)}*{name}" for a, name in terms)
+            lines.append(f"{expr or '0*x1'} <= 0")
+        if i % 2:
+            lines.insert(rng.randint(2, len(lines)), "0*x1 <= 0")
+        lines.append("nonneg: all")
+        texts.append("\n".join(lines) + "\n")
+    return texts
+
+
 def start(tree: Path, texts: list[str]) -> subprocess.Popen:
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -136,6 +162,7 @@ def main() -> int:
     corpora = {
         "baseline": [trial["system"] for trial in json.loads(BASELINE.read_text())["trials"]],
         "mixed": mixed_corpus(),
+        "cone": cone_corpus(),
     }
     texts = [text for corpus in corpora.values() for text in corpus]
     trees = {"parent": args.parent.resolve(), "change": ROOT}

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Pivot-order exploration on the two bundled cone examples.
+"""Pivot-order exploration on the three bundled cone examples.
 
 Prints every distinct terminal outcome of the elimination loop for the
 solvable three-row cone and for the pinched (origin-only) cone, which is the
 minimal pivot-sensitivity demonstration: one order of eliminations leaves
-the interval [0, 1], another pins l1 = 1.
+the interval [0, 1], another pins l1 = 1.  The third example is the pinched
+cone with an all-zero row 0 <= 0 between its rows: that row's multiplier l3
+is mentioned by no row, so every sequence eliminates it by the zero move.
 
 scripts/explore_examples.expected holds its output; CI diffs against it.
 """
@@ -31,6 +33,12 @@ EXAMPLES = {
     "pinched cone (origin only)": make_system(
         ["x", "y"],
         mains=[({"x": 1, "y": 1}, "<=", 0), ({"x": -1, "y": -1}, "<=", 0)],
+        nonneg="all",
+        is_cone=True,
+    ),
+    "pinched cone with a zero row (0 <= 0)": make_system(
+        ["x", "y"],
+        mains=[({"x": 1, "y": 1}, "<=", 0), ({}, "<=", 0), ({"x": -1, "y": -1}, "<=", 0)],
         nonneg="all",
         is_cone=True,
     ),

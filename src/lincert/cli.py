@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 
 from .core import (
     InvariantError,
@@ -265,23 +266,25 @@ def cmd_solve9(args) -> int:
     primal = _read_system(args.file)
     rule = _parse_rule(args.rule)
     trace = run(primal, rule)
+    # Each system is printed once, whichever the output mode.
+    ge = cache(partial(print_system, orientation="ge"))
     payload = {
         "kind": "solve9-report",
         "version": 1,
         "verdict": trace.verdict,
         "interval": _interval_json(trace.interval),
-        "working_system": print_system(trace.working.system, orientation="ge"),
+        "working_system": ge(trace.working.system) if out.json else None,
         "labels": {str(cid): label for cid, label in trace.working.labels},
         "steps": [
             {
                 "eliminated": s.var_name,
                 "pivot": s.pivot_label,
                 "kind": s.kind,
-                "system": print_system(s.system, orientation="ge") if args.trace else None,
+                "system": ge(s.system) if args.trace else None,
             }
             for s in trace.steps
         ],
-        "terminal_system": print_system(trace.terminal, orientation="ge"),
+        "terminal_system": ge(trace.terminal),
         "explore": None,
     }
     lines = [f"verdict: {trace.verdict}", f"terminal interval for l1: {trace.interval.describe()}"]
@@ -289,9 +292,9 @@ def cmd_solve9(args) -> int:
         what = f"{s.var_name} via {s.pivot_label}" if s.pivot_label else f"{s.var_name} := 0"
         lines.append(f"step: eliminate {what} ({s.kind})")
         if args.trace:
-            lines.append(print_system(s.system, orientation="ge").rstrip("\n"))
+            lines.append(ge(s.system).rstrip("\n"))
     lines.append("terminal system:")
-    lines.append(print_system(trace.terminal, orientation="ge").rstrip("\n"))
+    lines.append(ge(trace.terminal).rstrip("\n"))
     sensitive = False
     if args.explore:
         result = explore(primal)

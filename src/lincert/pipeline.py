@@ -28,9 +28,9 @@ integer rows through `gauss.pivot_integer_rows`, without fractions (as in
 Bareiss 1968).  `run` records only its moves; the steps' `Fraction`
 systems, which are printed and replayed, are built from those moves the
 first time a step or the terminal system is read.  `explore` only needs
-the verdicts, merges states that differ only by positive row scaling, and
-names each child by the set of pivot rows taken before computing it, so
-it pivots once per distinct pivot set.
+the verdicts, and names each child before computing it by the remaining
+variables and the set of pivot rows taken, which fix its rows, so it
+pivots once per distinct pivot set.
 Whether the verdict agrees with direct elimination on the input is
 measured, never assumed; see the harness module.
 """
@@ -328,7 +328,7 @@ class ExploreResult:
     outcomes: tuple[ExploreOutcome, ...]
     sequence_count: int
     pivot_sensitive: bool
-    states: int
+    states: int  # distinct (remaining, rows) states the walk visited
 
 
 def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
@@ -341,22 +341,17 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     when two sequences end in different verdicts.
 
     The walk runs on the working system's integer rows (`gauss.integer_rows`'
-    form: constraint id, coefficients, rhs, pivotable), each the coprime
-    integer multiple of its row, in constraint-id order, and pivots with
-    `gauss.pivot_integer_rows`.  A rewritten row is |a|*|a0| times the row
-    `substitute_through` emits, divided by its gcd, the promoted sign row
-    -l <= 0 included, so the walk meets the same states up to positive row
-    scaling.  Scaling changes nothing the walk reads: which rows mention a
-    variable (eligibility), which rows are pivotable (sign and extension
-    rows are not; every rewritten row is), the sign pattern the next move
-    works from, and each terminal bound rhs/a.  States equal up to that
-    scaling therefore have the same subtree, and because rows are kept
-    coprime the key (remaining variables, rows) merges them with no
-    normalising pass.  That memo counts `states` and enforces the budget.
+    form: constraint id, coefficients, rhs, pivotable), in constraint-id
+    order, and pivots with `gauss.pivot_integer_rows`.  Each row is a
+    positive multiple of the row `substitute_through` emits, which changes
+    nothing the walk reads: eligibility, pivotability (sign and extension
+    rows are not pivotable; every rewritten row is) and each terminal
+    bound rhs/a.
 
-    A child is named before it is computed, by its path signature: the
-    remaining variables, the ids of the pivot rows taken and the ids of
-    the sign rows the zero move dropped.  The signature fixes the rows:
+    A child is named before it is computed, by the remaining variables and
+    the ids of the pivot rows taken.  One memo keyed by that name holds
+    each child's result; a child is pivoted and visited only on a miss, and
+    `states` counts the visits.  The name fixes the rows:
     - Let C be the pivot rows taken.  Their original forms, restricted to
       the pivoted variables, form a nonsingular matrix, because every
       pivot element was nonzero (elimination in any order is an LU
@@ -365,28 +360,34 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
       vector in row0 + span{p0 : p in C} that is zero on the pivoted
       variables (the Schur complement, as in Bareiss 1968).  Which pivot
       row eliminated which variable does not matter.
-    - The pivoted variables are the eliminated ones (read off the
-      remaining ones) minus those named by the dropped sign rows.
     - A row is pivotable if and only if its original form mentions a
       pivoted variable, or it was pivotable at the start: a row changes
       only when a pivot rewrites it, and it first does so on a variable
       its original form mentions.
-    - The zero move drops only a sign row that no other row mentions, so
-      it changes no surviving row.  The sign row of a remaining variable
-      is never rewritten, so the row dropped is the one the working system
-      made for that variable, id extension_id + 1 + var.
+    - Span invariant.  Call the pivotable rows and the extension the
+      contents.  A pivot on w through c rewrites each other row r to a
+      positive multiple of r - (r_w/c_w)c, and sends a multiple of c,
+      minus its w entry, to the id of w's sign row.  So the span of the
+      contents, restricted to the remaining variables, stays the span of
+      the original contents restricted to them.
+    - Zero move.  The zero move on v needs every content to be 0 on v.
+      By the invariant that holds exactly when v's original column is
+      zero, that is when v's cone row is 0 <= 0: at every state on every
+      path.  It drops v's sign row, id extension_id + 1 + v, and changes
+      no other row.  So the zero moves, hence the pivoted variables, are
+      fixed by the remaining variables.
     The rows keep constraint-id order, so the child's rows tuple is fixed
-    too.  A second memo keyed by signature holds each child's result, and
-    a pivot is computed only on a miss; a child reached by a new signature
-    still goes through the rows memo, so `states`, the outcomes and the
-    budget are those of the walk without it.
+    too.  And the surviving ids are the original ones minus the pivot
+    rows taken and the dropped sign rows, so two names with the same
+    remaining variables leave different rows: each name is one distinct
+    (remaining, rows) state.
 
     The rows' id order is the order candidates are tried in.  Each distinct
     terminal (interval, verdict) gets a small int, and outcomes are merged
     by those ints; Fractions are built only for the terminal intervals.
 
     `visit` calls itself, so its closure cell refers to the function that
-    holds it: a reference cycle through which both memos and every rows
+    holds it: a reference cycle through which the memo and every rows
     tuple would wait for the cycle collector.  `visit` is cleared once the
     walk returns or raises (ExploreBudgetExceeded included), which breaks
     the cycle, and reference counting frees them at once.
@@ -394,25 +395,17 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     ws = build_working_system(primal)
     names = ws.variables
     labels = dict(ws.labels)
-    sign_bits = [1 << (ws.extension_id + 1 + v) for v in range(len(names))]
-    memo: dict = {}  # (remaining, rows) -> (outcomes, count)
-    named: dict = {}  # (remaining, pivot-row bits, dropped sign-row bits) -> (outcomes, count)
+    named: dict = {}  # (remaining, pivot-row bits) -> (outcomes, count)
     terminals: dict[tuple[Interval, str], int] = {}
     states = 0
 
-    def visit(rows: tuple, remaining: frozenset[int], taken: int, dropped: int):
+    def visit(rows: tuple, remaining: frozenset[int], taken: int):
         nonlocal states
-        key = (remaining, rows)
-        found = memo.get(key)
-        if found is not None:
-            return found
         states += 1
         if states > state_budget:
             raise ExploreBudgetExceeded(f"pivot tree exceeds {state_budget} distinct states")
         if not remaining:
-            terminal = terminals.setdefault(_outcome(rows), len(terminals))
-            memo[key] = ({terminal: ()}, 1)
-            return memo[key]
+            return {terminals.setdefault(_outcome(rows), len(terminals)): ()}, 1
         outcomes: dict[int, tuple] = {}
         count = 0
         for var in sorted(remaining):
@@ -420,10 +413,10 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
             pivots = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
             for p in pivots or [None]:
                 if p is None:
-                    label, signature = "zero", (rest, taken, dropped | sign_bits[var])
+                    label, signature = "zero", (rest, taken)
                 else:
                     cid = rows[p][0]
-                    label, signature = labels[cid], (rest, taken | 1 << cid, dropped)
+                    label, signature = labels[cid], (rest, taken | 1 << cid)
                 found = named.get(signature)
                 if found is None:
                     new_rows = _drop_sign_row(rows, var) if p is None else pivot_integer_rows(rows, p, var)
@@ -434,12 +427,11 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
                 for terminal, suffix in sub_outcomes.items():
                     if terminal not in outcomes:
                         outcomes[terminal] = (head,) + suffix
-        memo[key] = (outcomes, count)
-        return memo[key]
+        return outcomes, count
 
     remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
     try:
-        outcomes, count = visit(ws.rows, remaining, 0, 0)
+        outcomes, count = visit(ws.rows, remaining, 0)
     finally:
         visit = None  # breaks the closure's cycle; see the docstring
     by_id = list(terminals)

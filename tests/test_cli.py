@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincert.cli import main
+from lincert.sysfile import print_system
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.schema.json").read_text())
 
@@ -290,6 +291,28 @@ def test_solve9_explore_flags_sensitivity(files, capsys):
     assert data["explore"]["pivot_sensitive"] is True
     texts = {o["interval"]["text"] for o in data["explore"]["outcomes"]}
     assert len(texts) >= 2
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_solve9_prints_each_system_once(files, capsys, monkeypatch, trace, as_json):
+    # One print per step system under --trace, the last of which is the
+    # terminal system, or one for the terminal system alone, whichever the
+    # output mode; the working system only for --json.
+    import lincert.cli
+
+    printed = []
+
+    def counting(system, *args, **kwargs):
+        printed.append(system)
+        return print_system(system, *args, **kwargs)
+
+    monkeypatch.setattr(lincert.cli, "print_system", counting)
+    argv = ["solve9", files["solvable"], "--rule", "paper-seq:l3@row-x,l2@row-y,l4@sign-l3"]
+    assert main(argv + ["--trace"] * trace + ["--json"] * as_json) == 0
+    capsys.readouterr()
+    assert len(printed) == len({id(system) for system in printed})
+    assert len(printed) == (3 if trace else 1) + as_json
 
 
 def test_solve9_rejects_unbounded(files, tmp_path, capsys):

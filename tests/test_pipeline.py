@@ -553,16 +553,16 @@ def test_explore_is_invariant_under_positive_row_scaling(seed, data):
 
 def signature_walk(primal):
     """Every pivot sequence walked on integer rows, with no memo on the
-    rows alone: the rows met under each path signature (remaining
-    variables, pivot row ids, dropped sign row ids), and the distinct
-    (remaining, rows) states.  A (signature, rows) pair met again is not
-    walked again: its subtree meets the same pairs."""
+    rows alone: the rows met under each name explore gives a child
+    (remaining variables, pivot row ids), and the distinct (remaining,
+    rows) states.  A (name, rows) pair met again is not walked again: its
+    subtree meets the same pairs."""
     ws = build_working_system(primal)
     rows_by_signature: dict = {}
     states = set()
 
-    def walk(rows, remaining, taken, dropped):
-        met = rows_by_signature.setdefault((remaining, taken, dropped), set())
+    def walk(rows, remaining, taken):
+        met = rows_by_signature.setdefault((remaining, taken), set())
         if rows in met:
             return
         met.add(rows)
@@ -571,15 +571,28 @@ def signature_walk(primal):
             rest = remaining - {var}
             pivots = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
             for p in pivots:
-                walk(pivot_integer_rows(rows, p, var), rest, taken | {rows[p][0]}, dropped)
+                walk(pivot_integer_rows(rows, p, var), rest, taken | {rows[p][0]})
             if not pivots:
-                new_rows = _drop_sign_row(rows, var)
-                gone = {row[0] for row in rows} - {row[0] for row in new_rows}
-                walk(new_rows, rest, taken, dropped | gone)
+                walk(_drop_sign_row(rows, var), rest, taken)
 
     remaining = frozenset(v for v in range(len(ws.variables)) if v != LAMBDA_ONE)
-    walk(ws.rows, remaining, frozenset(), frozenset())
+    walk(ws.rows, remaining, frozenset())
     return rows_by_signature, states
+
+
+def assert_names_are_states(system):
+    # The remaining variables and the pivot rows taken fix the rows, and
+    # two names never meet the same state, so explore's visits are the
+    # distinct (remaining, rows) states.
+    rows_by_signature, states = signature_walk(system)
+    assert all(len(met) == 1 for met in rows_by_signature.values())
+    assert len(rows_by_signature) == len(states)
+    result = explore(system)
+    assert result.states == len(states)
+    assert explore(system, state_budget=result.states) == result
+    with pytest.raises(ExploreBudgetExceeded):
+        explore(system, state_budget=result.states - 1)
+    return result
 
 
 @settings(max_examples=60, deadline=None)
@@ -587,18 +600,50 @@ def signature_walk(primal):
 @example(seed=150)  # a draw whose walk makes the zero move; about one in 180 does
 def test_pivot_set_fixes_the_rows(seed):
     # Substituting through a set of pivot rows gives the same rows whatever
-    # order the pivots come in, so explore names each child by its path
-    # signature before computing it; that memo must leave the walk unchanged.
+    # order the pivots come in, so explore names each child by the pivot
+    # rows taken before computing it; that memo must leave the walk unchanged.
     system = generate_bounded(CounterStream(seed, "pivot-set"), GenParams(max_vars=3, max_cons=3, seed=seed))
     if len(build_working_system(system).variables) > 6:
         return
-    rows_by_signature, states = signature_walk(system)
-    assert all(len(met) == 1 for met in rows_by_signature.values())
-    result = explore(system)
-    assert result.states == len(states)
-    assert explore(system, state_budget=result.states) == result
-    with pytest.raises(ExploreBudgetExceeded):
-        explore(system, state_budget=result.states - 1)
+    assert_names_are_states(system)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Small standard-shape systems whose coefficients are mostly zero,
+    with some all-zero rows 0 <= 0: cone-flagged homogeneous ones, and
+    bounded ones capped by a box x <= U per variable."""
+    names = [f"x{j + 1}" for j in range(draw(st.integers(1, 3)))]
+    cone = draw(st.booleans())
+    coefficient = st.sampled_from((0, 0, 0, -2, -1, 1, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4 if cone else 3))):
+        coeffs = {name: a for name in names if (a := draw(coefficient))}
+        rows.append((coeffs, "<=", 0 if cone or not coeffs else draw(st.integers(-3, 3))))
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), ({}, "<=", 0))
+    if not cone:
+        rows.extend(({name: 1}, "<=", draw(st.integers(1, 3))) for name in names)
+    return make_system(names, mains=rows, nonneg="all", is_cone=cone)
+
+
+@settings(max_examples=120, deadline=None)
+@given(system=sparse_systems())
+def test_zero_moves_are_fixed_by_the_input(system):
+    # A multiplier takes the zero move exactly when no pivotable row
+    # mentions it at the start (its cone row is 0 <= 0), on every path, so
+    # the zero labels of each witness sequence fall on those multipliers.
+    ws = build_working_system(system)
+    if len(ws.variables) > 7:
+        return
+    zero = {
+        ws.variables[v]
+        for v in range(len(ws.variables))
+        if v != LAMBDA_ONE and not any(row[3] and row[1][v] for row in ws.rows)
+    }
+    result = assert_names_are_states(system)
+    for outcome in result.outcomes:
+        assert {name for name, label in outcome.sequence if label == "zero"} == zero
 
 
 BASELINE = Path(__file__).resolve().parent.parent / "baseline" / "difftest-seed42-trials500.json"
