@@ -15,9 +15,14 @@ The cone corpus (cone_corpus) is a fixed seeded draw of sparse
 `cone`-flagged systems, some with all-zero rows, so solve9 and explore
 take the zero move, which the other corpora hardly reach.
 Exit code, stdout and stderr of every call are compared byte for byte.
-Prints, per command line and corpus, how many outputs are identical, and
-the first difference as a unified diff.  Exits 0 when every output is
-identical, 1 otherwise.
+Each tree also writes the difftest report of every (seed, mode) in
+DIFFTESTS, `run_difftest(GenParams(seed=seed, mode=mode), 200)` without
+its wall clock, and the reports are compared byte for byte too: their
+disagreeing trials carry the pivot trace, working and terminal systems
+of each, beyond what the seed-42 golden file holds.
+Prints, per command line and corpus and per report, how many outputs
+are identical, and the first difference as a unified diff.  Exits 0
+when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -46,17 +51,22 @@ MODES = [
     ["dual", "FILE"],
     ["dual", "FILE", "--strong", "--objective", "x1", "--sigma", "2", "--json"],
 ]
+DIFFTESTS = [(7, "box"), (7, "filter"), (9, "box"), (9, "filter")]
+DIFFTEST_TRIALS = 200
 
 # Runs in the child: reads [system text, ...] on stdin, writes
-# [[[exit code, stdout, stderr], ...] per mode] on stdout.
+# {"cli": [[[exit code, stdout, stderr], ...] per mode],
+#  "difftest": [report JSON, ...] per (seed, mode)} on stdout.
 CHILD = r"""
 import io, json, sys, tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 import lincert
 from lincert.cli import main
+from lincert.harness import GenParams, run_difftest
 
 src, modes = Path(sys.argv[1]).resolve(), json.loads(sys.argv[2])
+difftests, trials = json.loads(sys.argv[3]), int(sys.argv[4])
 if Path(lincert.__file__).resolve().parent != src / "lincert":
     sys.exit(f"lincert was imported from {lincert.__file__}, not from {src}")
 texts = json.load(sys.stdin)
@@ -70,7 +80,11 @@ with tempfile.TemporaryDirectory() as tmp:
             with redirect_stdout(out), redirect_stderr(err):
                 code = main([str(path) if arg == "FILE" else arg for arg in mode])
             result.append([code, out.getvalue(), err.getvalue()])
-json.dump(results, sys.stdout)
+reports = [
+    run_difftest(GenParams(seed=seed, mode=mode), trials).to_json(include_wall_clock=False)
+    for seed, mode in difftests
+]
+json.dump({"cli": results, "difftest": reports}, sys.stdout)
 """
 
 
@@ -132,7 +146,7 @@ def start(tree: Path, texts: list[str]) -> subprocess.Popen:
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(src), json.dumps(MODES)],
+        [sys.executable, "-c", CHILD, str(src), json.dumps(MODES), json.dumps(DIFFTESTS), str(DIFFTEST_TRIALS)],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         env=env,
@@ -169,7 +183,7 @@ def main() -> int:
     procs = {side: start(tree, texts) for side, tree in trees.items()}
     results = {side: finish(proc, trees[side]) for side, proc in procs.items()}
     same_everywhere = True
-    for mode, parent, change in zip(MODES, results["parent"], results["change"]):
+    for mode, parent, change in zip(MODES, results["parent"]["cli"], results["change"]["cli"]):
         offset = 0
         for name, corpus in corpora.items():
             pairs = list(zip(parent[offset : offset + len(corpus)], change[offset : offset + len(corpus)]))
@@ -182,6 +196,13 @@ def main() -> int:
                 print(f"first difference, {name} system {first}:")
                 a, b = pairs[first]
                 sys.stdout.writelines(difflib.unified_diff(render(a), render(b), "parent", "change"))
+    for (seed, mode), a, b in zip(DIFFTESTS, results["parent"]["difftest"], results["change"]["difftest"]):
+        print(f"difftest seed {seed} {mode}, {DIFFTEST_TRIALS} trials: {'byte-identical' if a == b else 'different'}")
+        if a != b:
+            same_everywhere = False
+            sys.stdout.writelines(
+                difflib.unified_diff(a.splitlines(keepends=True), b.splitlines(keepends=True), "parent", "change")
+            )
     return 0 if same_everywhere else 1
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, partial
 
 from .core import (
     InvariantError,
@@ -109,7 +108,7 @@ def cmd_check(args) -> int:
         "kind": "check-report",
         "version": 1,
         "feasible": verdict.feasible,
-        "system": print_system(system),
+        "system": print_system(system) if out.json else None,
         "witness": _point_json(system, verdict.witness) if verdict.feasible else None,
         "certificate": _multipliers_json(verdict.certificate) if not verdict.feasible else None,
     }
@@ -196,7 +195,7 @@ def cmd_implicit(args) -> int:
         "feasible": report.feasible,
         "implicit_ids": sorted(report.implicit_ids),
         "certificate": _multipliers_json(report.certificate),
-        "system": print_system(system),
+        "system": print_system(system) if out.json else None,
     }
     if not report.feasible:
         human = "infeasible system: implicit equalities are undefined\n"
@@ -266,25 +265,23 @@ def cmd_solve9(args) -> int:
     primal = _read_system(args.file)
     rule = _parse_rule(args.rule)
     trace = run(primal, rule)
-    # Each system is printed once, whichever the output mode.
-    ge = cache(partial(print_system, orientation="ge"))
     payload = {
         "kind": "solve9-report",
         "version": 1,
         "verdict": trace.verdict,
         "interval": _interval_json(trace.interval),
-        "working_system": ge(trace.working.system) if out.json else None,
+        "working_system": trace.working_text if out.json else None,
         "labels": {str(cid): label for cid, label in trace.working.labels},
         "steps": [
             {
                 "eliminated": s.var_name,
                 "pivot": s.pivot_label,
                 "kind": s.kind,
-                "system": ge(s.system) if args.trace else None,
+                "system": s.text if args.trace else None,
             }
             for s in trace.steps
         ],
-        "terminal_system": ge(trace.terminal),
+        "terminal_system": trace.terminal_text,
         "explore": None,
     }
     lines = [f"verdict: {trace.verdict}", f"terminal interval for l1: {trace.interval.describe()}"]
@@ -292,9 +289,9 @@ def cmd_solve9(args) -> int:
         what = f"{s.var_name} via {s.pivot_label}" if s.pivot_label else f"{s.var_name} := 0"
         lines.append(f"step: eliminate {what} ({s.kind})")
         if args.trace:
-            lines.append(ge(s.system).rstrip("\n"))
+            lines.append(s.text.rstrip("\n"))
     lines.append("terminal system:")
-    lines.append(ge(trace.terminal).rstrip("\n"))
+    lines.append(trace.terminal_text.rstrip("\n"))
     sensitive = False
     if args.explore:
         result = explore(primal)

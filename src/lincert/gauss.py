@@ -28,9 +28,10 @@ pivot's integer row P,
 
 has no x0 term, and N / (|A|*|A0|) is exactly the row the Fraction formula
 below emits: the scales of R and P cancel.  `pivot_integer_rows` computes N
-and keeps it divided by its gcd; `pivot_system` also returns the `Fraction`
-system, one Fraction(N_v, |A|*|A0|) per entry, and `substitute_through` is
-that on a `System`.  `classify` records the pivot column for the
+and keeps it divided by its gcd g, so the rewritten `Fraction` row is that
+coprime row times g / (|A|*|A0|), whatever the scales of R and P were;
+`substitute_through` builds it, one Fraction(N_v, |A|*|A0|) per entry, on
+a `System`.  `classify` records the pivot column for the
 certificate side: `transfer_multipliers`, `reverse_multipliers` and
 `redundancy_witness` work from it.  Transformed rows keep their constraint
 ids (the pivot's id disappears), so multiplier vectors on the old and new
@@ -151,29 +152,6 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = N
     return tuple(out)
 
 
-def pivot_system(system: System, rows: tuple, p: int, var: int) -> tuple[tuple, System]:
-    """Pivot on row p of `rows`, the integer rows of `system` in its order:
-    the new integer rows and the new `System`.  A rewritten row is
-    N / (|a|*|a0|) with a and a0 read off the integer rows (module
-    docstring); a row without `var` keeps its Constraint object."""
-    unreduced: list = []
-    new_rows = pivot_integer_rows(rows, p, var, unreduced)
-    pivot_id = rows[p][0]
-    m0 = abs(rows[p][1][var])
-    pending = iter(unreduced)
-    out = []
-    for c, row in zip(system.constraints, rows):
-        a = row[1][var]
-        if not a:
-            out.append(c)
-        elif c.cid != pivot_id:
-            coeffs, rhs = next(pending)
-            d = m0 * abs(a)
-            expr = LinearExpr(tuple((v, Fraction(x, d)) for v, x in enumerate(coeffs) if x))
-            out.append(Constraint(c.cid, expr, c.relation, Fraction(rhs, d), Provenance.derived((c.cid, pivot_id))))
-    return new_rows, system.with_rows(out)
-
-
 def substitute_through(system: System, var: int, pivot_id: int) -> System:
     """Substitute var out through the pivot row set to equality.
 
@@ -186,13 +164,29 @@ def substitute_through(system: System, var: int, pivot_id: int) -> System:
     needs is checked: every row is '<=' and the pivot mentions x0; `classify`
     records the pivot column for the certificate side.
 
-    The rows are computed on integer rows (`pivot_system`): with R and P
-    the coprime integer rows of a row and of the pivot, and A, A0 their x0
-    coefficients, the row above is exactly (|A0|*R - A*sign(A0)*P) / (|A|*|A0|).
+    The rows are computed on integer rows: with R and P the coprime integer
+    rows of a row and of the pivot, and A, A0 their x0 coefficients, the row
+    above is exactly N / (|A|*|A0|), N = |A0|*R - A*sign(A0)*P, the row
+    `pivot_integer_rows` computes before dividing it by its gcd.
     """
     pivot = _checked_pivot(system, var, pivot_id)
     p = system.constraints.index(pivot)
-    return pivot_system(system, integer_rows(system), p, var)[1]
+    rows = integer_rows(system)
+    unreduced: list = []
+    pivot_integer_rows(rows, p, var, unreduced)
+    m0 = abs(rows[p][1][var])
+    pending = iter(unreduced)
+    out = []
+    for c, row in zip(system.constraints, rows):
+        a = row[1][var]
+        if not a:
+            out.append(c)
+        elif c.cid != pivot_id:
+            coeffs, rhs = next(pending)
+            d = m0 * abs(a)
+            expr = LinearExpr(tuple((v, Fraction(x, d)) for v, x in enumerate(coeffs) if x))
+            out.append(Constraint(c.cid, expr, c.relation, Fraction(rhs, d), Provenance.derived((c.cid, pivot_id))))
+    return system.with_rows(out)
 
 
 def transfer_multipliers(cls: PivotClassification, mu: MultiplierVector) -> MultiplierVector:

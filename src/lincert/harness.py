@@ -215,12 +215,12 @@ def run_trial(index: int, system: System) -> TrialReport:
                         "eliminated": s.var_name,
                         "pivot": s.pivot_label,
                         "kind": s.kind,
-                        "system": print_system(s.system, orientation="ge"),
+                        "system": s.text,
                     }
                     for s in trace.steps
                 ],
-                "working_system": print_system(trace.working.system, orientation="ge"),
-                "terminal_system": print_system(trace.terminal, orientation="ge"),
+                "working_system": trace.working_text,
+                "terminal_system": trace.terminal_text,
             }
         return TrialReport(
             index=index,

@@ -25,9 +25,12 @@ makes the choice explicit and reproducible: the default takes original main
 rows first, a pivot sequence names every pivot.  `explore` enumerates the
 whole pivot tree to quantify the sensitivity.  Both pivot on coprime
 integer rows through `gauss.pivot_integer_rows`, without fractions (as in
-Bareiss 1968).  `run` records only its moves; the steps' `Fraction`
-systems, which are printed and replayed, are built from those moves the
-first time a step or the terminal system is read.  `explore` only needs
+Bareiss 1968).  `run` records only its moves.  Its trace replays them
+once, on integer rows that each carry the scale turning them into their
+`Fraction` rows, the first time a step, a text or the terminal system is
+read.  The working, step and terminal texts are printed from those rows
+(`sysfile.print_scaled_rows`); the `Fraction` systems, the strong dual
+first, are built only when one of them is read.  `explore` only needs
 the verdicts, and names each child before computing it by the remaining
 variables and the set of pivot rows taken, which fix its rows, so it
 pivots once per distinct pivot set.
@@ -37,7 +40,7 @@ measured, never assumed; see the harness module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
@@ -58,7 +61,8 @@ from .core import (
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
 from .dual import strong_elementary_dual
-from .gauss import pivot_integer_rows, pivot_system
+from .gauss import pivot_integer_rows
+from .sysfile import print_scaled_rows
 
 
 class UnboundedInputError(LincertError):
@@ -94,13 +98,16 @@ LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
 class WorkingSystem:
     """The multiplier system the elimination loop works on, as the coprime
     integer rows `run` and `explore` start from (`gauss.integer_rows`'
-    form), with its variables and row labels.  `augmented` (the capped
-    cone) and `system` (its strong dual) are the same system as `Fraction`
-    systems, built from the cone's variables and main rows the first time
-    each is read.  Nothing here is the primal or its cone, so the primal's
-    memo that keeps it makes no reference cycle."""
+    form), with its variables and row labels.  `scales` holds one
+    (num, den) per row, the factor num/den that turns the integer row into
+    the `Fraction` row.  `augmented` (the capped cone) and `system` (its
+    strong dual) are the same system as `Fraction` systems, built from the
+    cone's variables and main rows the first time each is read.  Nothing
+    here is the primal or its cone, so the primal's memo that keeps it
+    makes no reference cycle."""
 
     rows: tuple
+    scales: tuple[tuple[int, int], ...]
     variables: tuple[str, ...]
     labels: tuple[tuple[int, str], ...]
     extension_id: int
@@ -131,20 +138,109 @@ class WorkingSystem:
 
 @dataclass(frozen=True)
 class PipelineStep:
+    """One move of `run`.  `text` (the system after the move, printed as
+    `print_system(..., orientation="ge")` prints it) and `system` (that
+    `Fraction` system) are read from the trace's replay."""
+
     var: int
     var_name: str
     pivot_id: int | None
     pivot_label: str | None
     kind: str  # "original-main" | "converted-sign" | "fallback-zero"
-    system: System
+    replay: "_Replay" = field(repr=False, compare=False)
+    state: int = field(repr=False, compare=False)  # the replay's state after the move
+
+    @property
+    def text(self) -> str:
+        return self.replay.text(self.state)
+
+    @property
+    def system(self) -> System:
+        return self.replay.systems[self.state]
+
+
+class _Replay:
+    """The moves replayed once on the working system's integer rows: one
+    state (rows, scales) for the working system, then one per move, each
+    row's scale (num, den) the factor that turns it into its `Fraction`
+    row.  A row the move rewrites is N divided by its gcd g, with N the
+    unreduced row `pivot_integer_rows` returns, and its `Fraction` row is
+    N / (|a|*|a0|) (gauss module docstring), so its scale is
+    (g, |a|*|a0|); every other row keeps its scale.  Each state is printed
+    the first time its text is read, and the `Fraction` systems, from the
+    working system's on, are built from the states the first time one is
+    read."""
+
+    def __init__(self, ws: WorkingSystem, moves: tuple[tuple[int, int | None], ...]):
+        self.working = ws
+        rows, scales = ws.rows, ws.scales
+        self.states = [(rows, scales)]
+        self.pivot_ids = []
+        for var, p in moves:
+            if p is None:
+                scales = tuple(s for row, s in zip(rows, scales) if not row[1][var])
+                rows = _drop_sign_row(rows, var)
+                self.pivot_ids.append(None)
+            else:
+                unreduced: list = []
+                new_rows = pivot_integer_rows(rows, p, var, unreduced)
+                m0 = abs(rows[p][1][var])
+                pending = iter(unreduced)
+                new_scales = []
+                for i, (row, scale) in enumerate(zip(rows, scales)):
+                    a = row[1][var]
+                    if not a:
+                        new_scales.append(scale)
+                    elif i != p:
+                        coeffs, rhs = next(pending)
+                        new_scales.append((gcd(*coeffs, rhs), m0 * abs(a)))
+                self.pivot_ids.append(rows[p][0])
+                rows, scales = new_rows, tuple(new_scales)
+            self.states.append((rows, scales))
+        self._texts: dict[int, str] = {}
+
+    def text(self, state: int) -> str:
+        text = self._texts.get(state)
+        if text is None:
+            ws = self.working
+            text = self._texts[state] = print_scaled_rows(ws.variables, *self.states[state], ws.extension_id)
+        return text
+
+    @cached_property
+    def systems(self) -> tuple[System, ...]:
+        """Each state's `Fraction` system, the working system's first."""
+        systems = [self.working.system]
+        for before, after, pivot_id in zip(self.states, self.states[1:], self.pivot_ids):
+            systems.append(_step_system(systems[-1], before[0], *after, pivot_id))
+        return tuple(systems)
+
+
+def _step_system(previous: System, before: tuple, rows: tuple, scales: tuple, pivot_id: int | None) -> System:
+    """The `Fraction` system of one move's state (rows, scales), from the
+    system and integer rows before it: a rewritten row is a new Constraint
+    derived from its id and the pivot's, and every other row keeps its
+    Constraint object."""
+    old = {row[0]: (row, c) for row, c in zip(before, previous.constraints)}
+    out = []
+    for row, (num, den) in zip(rows, scales):
+        cid, coeffs, rhs, _ = row
+        prior, c = old[cid]
+        if row is not prior:
+            expr = LinearExpr(tuple((v, Fraction(x * num, den)) for v, x in enumerate(coeffs) if x))
+            c = Constraint(cid, expr, Relation.LE, Fraction(rhs * num, den), Provenance.derived((cid, pivot_id)))
+        out.append(c)
+    return previous.with_rows(out)
 
 
 @dataclass(frozen=True)
 class PipelineTrace:
     """What `run` decided, and the moves it made: (variable, index of the
     pivot row among the rows at that step, or None for the zero fallback).
-    `steps` and `terminal` replay the moves on the working system's
-    `Fraction` system the first time either is read."""
+    The moves are replayed on integer rows (`_Replay`) the first time
+    `steps`, a text or `terminal` is read.  `working_text` and
+    `terminal_text` are the working and terminal systems printed as
+    `print_system(..., orientation="ge")` prints them; the terminal text
+    is the last step's text, or the working text when there is no step."""
 
     working: WorkingSystem
     moves: tuple[tuple[int, int | None], ...]
@@ -155,33 +251,35 @@ class PipelineTrace:
     def solvable(self) -> bool:
         return self.verdict == "solvable"
 
-    @property
+    @cached_property
+    def _replay(self) -> _Replay:
+        return _Replay(self.working, self.moves)
+
+    @cached_property
     def steps(self) -> tuple[PipelineStep, ...]:
-        return self._replayed[0]
+        replay = self._replay
+        names = self.working.variables
+        labels = dict(self.working.labels)
+        steps = []
+        for state, ((var, _), pivot_id) in enumerate(zip(self.moves, replay.pivot_ids), start=1):
+            if pivot_id is None:
+                steps.append(PipelineStep(var, names[var], None, None, "fallback-zero", replay, state))
+            else:
+                label = labels[pivot_id]
+                steps.append(PipelineStep(var, names[var], pivot_id, label, _pivot_kind(label), replay, state))
+        return tuple(steps)
+
+    @property
+    def working_text(self) -> str:
+        return self._replay.text(0)
+
+    @property
+    def terminal_text(self) -> str:
+        return self._replay.text(len(self.moves))
 
     @property
     def terminal(self) -> System:
-        return self._replayed[1]
-
-    @cached_property
-    def _replayed(self) -> tuple[tuple[PipelineStep, ...], System]:
-        ws = self.working
-        system = ws.system
-        rows = ws.rows
-        labels = dict(ws.labels)
-        steps = []
-        for var, p in self.moves:
-            if p is None:
-                rows = _drop_sign_row(rows, var)
-                kept = {row[0] for row in rows}
-                system = system.with_rows(c for c in system.constraints if c.cid in kept)
-                steps.append(PipelineStep(var, ws.variables[var], None, None, "fallback-zero", system))
-                continue
-            pivot_id = rows[p][0]
-            label = labels[pivot_id]
-            rows, system = pivot_system(system, rows, p, var)
-            steps.append(PipelineStep(var, ws.variables[var], pivot_id, label, _pivot_kind(label), system))
-        return tuple(steps), system
+        return self._replay.systems[-1]
 
 
 def build_working_system(primal: System) -> WorkingSystem:
@@ -205,7 +303,8 @@ def _build_working_system(primal: System) -> WorkingSystem:
     -l_i <= 0 per multiplier.  The columns are read off the main rows'
     integer forms over their common denominator, and each row is divided
     by its gcd, which gives the coprime row `gauss.integer_rows` makes of
-    the `Fraction` dual."""
+    the `Fraction` dual; that row times g/den is the `Fraction` row, so its
+    scale is (g, den).  The extension's scale is 2 and each sign row's 1."""
     if primal.is_cone:
         validate_standard_shape(primal)
         for c in primal.constraints:
@@ -227,20 +326,24 @@ def _build_working_system(primal: System) -> WorkingSystem:
     nlam = len(forms)
     den = lcm(*(d for _, _, d in forms))
     rows = []
+    scales = []
     for j in range(nvars):
         coeffs = [-a[j] * (den // d) for a, _, d in forms]
         g = gcd(*coeffs, den)
         rows.append((j, tuple(x // g for x in coeffs), -den // g, True))
+        scales.append((g, den))
     ext_id = nvars
     rows.append((ext_id, (1,) + (0,) * (nlam - 1), 1, False))
+    scales.append((2, 1))
     for i in range(nlam):
         rows.append((ext_id + 1 + i, tuple(-1 if k == i else 0 for k in range(nlam)), 0, False))
+    scales.extend([(1, 1)] * nlam)
 
     labels = [(j, f"row-{cone.variables[j]}") for j in range(nvars)]
     labels.append((ext_id, "extension"))
     labels.extend((ext_id + 1 + i, f"sign-l{i + 1}") for i in range(nlam))
     variables = tuple(f"l{i + 1}" for i in range(nlam))
-    return WorkingSystem(tuple(rows), variables, tuple(labels), ext_id, cone.variables, mains)
+    return WorkingSystem(tuple(rows), tuple(scales), variables, tuple(labels), ext_id, cone.variables, mains)
 
 
 def _pivot_kind(label: str) -> str:
@@ -297,8 +400,8 @@ def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST) -> PipelineTrace:
     """Run the elimination loop to a one-variable verdict on l1.
 
     Pivots are chosen and taken on the working system's integer rows, and
-    only the moves are recorded; the trace builds each step's `Fraction`
-    system (`gauss.pivot_system`) from them when its steps are read."""
+    only the moves are recorded; the trace replays them when its steps, a
+    text or its terminal system is read."""
     ws = build_working_system(primal)
     names = ws.variables
     rows = ws.rows

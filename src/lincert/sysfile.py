@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from .core import (
@@ -171,14 +172,19 @@ def parse(text: str) -> System:
 def format_expr(expr: LinearExpr, system: System, sign: int = 1) -> str:
     """expr, each coefficient times sign (-1 prints -expr), written from the
     coefficients' numerators and denominators: no Fraction arithmetic."""
-    if expr.is_zero:
-        if not system.variables:
-            raise LincertError("cannot print a zero expression without variables")
-        return f"0*{system.variables[0]}"
-    names = system.variables
+    return _write_terms(
+        ((var, sign * coef.numerator, coef.denominator) for var, coef in expr.terms),
+        system.variables,
+    )
+
+
+def _write_terms(terms, names: tuple[str, ...]) -> str:
+    """The linear form whose terms are (variable, num, den), each
+    coefficient the reduced nonzero num/den with den > 0; a form with no
+    terms is written 0*<first variable>.  The one rule every printed
+    expression follows."""
     parts = []
-    for var, coef in expr.terms:
-        num, den = sign * coef.numerator, coef.denominator
+    for var, num, den in terms:
         mag = num if num > 0 else -num
         if den != 1:
             body = f"{mag}/{den}*{names[var]}"
@@ -190,6 +196,10 @@ def format_expr(expr: LinearExpr, system: System, sign: int = 1) -> str:
             parts.append(f"+ {body}" if num > 0 else f"- {body}")
         else:
             parts.append(body if num > 0 else f"-{body}")
+    if not parts:
+        if not names:
+            raise LincertError("cannot print a zero expression without variables")
+        return f"0*{names[0]}"
     return " ".join(parts)
 
 
@@ -234,18 +244,47 @@ def print_system(
         out.append("cone")
     if system.objective is not None:
         out.append("maximize: " + format_expr(system.objective, system))
-    sign_names = []
+    signed = set()
     for c in system.constraints:
         if _is_plain_sign_row(c):
-            sign_names.append(system.variables[c.expr.terms[0][0]])
+            signed.add(c.expr.terms[0][0])
             continue
         if c.cid in comments:
             out.append(f"# {comments[c.cid]}")
         out.append(format_constraint(c, system, orientation))
-    if sign_names:
-        ordered = [n for n in system.variables if n in sign_names]
-        if len(ordered) == len(system.variables):
+    return _with_nonneg_line(out, system.variables, signed)
+
+
+def _with_nonneg_line(out: list[str], names: tuple[str, ...], signed: set[int]) -> str:
+    """The printed lines, with the nonneg: line of the variables in signed
+    last."""
+    if signed:
+        if len(signed) == len(names):
             out.append("nonneg: all")
         else:
-            out.append("nonneg: " + " ".join(ordered))
+            out.append("nonneg: " + " ".join(n for v, n in enumerate(names) if v in signed))
     return "\n".join(out) + "\n"
+
+
+def print_scaled_rows(names: tuple[str, ...], rows: tuple, scales: tuple, extension_id: int) -> str:
+    """print_system(system, orientation="ge") of the system over variables
+    `names` whose row i is rows[i] times scales[i], written from the
+    integers.  rows are in `gauss.integer_rows`' form (cid, coefficients,
+    rhs, pivotable), every row '<='; in a scale (num, den) den is positive
+    and num too, but on an all-zero row, which may have num = 0.  The
+    system has no objective and no cone flag, and its plain sign rows are
+    exactly the rows that are not pivotable other than extension_id: each
+    is -x <= 0, listed on the nonneg: line."""
+    out = ["vars: " + " ".join(names)]
+    signed = set()
+    for (cid, coeffs, rhs, pivotable), (num, den) in zip(rows, scales):
+        if not pivotable and cid != extension_id:
+            signed.update(v for v, x in enumerate(coeffs) if x)
+            continue
+        g = gcd(num, den)
+        num, den = -num // g, den // g  # >= negates both sides
+        terms = ((v, x * num // (h := gcd(x, den)), den // h) for v, x in enumerate(coeffs) if x)
+        h = gcd(rhs, den)
+        value = rhs * num // h if h == den else f"{rhs * num // h}/{den // h}"
+        out.append(f"{_write_terms(terms, names)} >= {value}")
+    return _with_nonneg_line(out, names, signed)

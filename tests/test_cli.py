@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincert.cli import main
-from lincert.sysfile import print_system
+from lincert.sysfile import print_scaled_rows, print_system
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.schema.json").read_text())
 
@@ -298,7 +298,31 @@ def test_solve9_explore_flags_sensitivity(files, capsys):
 def test_solve9_prints_each_system_once(files, capsys, monkeypatch, trace, as_json):
     # One print per step system under --trace, the last of which is the
     # terminal system, or one for the terminal system alone, whichever the
-    # output mode; the working system only for --json.
+    # output mode; the working system only for --json.  Every system is
+    # printed from the trace's integer rows, none through print_system.
+    import lincert.cli
+    import lincert.pipeline
+
+    printed = []
+
+    def counting(names, rows, *args):
+        printed.append(rows)
+        return print_scaled_rows(names, rows, *args)
+
+    monkeypatch.setattr(lincert.pipeline, "print_scaled_rows", counting)
+    monkeypatch.setattr(lincert.cli, "print_system", None)
+    argv = ["solve9", files["solvable"], "--rule", "paper-seq:l3@row-x,l2@row-y,l4@sign-l3"]
+    assert main(argv + ["--trace"] * trace + ["--json"] * as_json) == 0
+    capsys.readouterr()
+    assert len(printed) == len({id(rows) for rows in printed})
+    assert len(printed) == (3 if trace else 1) + as_json
+
+
+@pytest.mark.parametrize("command", ["check", "implicit"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_input_system_is_printed_only_for_json(files, capsys, monkeypatch, command, as_json):
+    # The printed input goes into the --json payload's system field; the
+    # text output shows none, so text mode prints nothing.
     import lincert.cli
 
     printed = []
@@ -308,11 +332,13 @@ def test_solve9_prints_each_system_once(files, capsys, monkeypatch, trace, as_js
         return print_system(system, *args, **kwargs)
 
     monkeypatch.setattr(lincert.cli, "print_system", counting)
-    argv = ["solve9", files["solvable"], "--rule", "paper-seq:l3@row-x,l2@row-y,l4@sign-l3"]
-    assert main(argv + ["--trace"] * trace + ["--json"] * as_json) == 0
-    capsys.readouterr()
-    assert len(printed) == len({id(system) for system in printed})
-    assert len(printed) == (3 if trace else 1) + as_json
+    main([command, files["sec2"]] + ["--json"] * as_json)
+    out = capsys.readouterr().out
+    assert len(printed) == as_json
+    if as_json:
+        assert json.loads(out)["system"] == print_system(printed[0])
+    else:
+        assert "vars:" not in out
 
 
 def test_solve9_rejects_unbounded(files, tmp_path, capsys):

@@ -26,7 +26,7 @@ from lincert.cone import is_reduced_to_origin, primal_cone
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
 from lincert.gauss import classify, integer_rows, pivot_integer_rows, substitute_through, transfer_multipliers
 from lincert.harness import CounterStream, GenParams, generate_bounded
-from lincert.sysfile import parse
+from lincert.sysfile import parse, print_system
 from lincert.pipeline import (
     ExploreBudgetExceeded,
     Interval,
@@ -166,20 +166,39 @@ def test_working_rows_are_the_integer_rows_of_the_fraction_dual(data):
     assert ws.variables == ws.system.variables
     assert [cid for cid, _ in ws.labels] == list(ws.system.ids())
     assert ws.system.constraint(ws.extension_id).provenance.kind == "extension"
+    # Each row's scale turns its integer row into the Fraction row.
+    for (_, coeffs, rhs, _), (num, den), c in zip(ws.rows, ws.scales, ws.system.constraints, strict=True):
+        assert c.expr == LinearExpr.from_terms((v, Fraction(x * num, den)) for v, x in enumerate(coeffs))
+        assert c.rhs == Fraction(rhs * num, den)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(1) or original(*args, **kw))
+    return calls
 
 
 def test_run_builds_step_systems_only_when_read(monkeypatch):
-    calls = []
-    original = lincert.pipeline.pivot_system
-    monkeypatch.setattr(
-        lincert.pipeline, "pivot_system", lambda *args, **kw: calls.append(1) or original(*args, **kw)
-    )
+    # run records only its moves.  Reading the texts, as run_trial does,
+    # replays them once on integer rows and builds no Fraction system, the
+    # dual included; reading the steps' systems builds each once from the
+    # same replay.
+    replays = _counting(monkeypatch, lincert.pipeline, "_Replay")
+    duals = _counting(monkeypatch, lincert.pipeline, "strong_elementary_dual")
+    built = _counting(monkeypatch, lincert.pipeline, "_step_system")
     trace = run(solvable_cone(), MAIN_SEQUENCE)
-    assert calls == []
+    assert replays == duals == built == []
     steps = trace.steps
-    assert len(calls) == len(trace.moves) == 3
+    texts = [trace.working_text] + [s.text for s in steps] + [trace.terminal_text]
+    assert [s.kind for s in steps] == ["original-main", "original-main", "converted-sign"]
+    assert texts[-1] is texts[-2]
+    assert len(replays) == 1 and duals == built == []
+    systems = [s.system for s in steps]
+    assert len(built) == len(trace.moves) == 3 and len(duals) == 1
     assert trace.terminal is steps[-1].system and trace.steps is steps
-    assert len(calls) == 3
+    assert [s.system for s in trace.steps] == systems and trace.working_text is texts[0]
+    assert len(replays) == 1 and len(built) == 3 and len(duals) == 1
 
 
 def test_empty_primal_without_cone_flag_goes_through_homogenization():
@@ -644,6 +663,59 @@ def test_zero_moves_are_fixed_by_the_input(system):
     result = assert_names_are_states(system)
     for outcome in result.outcomes:
         assert {name for name, label in outcome.sequence if label == "zero"} == zero
+
+
+@st.composite
+def traced_inputs(draw):
+    """Bounded GenParams draws, box and filter, and sparse_systems draws,
+    whose cone-flagged ones reach the zero move."""
+    kind = draw(st.sampled_from(["box", "filter", "sparse"]))
+    if kind == "sparse":
+        return draw(sparse_systems())
+    seed = draw(st.integers(0, 10**6))
+    return generate_bounded(CounterStream(seed, "texts"), GenParams(max_vars=3, max_cons=4, mode=kind, seed=seed))
+
+
+def assert_texts_match_the_fraction_replay(trace):
+    # The texts, read before any Fraction system, against print_system of
+    # the moves replayed by the reference formula; then the trace's own
+    # Fraction systems against the same replay.
+    texts = [trace.working_text] + [step.text for step in trace.steps] + [trace.terminal_text]
+    system = trace.working.system
+    systems = [system]
+    for step in trace.steps:
+        if step.pivot_id is None:
+            system = _fraction_fallback(system, step.var)
+        else:
+            system = substitute_fraction(system, step.var, step.pivot_id)
+        systems.append(system)
+    systems.append(system)
+    assert texts == [print_system(s, orientation="ge") for s in systems]
+    assert [step.system for step in trace.steps] == systems[1:-1]
+    assert trace.terminal == system
+
+
+ZERO_MOVE_CONE = parse("vars: x1 x2\ncone\nx1 - x2 <= 0\n0*x1 <= 0\nnonneg: all\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=traced_inputs(), pick=st.integers(0, 10**6))
+@example(system=ZERO_MOVE_CONE, pick=0)  # l3, the 0 <= 0 row's multiplier, takes the zero move
+@example(system=pinched_cone(), pick=1)  # a paper-seq witness
+def test_texts_are_the_printed_fraction_replay(system, pick):
+    # The default rule, or an explore witness without zero moves as a
+    # paper-seq rule (a pivot sequence cannot name a zero move).
+    trace = run(system)
+    if pick and len(trace.working.variables) <= 6:
+        witnesses = [o.sequence for o in explore(system).outcomes if all(lab != "zero" for _, lab in o.sequence)]
+        if witnesses:
+            trace = run(system, pivot_sequence(witnesses[pick % len(witnesses)]))
+    assert_texts_match_the_fraction_replay(trace)
+
+
+def test_the_zero_move_example_takes_the_zero_move():
+    trace = run(ZERO_MOVE_CONE)
+    assert [(s.var_name, s.kind) for s in trace.steps if s.pivot_id is None] == [("l3", "fallback-zero")]
 
 
 BASELINE = Path(__file__).resolve().parent.parent / "baseline" / "difftest-seed42-trials500.json"
