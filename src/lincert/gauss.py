@@ -29,13 +29,13 @@ pivot's integer row P,
 has no x0 term, and N / (|A|*|A0|) is exactly the row the Fraction formula
 below emits: the scales of R and P cancel.  `pivot_integer_rows` computes N
 and keeps it divided by its gcd g, so the rewritten `Fraction` row is that
-coprime row times g / (|A|*|A0|), whatever the scales of R and P were;
-`substitute_through` builds it, one Fraction(N_v, |A|*|A0|) per entry, on
-a `System`.  `classify` records the pivot column for the
-certificate side: `transfer_multipliers`, `reverse_multipliers` and
-`redundancy_witness` work from it.  Transformed rows keep their constraint
-ids (the pivot's id disappears), so multiplier vectors on the old and new
-systems share a key space.
+coprime row times its new scale g / (|A|*|A0|), whatever the scales of R
+and P were; it keeps the scales when asked, and `substitute_through`
+builds the `Fraction` rows from them on a `System`.  `classify` records
+the pivot column for the certificate side: `transfer_multipliers`,
+`reverse_multipliers` and `redundancy_witness` work from it.  Transformed
+rows keep their constraint ids (the pivot's id disappears), so multiplier
+vectors on the old and new systems share a key space.
 """
 
 from __future__ import annotations
@@ -119,13 +119,17 @@ def integer_rows(system: System) -> tuple:
     return tuple(rows)
 
 
-def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = None) -> tuple:
+def pivot_integer_rows(rows: tuple, p: int, var: int, scales: list | None = None) -> tuple:
     """Substitute `var` out through integer row p set to equality.
 
     Row p is dropped, rows without `var` pass through as the same objects,
     and every other row becomes N = |a0|*row - a*sign(a0)*pivot divided by
-    its gcd, pivotable.  When `unreduced` is a list, each rewritten row's
-    (N, N's rhs) before that division is appended to it, in row order."""
+    its gcd g, pivotable.  `scales`, when given, is a list of the rows'
+    scales, each (num, den) with num/den the factor that turns the integer
+    row into its `Fraction` row, and is updated in place to the new rows'
+    scales: a rewritten row's `Fraction` row is N / (|a|*|a0|) whatever
+    the old scales were (module docstring), so its scale is (g, |a|*|a0|);
+    every other row keeps its own."""
     _, pivot, pivot_rhs, _ = rows[p]
     a0 = pivot[var]
     m0 = abs(a0)
@@ -142,13 +146,15 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, unreduced: list | None = N
         f = a * s0
         new = [m0 * x - f * y for x, y in zip(coeffs, pivot)]
         new_rhs = m0 * rhs - f * pivot_rhs
-        if unreduced is not None:
-            unreduced.append((new, new_rhs))
         g = gcd(*new, new_rhs)
+        if scales is not None:
+            scales[i] = (g, m0 * abs(a))
         if g > 1:
             new = [x // g for x in new]
             new_rhs //= g
         out.append((cid, tuple(new), new_rhs, True))
+    if scales is not None:
+        del scales[p]
     return tuple(out)
 
 
@@ -166,26 +172,23 @@ def substitute_through(system: System, var: int, pivot_id: int) -> System:
 
     The rows are computed on integer rows: with R and P the coprime integer
     rows of a row and of the pivot, and A, A0 their x0 coefficients, the row
-    above is exactly N / (|A|*|A0|), N = |A0|*R - A*sign(A0)*P, the row
-    `pivot_integer_rows` computes before dividing it by its gcd.
+    above is exactly N / (|A|*|A0|), N = |A0|*R - A*sign(A0)*P, which is the
+    coprime row `pivot_integer_rows` returns times the scale it gives.
     """
     pivot = _checked_pivot(system, var, pivot_id)
     p = system.constraints.index(pivot)
     rows = integer_rows(system)
-    unreduced: list = []
-    pivot_integer_rows(rows, p, var, unreduced)
-    m0 = abs(rows[p][1][var])
-    pending = iter(unreduced)
+    scales: list = [None] * len(rows)  # stays None on a row without var
+    new_rows = pivot_integer_rows(rows, p, var, scales)
     out = []
-    for c, row in zip(system.constraints, rows):
-        a = row[1][var]
-        if not a:
+    others = system.constraints[:p] + system.constraints[p + 1 :]
+    for c, (cid, coeffs, rhs, _), scale in zip(others, new_rows, scales):
+        if scale is None:
             out.append(c)
-        elif c.cid != pivot_id:
-            coeffs, rhs = next(pending)
-            d = m0 * abs(a)
-            expr = LinearExpr(tuple((v, Fraction(x, d)) for v, x in enumerate(coeffs) if x))
-            out.append(Constraint(c.cid, expr, c.relation, Fraction(rhs, d), Provenance.derived((c.cid, pivot_id))))
+            continue
+        num, den = scale
+        expr = LinearExpr(tuple((v, Fraction(x * num, den)) for v, x in enumerate(coeffs) if x))
+        out.append(Constraint(cid, expr, c.relation, Fraction(rhs * num, den), Provenance.derived((cid, pivot_id))))
     return system.with_rows(out)
 
 

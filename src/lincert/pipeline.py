@@ -28,9 +28,9 @@ integer rows through `gauss.pivot_integer_rows`, without fractions (as in
 Bareiss 1968).  `run` records only its moves.  Its trace replays them
 once, on integer rows that each carry the scale turning them into their
 `Fraction` rows, the first time a step, a text or the terminal system is
-read.  The working, step and terminal texts are printed from those rows
-(`sysfile.print_scaled_rows`); the `Fraction` systems, the strong dual
-first, are built only when one of them is read.  `explore` only needs
+read.  The working, step and terminal texts are printed from those rows;
+the `Fraction` systems, the strong dual first, are built only when one of
+them is read.  `explore` only needs
 the verdicts, and names each child before computing it by the remaining
 variables and the set of pivot rows taken, which fix its rows, so it
 pivots once per distinct pivot set.
@@ -61,8 +61,8 @@ from .core import (
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
 from .dual import strong_elementary_dual
-from .gauss import pivot_integer_rows
-from .sysfile import print_scaled_rows
+from .gauss import pivot_integer_rows, substitute_through
+from .sysfile import format_row, print_lines
 
 
 class UnboundedInputError(LincertError):
@@ -140,7 +140,10 @@ class WorkingSystem:
 class PipelineStep:
     """One move of `run`.  `text` (the system after the move, printed as
     `print_system(..., orientation="ge")` prints it) and `system` (that
-    `Fraction` system) are read from the trace's replay."""
+    `Fraction` system) are read from the trace's replay.  Equality and the
+    hash compare the move alone (variable, pivot and kind), not the
+    system after it: steps of two traces that make the same move compare
+    equal whatever their systems."""
 
     var: int
     var_name: str
@@ -163,39 +166,25 @@ class _Replay:
     """The moves replayed once on the working system's integer rows: one
     state (rows, scales) for the working system, then one per move, each
     row's scale (num, den) the factor that turns it into its `Fraction`
-    row.  A row the move rewrites is N divided by its gcd g, with N the
-    unreduced row `pivot_integer_rows` returns, and its `Fraction` row is
-    N / (|a|*|a0|) (gauss module docstring), so its scale is
-    (g, |a|*|a0|); every other row keeps its scale.  Each state is printed
-    the first time its text is read, and the `Fraction` systems, from the
-    working system's on, are built from the states the first time one is
-    read."""
+    row, kept by `gauss.pivot_integer_rows`.  Each state is printed the
+    first time its text is read, and the `Fraction` systems, from the
+    working system's on, are built the first time one is read."""
 
     def __init__(self, ws: WorkingSystem, moves: tuple[tuple[int, int | None], ...]):
         self.working = ws
+        self.moves = moves
         rows, scales = ws.rows, ws.scales
         self.states = [(rows, scales)]
         self.pivot_ids = []
         for var, p in moves:
             if p is None:
-                scales = tuple(s for row, s in zip(rows, scales) if not row[1][var])
+                scales = [s for row, s in zip(rows, scales) if not row[1][var]]
                 rows = _drop_sign_row(rows, var)
                 self.pivot_ids.append(None)
             else:
-                unreduced: list = []
-                new_rows = pivot_integer_rows(rows, p, var, unreduced)
-                m0 = abs(rows[p][1][var])
-                pending = iter(unreduced)
-                new_scales = []
-                for i, (row, scale) in enumerate(zip(rows, scales)):
-                    a = row[1][var]
-                    if not a:
-                        new_scales.append(scale)
-                    elif i != p:
-                        coeffs, rhs = next(pending)
-                        new_scales.append((gcd(*coeffs, rhs), m0 * abs(a)))
                 self.pivot_ids.append(rows[p][0])
-                rows, scales = new_rows, tuple(new_scales)
+                scales = list(scales)
+                rows = pivot_integer_rows(rows, p, var, scales)
             self.states.append((rows, scales))
         self._texts: dict[int, str] = {}
 
@@ -203,33 +192,43 @@ class _Replay:
         text = self._texts.get(state)
         if text is None:
             ws = self.working
-            text = self._texts[state] = print_scaled_rows(ws.variables, *self.states[state], ws.extension_id)
+            text = self._texts[state] = _print_scaled_rows(ws.variables, *self.states[state], ws.extension_id)
         return text
 
     @cached_property
     def systems(self) -> tuple[System, ...]:
         """Each state's `Fraction` system, the working system's first."""
         systems = [self.working.system]
-        for before, after, pivot_id in zip(self.states, self.states[1:], self.pivot_ids):
-            systems.append(_step_system(systems[-1], before[0], *after, pivot_id))
+        for (var, _), pivot_id, (rows, _) in zip(self.moves, self.pivot_ids, self.states[1:]):
+            previous = systems[-1]
+            if pivot_id is None:
+                kept = {row[0] for row in rows}
+                systems.append(previous.with_rows(c for c in previous.constraints if c.cid in kept))
+            else:
+                systems.append(substitute_through(previous, var, pivot_id))
         return tuple(systems)
 
 
-def _step_system(previous: System, before: tuple, rows: tuple, scales: tuple, pivot_id: int | None) -> System:
-    """The `Fraction` system of one move's state (rows, scales), from the
-    system and integer rows before it: a rewritten row is a new Constraint
-    derived from its id and the pivot's, and every other row keeps its
-    Constraint object."""
-    old = {row[0]: (row, c) for row, c in zip(before, previous.constraints)}
-    out = []
-    for row, (num, den) in zip(rows, scales):
-        cid, coeffs, rhs, _ = row
-        prior, c = old[cid]
-        if row is not prior:
-            expr = LinearExpr(tuple((v, Fraction(x * num, den)) for v, x in enumerate(coeffs) if x))
-            c = Constraint(cid, expr, Relation.LE, Fraction(rhs * num, den), Provenance.derived((cid, pivot_id)))
-        out.append(c)
-    return previous.with_rows(out)
+def _print_scaled_rows(names: tuple[str, ...], rows: tuple, scales, extension_id: int) -> str:
+    """print_system(system, orientation="ge") of the system over the
+    variables `names` whose row i is rows[i] times scales[i], written from
+    the integers.  Every row is '<='; in a scale (num, den) den is positive
+    and num too, but on an all-zero row, which may have num = 0.  The
+    system has no objective and no cone flag, and its plain sign rows are
+    exactly the rows that are not pivotable other than the extension: each
+    is -x <= 0, listed on the nonneg: line."""
+    lines = []
+    signed = set()
+    for (cid, coeffs, rhs, pivotable), (num, den) in zip(rows, scales):
+        if not pivotable and cid != extension_id:
+            signed.update(v for v, x in enumerate(coeffs) if x)
+            continue
+        g = gcd(num, den)
+        num, den = -num // g, den // g  # >= negates both sides
+        terms = ((v, x * num // (h := gcd(x, den)), den // h) for v, x in enumerate(coeffs) if x)
+        h = gcd(rhs, den)
+        lines.append(format_row(terms, names, ">=", rhs * num // h, den // h))
+    return print_lines(names, lines, signed)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 from typing import Mapping
 
 from .core import (
@@ -169,13 +168,10 @@ def parse(text: str) -> System:
     return System(variables, tuple(rows), objective, is_cone)
 
 
-def format_expr(expr: LinearExpr, system: System, sign: int = 1) -> str:
-    """expr, each coefficient times sign (-1 prints -expr), written from the
-    coefficients' numerators and denominators: no Fraction arithmetic."""
-    return _write_terms(
-        ((var, sign * coef.numerator, coef.denominator) for var, coef in expr.terms),
-        system.variables,
-    )
+def format_expr(expr: LinearExpr, system: System) -> str:
+    """expr, written from the coefficients' numerators and denominators: no
+    Fraction arithmetic."""
+    return _write_terms(((var, a.numerator, a.denominator) for var, a in expr.terms), system.variables)
 
 
 def _write_terms(terms, names: tuple[str, ...]) -> str:
@@ -206,6 +202,14 @@ def _write_terms(terms, names: tuple[str, ...]) -> str:
 _GE_SYMBOL = {Relation.LE: ">=", Relation.LT: ">"}
 
 
+def format_row(terms, names: tuple[str, ...], symbol: str, num: int, den: int) -> str:
+    """One printed row: the linear form whose terms are (variable, num,
+    den) as `_write_terms` writes it, the relation symbol, and the right
+    side num/den, reduced with den > 0."""
+    value = num if den == 1 else f"{num}/{den}"
+    return f"{_write_terms(terms, names)} {symbol} {value}"
+
+
 def format_constraint(c: Constraint, system: System, orientation: str = "le") -> str:
     """The row in <= / < form, or with `orientation="ge"` both sides negated
     into >= / > form; an equation prints as it is."""
@@ -214,9 +218,8 @@ def format_constraint(c: Constraint, system: System, orientation: str = "le") ->
         sign, symbol = -1, _GE_SYMBOL[rel]
     else:
         sign, symbol = 1, rel.value
-    num, den = sign * rhs.numerator, rhs.denominator
-    value = num if den == 1 else f"{num}/{den}"
-    return f"{format_expr(c.expr, system, sign)} {symbol} {value}"
+    terms = ((var, sign * a.numerator, a.denominator) for var, a in c.expr.terms)
+    return format_row(terms, system.variables, symbol, sign * rhs.numerator, rhs.denominator)
 
 
 def _is_plain_sign_row(c: Constraint) -> bool:
@@ -239,52 +242,29 @@ def print_system(
     Sign rows of the form -x <= 0 are listed on the `nonneg:` line; any
     other row, a sign row such as -x <= 3 included, prints in its place."""
     comments = comments or {}
-    out = ["vars: " + " ".join(system.variables) if system.variables else "vars:"]
+    lines = []
     if system.is_cone:
-        out.append("cone")
+        lines.append("cone")
     if system.objective is not None:
-        out.append("maximize: " + format_expr(system.objective, system))
+        lines.append("maximize: " + format_expr(system.objective, system))
     signed = set()
     for c in system.constraints:
         if _is_plain_sign_row(c):
             signed.add(c.expr.terms[0][0])
             continue
         if c.cid in comments:
-            out.append(f"# {comments[c.cid]}")
-        out.append(format_constraint(c, system, orientation))
-    return _with_nonneg_line(out, system.variables, signed)
+            lines.append(f"# {comments[c.cid]}")
+        lines.append(format_constraint(c, system, orientation))
+    return print_lines(system.variables, lines, signed)
 
 
-def _with_nonneg_line(out: list[str], names: tuple[str, ...], signed: set[int]) -> str:
-    """The printed lines, with the nonneg: line of the variables in signed
-    last."""
+def print_lines(names: tuple[str, ...], lines: list[str], signed: set[int]) -> str:
+    """The text of a system over the variables `names`: the vars: line,
+    `lines`, and last the nonneg: line of the variables in `signed`."""
+    out = ["vars: " + " ".join(names) if names else "vars:", *lines]
     if signed:
         if len(signed) == len(names):
             out.append("nonneg: all")
         else:
             out.append("nonneg: " + " ".join(n for v, n in enumerate(names) if v in signed))
     return "\n".join(out) + "\n"
-
-
-def print_scaled_rows(names: tuple[str, ...], rows: tuple, scales: tuple, extension_id: int) -> str:
-    """print_system(system, orientation="ge") of the system over variables
-    `names` whose row i is rows[i] times scales[i], written from the
-    integers.  rows are in `gauss.integer_rows`' form (cid, coefficients,
-    rhs, pivotable), every row '<='; in a scale (num, den) den is positive
-    and num too, but on an all-zero row, which may have num = 0.  The
-    system has no objective and no cone flag, and its plain sign rows are
-    exactly the rows that are not pivotable other than extension_id: each
-    is -x <= 0, listed on the nonneg: line."""
-    out = ["vars: " + " ".join(names)]
-    signed = set()
-    for (cid, coeffs, rhs, pivotable), (num, den) in zip(rows, scales):
-        if not pivotable and cid != extension_id:
-            signed.update(v for v, x in enumerate(coeffs) if x)
-            continue
-        g = gcd(num, den)
-        num, den = -num // g, den // g  # >= negates both sides
-        terms = ((v, x * num // (h := gcd(x, den)), den // h) for v, x in enumerate(coeffs) if x)
-        h = gcd(rhs, den)
-        value = rhs * num // h if h == den else f"{rhs * num // h}/{den // h}"
-        out.append(f"{_write_terms(terms, names)} >= {value}")
-    return _with_nonneg_line(out, names, signed)

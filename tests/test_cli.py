@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lincert.cli import main
-from lincert.sysfile import print_scaled_rows, print_system
+from lincert.sysfile import print_system
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema" / "report.schema.json").read_text())
 
@@ -307,9 +307,10 @@ def test_solve9_prints_each_system_once(files, capsys, monkeypatch, trace, as_js
 
     def counting(names, rows, *args):
         printed.append(rows)
-        return print_scaled_rows(names, rows, *args)
+        return original(names, rows, *args)
 
-    monkeypatch.setattr(lincert.pipeline, "print_scaled_rows", counting)
+    original = lincert.pipeline._print_scaled_rows
+    monkeypatch.setattr(lincert.pipeline, "_print_scaled_rows", counting)
     monkeypatch.setattr(lincert.cli, "print_system", None)
     argv = ["solve9", files["solvable"], "--rule", "paper-seq:l3@row-x,l2@row-y,l4@sign-l3"]
     assert main(argv + ["--trace"] * trace + ["--json"] * as_json) == 0

@@ -186,7 +186,7 @@ def test_run_builds_step_systems_only_when_read(monkeypatch):
     # same replay.
     replays = _counting(monkeypatch, lincert.pipeline, "_Replay")
     duals = _counting(monkeypatch, lincert.pipeline, "strong_elementary_dual")
-    built = _counting(monkeypatch, lincert.pipeline, "_step_system")
+    built = _counting(monkeypatch, lincert.pipeline, "substitute_through")
     trace = run(solvable_cone(), MAIN_SEQUENCE)
     assert replays == duals == built == []
     steps = trace.steps
@@ -674,6 +674,38 @@ def traced_inputs(draw):
         return draw(sparse_systems())
     seed = draw(st.integers(0, 10**6))
     return generate_bounded(CounterStream(seed, "texts"), GenParams(max_vars=3, max_cons=4, mode=kind, seed=seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_scaled_rows_print_as_their_fraction_system(data):
+    # Integer rows times scales, as the pipeline's replay holds them: main
+    # and rewritten rows (pivotable), the extension, and sign rows -x <= 0
+    # (neither), against print_system of the Fraction system.
+    n = data.draw(st.integers(1, 4))
+    vs = tuple(f"l{i + 1}" for i in range(n))
+    ints = st.integers(-6, 6)
+    scale = st.tuples(st.integers(0, 12), st.integers(1, 12))
+    rows, scales, constraints = [], [], []
+    extension_id = data.draw(st.integers(0, 7))
+    for cid in range(data.draw(st.integers(0, 8))):
+        num, den = data.draw(scale)
+        if cid == extension_id or data.draw(st.booleans()):
+            coeffs, rhs = tuple(data.draw(st.lists(ints, min_size=n, max_size=n))), data.draw(ints)
+            if not num:  # a rewritten row that came out 0 <= 0 has scale (0, den)
+                coeffs, rhs = (0,) * n, 0
+            pivotable = cid != extension_id
+            kind = Provenance.main() if pivotable else Provenance.extension()
+        else:
+            var = data.draw(st.integers(0, n - 1))
+            coeffs, rhs, pivotable, num, den = tuple(-(v == var) for v in range(n)), 0, False, 1, 1
+            kind = Provenance.sign()
+        rows.append((cid, coeffs, rhs, pivotable))
+        scales.append((num, den))
+        expr = LinearExpr.from_terms((v, Fraction(x * num, den)) for v, x in enumerate(coeffs))
+        constraints.append(Constraint(cid, expr, Relation.LE, Fraction(rhs * num, den), kind))
+    expected = print_system(System(vs, tuple(constraints)), orientation="ge")
+    assert lincert.pipeline._print_scaled_rows(vs, tuple(rows), tuple(scales), extension_id) == expected
 
 
 def assert_texts_match_the_fraction_replay(trace):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_reference import format_constraint_reference, print_system_reference
 from lincert.core import Constraint, LinearExpr, Provenance, Relation, System, make_system, sign_row
-from lincert.sysfile import ParseError, format_constraint, parse, parse_rational, print_scaled_rows, print_system
+from lincert.sysfile import ParseError, format_constraint, parse, parse_rational, print_system
 
 SECTION2 = """\
 # feasibility example
@@ -208,34 +208,3 @@ def test_print_matches_the_fraction_reference(data):
         for c in rows:
             assert format_constraint(c, system, orientation) == format_constraint_reference(c, system, orientation)
         assert print_system(system, orientation, comments) == print_system_reference(system, orientation, comments)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_scaled_rows_print_as_their_fraction_system(data):
-    # Integer rows times scales, as the pipeline's replay holds them: main and rewritten rows (pivotable), the extension, and sign
-    # rows -x <= 0 (neither), against print_system of the Fraction system.
-    n = data.draw(st.integers(1, 4))
-    vs = tuple(f"l{i + 1}" for i in range(n))
-    ints = st.integers(-6, 6)
-    scale = st.tuples(st.integers(0, 12), st.integers(1, 12))
-    rows, scales, constraints = [], [], []
-    extension_id = data.draw(st.integers(0, 7))
-    for cid in range(data.draw(st.integers(0, 8))):
-        num, den = data.draw(scale)
-        if cid == extension_id or data.draw(st.booleans()):
-            coeffs, rhs = tuple(data.draw(st.lists(ints, min_size=n, max_size=n))), data.draw(ints)
-            if not num:  # a rewritten row that came out 0 <= 0 has scale (0, den)
-                coeffs, rhs = (0,) * n, 0
-            pivotable = cid != extension_id
-            kind = Provenance.main() if pivotable else Provenance.extension()
-        else:
-            var = data.draw(st.integers(0, n - 1))
-            coeffs, rhs, pivotable, num, den = tuple(-(v == var) for v in range(n)), 0, False, 1, 1
-            kind = Provenance.sign()
-        rows.append((cid, coeffs, rhs, pivotable))
-        scales.append((num, den))
-        expr = LinearExpr.from_terms((v, Fraction(x * num, den)) for v, x in enumerate(coeffs))
-        constraints.append(Constraint(cid, expr, Relation.LE, Fraction(rhs * num, den), kind))
-    expected = print_system(System(vs, tuple(constraints)), orientation="ge")
-    assert print_scaled_rows(vs, tuple(rows), tuple(scales), extension_id) == expected
