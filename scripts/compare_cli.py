@@ -20,9 +20,14 @@ DIFFTESTS, `run_difftest(GenParams(seed=seed, mode=mode), 200)` without
 its wall clock, and the reports are compared byte for byte too: their
 disagreeing trials carry the pivot trace, working and terminal systems
 of each, beyond what the seed-42 golden file holds.
-Prints, per command line and corpus and per report, how many outputs
-are identical, and the first difference as a unified diff.  Exits 0
-when every output is identical, 1 otherwise.
+The `Fraction` side of the Gaussian route, which no CLI output shows, is
+compared too: for every corpus system that `pipeline.run` accepts under
+the default rule, the `repr` of its working system, of each step's system
+and of its terminal system, provenance included; a system that `run`
+refuses in both trees counts as identical.
+Prints, per command line and corpus, per corpus's `Fraction` systems and
+per report, how many outputs are identical, and the first difference as a
+unified diff.  Exits 0 when every output is identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -56,14 +61,19 @@ DIFFTEST_TRIALS = 200
 
 # Runs in the child: reads [system text, ...] on stdin, writes
 # {"cli": [[[exit code, stdout, stderr], ...] per mode],
-#  "difftest": [report JSON, ...] per (seed, mode)} on stdout.
+#  "difftest": [report JSON, ...] per (seed, mode),
+#  "systems": [[repr, ...] per working, step and terminal system, or
+#              None where run refuses the system, ...] per text} on stdout.
 CHILD = r"""
 import io, json, sys, tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 import lincert
 from lincert.cli import main
+from lincert.core import LincertError
 from lincert.harness import GenParams, run_difftest
+from lincert.pipeline import run
+from lincert.sysfile import parse
 
 src, modes = Path(sys.argv[1]).resolve(), json.loads(sys.argv[2])
 difftests, trials = json.loads(sys.argv[3]), int(sys.argv[4])
@@ -84,7 +94,16 @@ reports = [
     run_difftest(GenParams(seed=seed, mode=mode), trials).to_json(include_wall_clock=False)
     for seed, mode in difftests
 ]
-json.dump({"cli": results, "difftest": reports}, sys.stdout)
+
+def fraction_systems(text):
+    try:
+        trace = run(parse(text))
+    except LincertError:
+        return None
+    return [repr(trace.working.system)] + [repr(s.system) for s in trace.steps] + [repr(trace.terminal)]
+
+systems = [fraction_systems(text) for text in texts]
+json.dump({"cli": results, "difftest": reports, "systems": systems}, sys.stdout)
 """
 
 
@@ -169,6 +188,30 @@ def render(result) -> list[str]:
     return [f"exit code {code}\n"] + out.splitlines(keepends=True) + [f"stderr: {line}" for line in err.splitlines(keepends=True)]
 
 
+def render_systems(reprs) -> list[str]:
+    return ["refused by run\n"] if reprs is None else [line + "\n" for line in reprs]
+
+
+def compare_corpora(title, parent, change, corpora, show) -> bool:
+    """Print, per corpus, how many of its outputs are identical and the
+    first difference, each output written as the lines `show` gives it;
+    True when all are identical."""
+    offset = 0
+    same_everywhere = True
+    for name, corpus in corpora.items():
+        pairs = list(zip(parent[offset : offset + len(corpus)], change[offset : offset + len(corpus)]))
+        offset += len(corpus)
+        same = sum(a == b for a, b in pairs)
+        print(f"{title}, {name} corpus: {same}/{len(pairs)} byte-identical")
+        first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
+        if first is not None:
+            same_everywhere = False
+            print(f"first difference, {name} system {first}:")
+            a, b = pairs[first]
+            sys.stdout.writelines(difflib.unified_diff(show(a), show(b), "parent", "change"))
+    return same_everywhere
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the tree to compare against")
@@ -182,21 +225,12 @@ def main() -> int:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     procs = {side: start(tree, texts) for side, tree in trees.items()}
     results = {side: finish(proc, trees[side]) for side, proc in procs.items()}
+    parent, change = results["parent"], results["change"]
     same_everywhere = True
-    for mode, parent, change in zip(MODES, results["parent"]["cli"], results["change"]["cli"]):
-        offset = 0
-        for name, corpus in corpora.items():
-            pairs = list(zip(parent[offset : offset + len(corpus)], change[offset : offset + len(corpus)]))
-            offset += len(corpus)
-            same = sum(a == b for a, b in pairs)
-            print(f"lincert {' '.join(mode)}, {name} corpus: {same}/{len(pairs)} byte-identical")
-            first = next((i for i, (a, b) in enumerate(pairs) if a != b), None)
-            if first is not None:
-                same_everywhere = False
-                print(f"first difference, {name} system {first}:")
-                a, b = pairs[first]
-                sys.stdout.writelines(difflib.unified_diff(render(a), render(b), "parent", "change"))
-    for (seed, mode), a, b in zip(DIFFTESTS, results["parent"]["difftest"], results["change"]["difftest"]):
+    for mode, a, b in zip(MODES, parent["cli"], change["cli"]):
+        same_everywhere &= compare_corpora(f"lincert {' '.join(mode)}", a, b, corpora, render)
+    same_everywhere &= compare_corpora("run's Fraction systems", parent["systems"], change["systems"], corpora, render_systems)
+    for (seed, mode), a, b in zip(DIFFTESTS, parent["difftest"], change["difftest"]):
         print(f"difftest seed {seed} {mode}, {DIFFTEST_TRIALS} trials: {'byte-identical' if a == b else 'different'}")
         if a != b:
             same_everywhere = False

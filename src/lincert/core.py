@@ -224,12 +224,12 @@ class System:
 
     What a system holds on to once asked: the homogenized cone (one
     System, its rows about as many as the primal's), the ray found or
-    None, the working system (the strong dual's integer rows and row
-    labels, and the cone's main rows, from which the capped cone and the
-    dual are built as Systems when first read) and the Fourier verdict
-    with its witness; until its implicit ids are first read, that verdict
-    also holds the elimination trace and the ids of the rows tight at the
-    witness, which the read frees.
+    None, the working system (the strong dual's integer rows, their
+    scales and the row labels, from which the dual is built as a System
+    when first read) and the Fourier verdict with its witness; until its
+    implicit ids are first read, that verdict also holds the elimination
+    trace and the ids of the rows tight at the witness, which the read
+    frees.
     """
 
     variables: tuple[str, ...]
@@ -490,8 +490,9 @@ def _combination(system: System, lam: MultiplierVector) -> tuple[dict[int, int],
 
     Each row is taken times the lcm of its denominators, so its weight
     becomes w_i over that lcm, and den is the lcm of those scaled weights'
-    denominators.  Strict iff a strict row is listed, whatever its weight.
-    Raises as combine does, on the first offending entry."""
+    denominators.  Strict iff a strict row carries a positive weight: a
+    strict row listed at weight 0 adds nothing to the sum.  Raises as
+    combine does, on the first offending entry."""
     by_id = {c.cid: c for c in system.constraints}
     scaled = []
     strict = False
@@ -508,7 +509,7 @@ def _combination(system: System, lam: MultiplierVector) -> tuple[dict[int, int],
         w = rat(w)
         row_den = lcm(row.rhs.denominator, *(a.denominator for _, a in row.expr.terms))
         scaled.append((row, row_den, w.numerator, w.denominator * row_den))
-        if row.relation is Relation.LT:
+        if row.relation is Relation.LT and w:
             strict = True
     den = lcm(*(w_den for *_, w_den in scaled))
     sums: dict[int, int] = {}
@@ -527,8 +528,9 @@ def combine(system: System, lam: MultiplierVector) -> Constraint:
     """Nonnegative combination sum(w_i * row_i) of inequality rows, one
     Fraction per nonzero entry built from _combination's integer sums.
 
-    The result relation is strict iff a strict row is listed; only a
-    directly built MultiplierVector lists a row with weight zero.
+    The result relation is strict iff a strict row carries a positive
+    weight; only a directly built MultiplierVector lists a row with weight
+    zero, and such a row makes no sum strict.
     """
     sums, rhs, den, strict = _combination(system, lam)
     expr = LinearExpr(tuple(sorted((v, Fraction(s, den)) for v, s in sums.items() if s)))

@@ -30,8 +30,10 @@ has no x0 term, and N / (|A|*|A0|) is exactly the row the Fraction formula
 below emits: the scales of R and P cancel.  `pivot_integer_rows` computes N
 and keeps it divided by its gcd g, so the rewritten `Fraction` row is that
 coprime row times its new scale g / (|A|*|A0|), whatever the scales of R
-and P were; it keeps the scales when asked, and `substitute_through`
-builds the `Fraction` rows from them on a `System`.  `classify` records
+and P were; it keeps the scales when asked.  `fraction_row` turns an
+integer row and its scale into the `Fraction` row: `substitute_through`
+builds its rewritten rows with it, and the pipeline its working, step and
+terminal systems, from the integer states its run keeps.  `classify` records
 the pivot column for the certificate side: `transfer_multipliers`,
 `reverse_multipliers` and `redundancy_witness` work from it.  Transformed
 rows keep their constraint ids (the pivot's id disappears), so multiplier
@@ -158,6 +160,16 @@ def pivot_integer_rows(rows: tuple, p: int, var: int, scales: list | None = None
     return tuple(out)
 
 
+def fraction_row(row: tuple, scale: tuple[int, int], provenance: Provenance) -> Constraint:
+    """The `Fraction` row of integer row `row` ((cid, coefficients, rhs,
+    pivotable), `integer_rows`' form) times its scale (num, den): one
+    `Fraction` per nonzero entry, with `provenance`."""
+    cid, coeffs, rhs, _ = row
+    num, den = scale
+    expr = LinearExpr(tuple((v, Fraction(x * num, den)) for v, x in enumerate(coeffs) if x))
+    return Constraint(cid, expr, Relation.LE, Fraction(rhs * num, den), provenance)
+
+
 def substitute_through(system: System, var: int, pivot_id: int) -> System:
     """Substitute var out through the pivot row set to equality.
 
@@ -180,16 +192,11 @@ def substitute_through(system: System, var: int, pivot_id: int) -> System:
     rows = integer_rows(system)
     scales: list = [None] * len(rows)  # stays None on a row without var
     new_rows = pivot_integer_rows(rows, p, var, scales)
-    out = []
     others = system.constraints[:p] + system.constraints[p + 1 :]
-    for c, (cid, coeffs, rhs, _), scale in zip(others, new_rows, scales):
-        if scale is None:
-            out.append(c)
-            continue
-        num, den = scale
-        expr = LinearExpr(tuple((v, Fraction(x * num, den)) for v, x in enumerate(coeffs) if x))
-        out.append(Constraint(cid, expr, c.relation, Fraction(rhs * num, den), Provenance.derived((cid, pivot_id))))
-    return system.with_rows(out)
+    return system.with_rows(
+        c if scale is None else fraction_row(row, scale, Provenance.derived((row[0], pivot_id)))
+        for c, row, scale in zip(others, new_rows, scales)
+    )
 
 
 def transfer_multipliers(cls: PivotClassification, mu: MultiplierVector) -> MultiplierVector:

@@ -66,6 +66,8 @@ class GenParams:
     def __post_init__(self):
         if self.max_vars < 1:
             raise LincertError("max_vars must be at least 1")
+        if self.max_cons < 1:
+            raise LincertError("max_cons must be at least 1")
         if self.coeff_lo > self.coeff_hi:
             raise LincertError("empty coefficient range")
         if self.mode not in ("box", "filter"):

@@ -15,25 +15,42 @@ when the interval is the single point {1}.
 The working system is built once per primal and kept in the primal's memo
 (core.System), so `run` and `explore` on one system share it.  It holds
 the dual's coprime integer rows, transposed straight from the capped
-cone's rows, and the dual's row labels; the capped cone and the dual as
-`Fraction` systems are built from the cone's rows the first time they are
-read.
+cone's rows, each with the scale that turns it into its `Fraction` row,
+and the dual's row labels.
 
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
 makes the choice explicit and reproducible: the default takes original main
 rows first, a pivot sequence names every pivot.  `explore` enumerates the
-whole pivot tree to quantify the sensitivity.  Both pivot on coprime
-integer rows through `gauss.pivot_integer_rows`, without fractions (as in
-Bareiss 1968).  `run` records only its moves.  Its trace replays them
-once, on integer rows that each carry the scale turning them into their
-`Fraction` rows, the first time a step, a text or the terminal system is
-read.  The working, step and terminal texts are printed from those rows;
-the `Fraction` systems, the strong dual first, are built only when one of
-them is read.  `explore` only needs
-the verdicts, and names each child before computing it by the remaining
-variables and the set of pivot rows taken, which fix its rows, so it
-pivots once per distinct pivot set.
+whole pivot tree to quantify the sensitivity.  Both take the same rows as
+eligible pivots and make each move on coprime integer rows through
+`gauss.pivot_integer_rows`, without fractions (as in Bareiss 1968).  `run`
+makes each move once and keeps the integer state (rows, scales) after it
+in its step.  Every text and `Fraction` system of the trace is read off
+those states the first time it is read: the texts are printed from the
+integers, and the systems are built by `gauss.fraction_row`.  `explore`
+only needs the verdicts, and names each child before computing it by the
+remaining variables and the set of pivot rows taken, which fix its rows,
+so it pivots once per distinct pivot set.
+
+The route errs on one side only: an `unsolvable` verdict is never wrong.
+Let e1 be the point l1 = 1, every other l = 0.
+- e1 satisfies every working row, and every one with equality except
+  l1's sign row -l1 <= 0: each main row reads
+  l1 + (column j of the cone's rows) . l' >= 1, the extension 2*l1 <= 2,
+  and the other sign rows -l_i <= 0.
+- No move touches l1's sign row, as l1 is never eliminated.  A pivot
+  sets a pivotable row, tight at e1, to equality, and each row it
+  rewrites combines two rows tight at e1; the zero move only drops a
+  sign row.  So every face the moves restrict the dual to contains e1,
+  and the terminal interval, that face's projection onto l1, contains 1.
+  The extension survives every run, so the interval ends at a closed 1.
+- If the primal is solvable, its cone has a point x != 0, scaled to
+  sum(x) = 2.  The main rows times x_j sum to 2*l1 + l'.(Ax) >= 2, and
+  l' >= 0, Ax <= 0, so l1 >= 1 on the whole dual and the interval is
+  {1}, whatever the pivots.
+So every wrong verdict is a false `solvable`, and a solvable primal is
+never pivot-sensitive.
 Whether the verdict agrees with direct elimination on the input is
 measured, never assumed; see the harness module.
 """
@@ -41,27 +58,21 @@ measured, never assumed; see the harness module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, lcm
 
 from .core import (
-    Constraint,
     Interval,
     InvariantError,
     LincertError,
-    LinearExpr,
     Provenance,
-    Relation,
     System,
     integer_row,
     interval_of,
-    sign_row,
     validate_standard_shape,
 )
 from .cone import NonHomogeneousError, is_bounded, primal_cone
-from .dual import strong_elementary_dual
-from .gauss import pivot_integer_rows, substitute_through
+from .gauss import fraction_row, pivot_integer_rows
 from .sysfile import format_row, print_lines
 
 
@@ -90,7 +101,6 @@ def pivot_sequence(pairs) -> PivotRule:
     return PivotRule("paper-seq", sequence=tuple((str(a), str(b)) for a, b in pairs))
 
 
-_CAP = Fraction(2)  # sum(x) <= 2 caps the cone; the dual's objective value
 LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
 
 
@@ -100,113 +110,67 @@ class WorkingSystem:
     integer rows `run` and `explore` start from (`gauss.integer_rows`'
     form), with its variables and row labels.  `scales` holds one
     (num, den) per row, the factor num/den that turns the integer row into
-    the `Fraction` row.  `augmented` (the capped cone) and `system` (its
-    strong dual) are the same system as `Fraction` systems, built from the
-    cone's variables and main rows the first time each is read.  Nothing
-    here is the primal or its cone, so the primal's memo that keeps it
-    makes no reference cycle."""
+    the `Fraction` row.  `system` (the capped cone's strong dual, as
+    `dual.strong_elementary_dual` builds it) and `text` are built from
+    them the first time each is read.  Nothing here is the primal or its
+    cone, so the primal's memo that keeps it makes no reference cycle."""
 
     rows: tuple
     scales: tuple[tuple[int, int], ...]
     variables: tuple[str, ...]
     labels: tuple[tuple[int, str], ...]
     extension_id: int
-    cone_variables: tuple[str, ...]
-    cone_rows: tuple[Constraint, ...]  # the cone's main rows
-
-    @cached_property
-    def augmented(self) -> System:
-        """The capped cone: sum(x) <= 2 first, so its multiplier is l1,
-        then the cone's main rows and a sign row per variable."""
-        nvars = len(self.cone_variables)
-        ones = LinearExpr.from_terms({v: 1 for v in range(nvars)})
-        rows = [Constraint(0, ones, Relation.LE, _CAP, Provenance.main())]
-        for i, row in enumerate(self.cone_rows):
-            rows.append(Constraint(1 + i, row.expr, Relation.LE, row.rhs, Provenance.main()))
-        cid = 1 + len(self.cone_rows)
-        for v in range(nvars):
-            rows.append(sign_row(cid + v, v))
-        return System(self.cone_variables, tuple(rows))
 
     @cached_property
     def system(self) -> System:
-        """The strong elementary dual of the capped cone, with the cap row's
-        left side sum(x) as objective and value 2."""
-        augmented = self.augmented
-        return strong_elementary_dual(augmented, augmented.constraints[0].expr, sigma=_CAP).system
+        ext = self.extension_id
+        rows = []
+        for row, scale in zip(self.rows, self.scales):
+            kind = Provenance.main() if row[3] else Provenance.extension() if row[0] == ext else Provenance.sign()
+            rows.append(fraction_row(row, scale, kind))
+        return System(self.variables, tuple(rows))
+
+    @cached_property
+    def text(self) -> str:
+        return _print_scaled_rows(self.variables, self.rows, self.scales, self.extension_id)
 
 
 @dataclass(frozen=True)
 class PipelineStep:
-    """One move of `run`.  `text` (the system after the move, printed as
+    """One move of `run`, and the integer state (rows, scales) after it.
+    `text` (the system after the move, printed as
     `print_system(..., orientation="ge")` prints it) and `system` (that
-    `Fraction` system) are read from the trace's replay.  Equality and the
-    hash compare the move alone (variable, pivot and kind), not the
-    system after it: steps of two traces that make the same move compare
-    equal whatever their systems."""
+    `Fraction` system) are built from the state the first time each is
+    read; `system` keeps each row the move left as it was, with its
+    `Constraint` from `before`, and gives each row the move rewrote the
+    provenance derived((its id, the pivot's id)), as
+    `gauss.substitute_through` does.  Equality and the hash compare the
+    move alone (variable, pivot and kind): steps of two traces that make
+    the same move compare equal whatever their states."""
 
     var: int
     var_name: str
     pivot_id: int | None
     pivot_label: str | None
     kind: str  # "original-main" | "converted-sign" | "fallback-zero"
-    replay: "_Replay" = field(repr=False, compare=False)
-    state: int = field(repr=False, compare=False)  # the replay's state after the move
-
-    @property
-    def text(self) -> str:
-        return self.replay.text(self.state)
-
-    @property
-    def system(self) -> System:
-        return self.replay.systems[self.state]
-
-
-class _Replay:
-    """The moves replayed once on the working system's integer rows: one
-    state (rows, scales) for the working system, then one per move, each
-    row's scale (num, den) the factor that turns it into its `Fraction`
-    row, kept by `gauss.pivot_integer_rows`.  Each state is printed the
-    first time its text is read, and the `Fraction` systems, from the
-    working system's on, are built the first time one is read."""
-
-    def __init__(self, ws: WorkingSystem, moves: tuple[tuple[int, int | None], ...]):
-        self.working = ws
-        self.moves = moves
-        rows, scales = ws.rows, ws.scales
-        self.states = [(rows, scales)]
-        self.pivot_ids = []
-        for var, p in moves:
-            if p is None:
-                scales = [s for row, s in zip(rows, scales) if not row[1][var]]
-                rows = _drop_sign_row(rows, var)
-                self.pivot_ids.append(None)
-            else:
-                self.pivot_ids.append(rows[p][0])
-                scales = list(scales)
-                rows = pivot_integer_rows(rows, p, var, scales)
-            self.states.append((rows, scales))
-        self._texts: dict[int, str] = {}
-
-    def text(self, state: int) -> str:
-        text = self._texts.get(state)
-        if text is None:
-            ws = self.working
-            text = self._texts[state] = _print_scaled_rows(ws.variables, *self.states[state], ws.extension_id)
-        return text
+    rows: tuple = field(repr=False, compare=False)
+    scales: list = field(repr=False, compare=False)
+    before: "PipelineStep | WorkingSystem" = field(repr=False, compare=False)
+    working: WorkingSystem = field(repr=False, compare=False)
 
     @cached_property
-    def systems(self) -> tuple[System, ...]:
-        """Each state's `Fraction` system, the working system's first."""
-        systems = [self.working.system]
-        for (var, _), pivot_id, (rows, _) in zip(self.moves, self.pivot_ids, self.states[1:]):
-            previous = systems[-1]
-            if pivot_id is None:
-                kept = {row[0] for row in rows}
-                systems.append(previous.with_rows(c for c in previous.constraints if c.cid in kept))
-            else:
-                systems.append(substitute_through(previous, var, pivot_id))
-        return tuple(systems)
+    def text(self) -> str:
+        return _print_scaled_rows(self.working.variables, self.rows, self.scales, self.working.extension_id)
+
+    @cached_property
+    def system(self) -> System:
+        before = self.before
+        kept = {row[0]: (row, c) for row, c in zip(before.rows, before.system.constraints)}
+        out = []
+        for row, scale in zip(self.rows, self.scales):
+            old, c = kept[row[0]]
+            out.append(c if old is row else fraction_row(row, scale, Provenance.derived((row[0], self.pivot_id))))
+        return before.system.with_rows(out)
 
 
 def _print_scaled_rows(names: tuple[str, ...], rows: tuple, scales, extension_id: int) -> str:
@@ -233,16 +197,15 @@ def _print_scaled_rows(names: tuple[str, ...], rows: tuple, scales, extension_id
 
 @dataclass(frozen=True)
 class PipelineTrace:
-    """What `run` decided, and the moves it made: (variable, index of the
-    pivot row among the rows at that step, or None for the zero fallback).
-    The moves are replayed on integer rows (`_Replay`) the first time
-    `steps`, a text or `terminal` is read.  `working_text` and
-    `terminal_text` are the working and terminal systems printed as
-    `print_system(..., orientation="ge")` prints them; the terminal text
-    is the last step's text, or the working text when there is no step."""
+    """What `run` decided, and its steps: one per move, each holding the
+    integer state after it.  `working_text` and `terminal_text` are the
+    working and terminal systems printed as
+    `print_system(..., orientation="ge")` prints them, and `terminal` is
+    the terminal `Fraction` system: the last step's, or the working
+    system's when there is no step."""
 
     working: WorkingSystem
-    moves: tuple[tuple[int, int | None], ...]
+    steps: tuple[PipelineStep, ...]
     interval: Interval
     verdict: str  # "solvable" | "unsolvable"
 
@@ -250,35 +213,17 @@ class PipelineTrace:
     def solvable(self) -> bool:
         return self.verdict == "solvable"
 
-    @cached_property
-    def _replay(self) -> _Replay:
-        return _Replay(self.working, self.moves)
-
-    @cached_property
-    def steps(self) -> tuple[PipelineStep, ...]:
-        replay = self._replay
-        names = self.working.variables
-        labels = dict(self.working.labels)
-        steps = []
-        for state, ((var, _), pivot_id) in enumerate(zip(self.moves, replay.pivot_ids), start=1):
-            if pivot_id is None:
-                steps.append(PipelineStep(var, names[var], None, None, "fallback-zero", replay, state))
-            else:
-                label = labels[pivot_id]
-                steps.append(PipelineStep(var, names[var], pivot_id, label, _pivot_kind(label), replay, state))
-        return tuple(steps)
-
     @property
     def working_text(self) -> str:
-        return self._replay.text(0)
+        return self.working.text
 
     @property
     def terminal_text(self) -> str:
-        return self._replay.text(len(self.moves))
+        return (self.steps[-1] if self.steps else self.working).text
 
     @property
     def terminal(self) -> System:
-        return self._replay.systems[-1]
+        return (self.steps[-1] if self.steps else self.working).system
 
 
 def build_working_system(primal: System) -> WorkingSystem:
@@ -342,17 +287,19 @@ def _build_working_system(primal: System) -> WorkingSystem:
     labels.append((ext_id, "extension"))
     labels.extend((ext_id + 1 + i, f"sign-l{i + 1}") for i in range(nlam))
     variables = tuple(f"l{i + 1}" for i in range(nlam))
-    return WorkingSystem(tuple(rows), tuple(scales), variables, tuple(labels), ext_id, cone.variables, mains)
+    return WorkingSystem(tuple(rows), tuple(scales), variables, tuple(labels), ext_id)
 
 
-def _pivot_kind(label: str) -> str:
-    return "original-main" if label.startswith("row-") else "converted-sign"
+def _pivots(rows: tuple, var: int) -> list[int]:
+    """Indices of the rows eligible to pivot var out: the pivotable rows
+    that mention it."""
+    return [i for i, row in enumerate(rows) if row[3] and row[1][var]]
 
 
 def _main_first(rows: tuple, labels: dict[int, str], var: int) -> int | None:
-    """Index of the pivot the default rule takes: among the pivotable rows
-    that mention var, the original main rows first, then the lowest id."""
-    candidates = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
+    """Index of the pivot the default rule takes: among the eligible rows,
+    the original main rows first, then the lowest id."""
+    candidates = _pivots(rows, var)
     if not candidates:
         return None
     originals = [i for i in candidates if labels[rows[i][0]].startswith("row-")]
@@ -381,10 +328,9 @@ def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str
     if row_label not in by_label:
         raise PivotRuleError(f"no row labeled {row_label!r} at this step")
     p = by_label[row_label]
-    if not rows[p][3]:
-        raise PivotRuleError(f"row {row_label!r} is not an admissible pivot")
-    if not rows[p][1][var]:
-        raise PivotRuleError(f"row {row_label!r} does not mention {names[var]}")
+    if p not in _pivots(rows, var):
+        reason = f"does not mention {names[var]}" if rows[p][3] else "is not an admissible pivot"
+        raise PivotRuleError(f"row {row_label!r} {reason}")
     return p
 
 
@@ -398,24 +344,34 @@ def _outcome(rows: tuple) -> tuple[Interval, str]:
 def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST) -> PipelineTrace:
     """Run the elimination loop to a one-variable verdict on l1.
 
-    Pivots are chosen and taken on the working system's integer rows, and
-    only the moves are recorded; the trace replays them when its steps, a
-    text or its terminal system is read."""
+    Pivots are chosen and taken on the working system's integer rows, each
+    move once, with the scales kept beside them; each step holds the
+    state (rows, scales) after its move, from which its text and its
+    `Fraction` system are built when read."""
     ws = build_working_system(primal)
     names = ws.variables
-    rows = ws.rows
     labels = dict(ws.labels)
     remaining = [v for v in range(len(names)) if v != LAMBDA_ONE]
-    moves = []
+    steps = []
+    state = ws
     for var, row_label in _plan(rule, names, remaining):
+        rows = state.rows
         if row_label is None:
             p = _main_first(rows, labels, var)
         else:
             p = _labeled_pivot(rows, labels, var, row_label, names)
-        rows = _drop_sign_row(rows, var) if p is None else pivot_integer_rows(rows, p, var)
-        moves.append((var, p))
-    interval, verdict = _outcome(rows)
-    return PipelineTrace(ws, tuple(moves), interval, verdict)
+        if p is None:
+            pivot_id = label = None
+            kind = "fallback-zero"
+        else:
+            pivot_id = rows[p][0]
+            label = labels[pivot_id]
+            kind = "original-main" if label.startswith("row-") else "converted-sign"
+        scales = list(state.scales)
+        state = PipelineStep(var, names[var], pivot_id, label, kind, _move(rows, var, p, scales), scales, state, ws)
+        steps.append(state)
+    interval, verdict = _outcome(state.rows)
+    return PipelineTrace(ws, tuple(steps), interval, verdict)
 
 
 @dataclass(frozen=True)
@@ -512,8 +468,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         count = 0
         for var in sorted(remaining):
             rest = remaining - {var}
-            pivots = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
-            for p in pivots or [None]:
+            for p in _pivots(rows, var) or [None]:
                 if p is None:
                     label, signature = "zero", (rest, taken)
                 else:
@@ -521,8 +476,7 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
                     label, signature = labels[cid], (rest, taken | 1 << cid)
                 found = named.get(signature)
                 if found is None:
-                    new_rows = _drop_sign_row(rows, var) if p is None else pivot_integer_rows(rows, p, var)
-                    found = named[signature] = visit(new_rows, *signature)
+                    found = named[signature] = visit(_move(rows, var, p), *signature)
                 sub_outcomes, sub_count = found
                 count += sub_count
                 head = (names[var], label)
@@ -545,17 +499,28 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     return ExploreResult(tuple(ordered), count, len(verdicts) > 1, states)
 
 
-def _drop_sign_row(rows: tuple, var: int) -> tuple:
-    """The zero fallback on integer rows: drop the sign row -var <= 0; no
-    other row may mention var."""
+def _move(rows: tuple, var: int, p: int | None, scales: list | None = None) -> tuple:
+    """The rows after one move: the pivot on row p, or the zero move when p
+    is None.  `scales`, when given, is updated in place to the new rows'
+    scales, as `gauss.pivot_integer_rows` does."""
+    if p is None:
+        return _drop_sign_row(rows, var, scales)
+    return pivot_integer_rows(rows, p, var, scales)
+
+
+def _drop_sign_row(rows: tuple, var: int, scales: list | None = None) -> tuple:
+    """The zero fallback on integer rows: drop the sign row -var <= 0, and
+    its scale from `scales` when given; no other row may mention var."""
     sign = tuple(-1 if v == var else 0 for v in range(len(rows[0][1])))
     out = []
-    dropped = False
-    for row in rows:
+    dropped = None
+    for i, row in enumerate(rows):
         if row[1][var]:
-            if not dropped and not row[3] and row[1] == sign:
-                dropped = True
+            if dropped is None and not row[3] and row[1] == sign:
+                dropped = i
                 continue
             raise InvariantError("fallback hit a row that still mentions the variable")
         out.append(row)
+    if scales is not None:
+        del scales[dropped]
     return tuple(out)

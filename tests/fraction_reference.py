@@ -76,7 +76,7 @@ def combine_reference(system, lam):
             raise RelationError(f"constraint {cid} is an equality; expand it to inequality form first")
         expr = expr + row.expr.scale(w)
         rhs += row.rhs * w
-        if row.relation is Relation.LT:
+        if row.relation is Relation.LT and w:
             strict = True
         parents.append(cid)
     rel = Relation.LT if strict else Relation.LE
@@ -91,7 +91,7 @@ def is_equality_certificate_reference(system, lam):
 
 def is_infeasibility_certificate_reference(system, lam):
     """`combine_reference` sums the weighted rows to [0] <= r < 0, or to
-    [0] < r <= 0 when a strict row is listed."""
+    [0] < r <= 0 when a strict row carries a positive weight."""
     combined = combine_reference(system, lam)
     if not combined.expr.is_zero:
         return False

@@ -364,6 +364,12 @@ def test_difftest_json_deterministic(capsys):
     assert data["trial_count"] == 10
 
 
+@pytest.mark.parametrize("flag", ["--max-vars", "--max-cons"])
+def test_difftest_rejects_an_empty_size_range(capsys, flag):
+    assert main(["difftest", "--seed", "1", "--trials", "1", flag, "0"]) == 2
+    assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be at least 1\n"
+
+
 def test_difftest_human_summary(capsys):
     assert main(["difftest", "--seed", "5", "--trials", "3"]) == 0
     out = capsys.readouterr().out

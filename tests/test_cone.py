@@ -468,7 +468,7 @@ def test_boundedness_and_the_primal_cone_are_decided_once(monkeypatch):
 def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
     built = []
     for module, name in ((lincert.cone, "_homogenize"), (lincert.cone, "_search_rays"),
-                         (lincert.pipeline, "strong_elementary_dual")):
+                         (lincert.pipeline, "fraction_row")):
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, f=original, n=name, **kw: built.append(n) or f(*args, **kw)
@@ -480,9 +480,9 @@ def test_run_and_explore_reuse_the_callers_cone_and_boundedness(monkeypatch):
     assert explore(primal).outcomes[0].verdict in ("solvable", "unsolvable")
     assert sorted(built) == ["_homogenize", "_search_rays"]
     assert trace.working is build_working_system(primal)
-    # The Fraction dual is built on first read, once.
+    # The Fraction dual is built on first read, once: one row per integer row.
     assert trace.working.system is trace.working.system
-    assert sorted(built) == ["_homogenize", "_search_rays", "strong_elementary_dual"]
+    assert sorted(built) == ["_homogenize", "_search_rays"] + ["fraction_row"] * len(trace.working.rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -129,6 +129,10 @@ def test_combine_strictness_propagates():
     sys = make_system(["x"], mains=[({"x": 1}, "<", 1), ({"x": -1}, "<=", 0)])
     assert combine(sys, MultiplierVector.of({0: 1, 1: 1})).relation is Relation.LT
     assert combine(sys, MultiplierVector.of({1: 1})).relation is Relation.LE
+    # A strict row listed at weight 0 adds nothing: the feasible x <= 0,
+    # -x <= 0, y < 5 sums to 0 <= 0, which contradicts nothing.
+    feasible = make_system(["x", "y"], mains=[({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"y": 1}, "<", 5)])
+    assert combine(feasible, MultiplierVector(((0, 1), (1, 1), (2, 0)))).relation is Relation.LE
 
 
 def test_combine_unknown_id_and_negative_weight():
@@ -206,8 +210,8 @@ def test_certificate_checks_match_the_fraction_reference(case):
         ([({"x": Fraction(1, 2)}, "<=", Fraction(1, 3)), ({"x": -3}, "<=", -2)], {0: 6, 1: 1}, True, False),
         ([({"x": Fraction(1, 2)}, "<", Fraction(1, 3)), ({"x": -3}, "<=", -2)], {0: 6, 1: 1}, True, True),
         ([({"x": Fraction(2, 3)}, "<=", -1), ({"x": -1}, "<=", 0)], {0: Fraction(3, 2), 1: 1}, False, True),
-        # a strict row listed with weight zero still makes the sum strict
-        ([({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"x": 1}, "<", 5)], {0: 1, 1: 1, 2: 0}, True, True),
+        # a strict row listed with weight zero adds nothing: [0] <= 0, no contradiction
+        ([({"x": 1}, "<=", 0), ({"x": -1}, "<=", 0), ({"x": 1}, "<", 5)], {0: 1, 1: 1, 2: 0}, True, False),
     ],
 )
 def test_certificate_checks_on_rows_with_denominators(rows, weights, equality, infeasible):

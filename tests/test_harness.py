@@ -42,6 +42,8 @@ def test_gen_params_validation():
     with pytest.raises(LincertError):
         GenParams(max_vars=0)
     with pytest.raises(LincertError):
+        GenParams(max_cons=0)
+    with pytest.raises(LincertError):
         GenParams(coeff_lo=2, coeff_hi=-2)
     with pytest.raises(LincertError):
         GenParams(mode="fuzzy")
@@ -186,13 +188,13 @@ def test_run_trial_leaves_nothing_in_the_callers_memo():
 
 def test_an_agreeing_trial_builds_no_fraction_dual(monkeypatch):
     # Only a disagreeing trial prints its working system and steps, and it
-    # prints them from the trace's integer rows, so neither trial builds
-    # the strong dual as a Fraction system; both still match the seed-42
-    # baseline record.
+    # prints them from the trace's integer states, so neither trial builds
+    # a Fraction row, the strong dual's included; both still match the
+    # seed-42 baseline record.
     built = []
-    original = lincert.pipeline.strong_elementary_dual
+    original = lincert.pipeline.fraction_row
     monkeypatch.setattr(
-        lincert.pipeline, "strong_elementary_dual", lambda *args, **kw: built.append(1) or original(*args, **kw)
+        lincert.pipeline, "fraction_row", lambda *args, **kw: built.append(1) or original(*args, **kw)
     )
     golden = json.loads(BASELINE.read_text())["trials"]
     agreeing = next(t for t in golden if t["agreement"])

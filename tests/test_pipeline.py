@@ -25,7 +25,7 @@ from lincert.core import (
 from lincert.cone import is_reduced_to_origin, primal_cone
 from lincert.dual import multipliers_from_primal_solution, strong_elementary_dual
 from lincert.gauss import classify, integer_rows, pivot_integer_rows, substitute_through, transfer_multipliers
-from lincert.harness import CounterStream, GenParams, generate_bounded
+from lincert.harness import CounterStream, GenParams, generate_bounded, oracle_verdict
 from lincert.sysfile import parse, print_system
 from lincert.pipeline import (
     ExploreBudgetExceeded,
@@ -159,7 +159,6 @@ def test_working_rows_are_the_integer_rows_of_the_fraction_dual(data):
     primal = make_system(names, mains=rows, nonneg="all", is_cone=is_cone)
     ws = build_working_system(primal)
     augmented, ones = capped_cone_reference(primal)
-    assert ws.augmented == augmented
     assert ws.system == strong_elementary_dual(augmented, ones, sigma=2).system
     # integer_rows refuses a '<' row, so the working rows need no strict flag.
     assert ws.rows == integer_rows(ws.system)
@@ -180,25 +179,40 @@ def _counting(monkeypatch, module, name):
 
 
 def test_run_builds_step_systems_only_when_read(monkeypatch):
-    # run records only its moves.  Reading the texts, as run_trial does,
-    # replays them once on integer rows and builds no Fraction system, the
-    # dual included; reading the steps' systems builds each once from the
-    # same replay.
-    replays = _counting(monkeypatch, lincert.pipeline, "_Replay")
-    duals = _counting(monkeypatch, lincert.pipeline, "strong_elementary_dual")
-    built = _counting(monkeypatch, lincert.pipeline, "substitute_through")
+    # run keeps each step's integer state.  Reading the texts, as
+    # run_trial does, prints those states and builds no Fraction row, the
+    # dual's included; reading the steps' systems builds the working
+    # system's rows once and each rewritten row once, and keeps every
+    # row a move leaves as it was.
+    built = _counting(monkeypatch, lincert.pipeline, "fraction_row")
     trace = run(solvable_cone(), MAIN_SEQUENCE)
-    assert replays == duals == built == []
+    assert built == []
     steps = trace.steps
     texts = [trace.working_text] + [s.text for s in steps] + [trace.terminal_text]
     assert [s.kind for s in steps] == ["original-main", "original-main", "converted-sign"]
     assert texts[-1] is texts[-2]
-    assert len(replays) == 1 and duals == built == []
+    assert built == []
     systems = [s.system for s in steps]
-    assert len(built) == len(trace.moves) == 3 and len(duals) == 1
+    working = trace.working.system
+    befores = [working] + systems[:-1]
+    rewritten = sum(c not in before.constraints for before, s in zip(befores, systems) for c in s.constraints)
+    assert len(steps) == 3 and len(built) == len(working.constraints) + rewritten
     assert trace.terminal is steps[-1].system and trace.steps is steps
     assert [s.system for s in trace.steps] == systems and trace.working_text is texts[0]
-    assert len(replays) == 1 and len(built) == 3 and len(duals) == 1
+    assert trace.working.system is working and len(built) == len(working.constraints) + rewritten
+
+
+def test_each_move_is_pivoted_once(monkeypatch):
+    # run pivots each move once and keeps the state after it, so reading
+    # every text and every Fraction system pivots nothing again.
+    pivots = _counting(monkeypatch, lincert.pipeline, "pivot_integer_rows")
+    for system, rule in [(solvable_cone(), MAIN_SEQUENCE), (pinched_cone(), MAIN_ROWS_FIRST), (ZERO_MOVE_CONE, MAIN_ROWS_FIRST)]:
+        pivots.clear()
+        trace = run(system, rule)
+        assert len(pivots) == sum(s.pivot_id is not None for s in trace.steps)
+        pivots.clear()
+        assert_texts_match_the_fraction_replay(trace)  # reads every text and system
+        assert pivots == []
 
 
 def test_empty_primal_without_cone_flag_goes_through_homogenization():
@@ -305,12 +319,9 @@ def test_sigma_certificate_survives_each_step():
     # The capped cone touches sum(x) = 2 at (1, 1); its solution multipliers
     # stay valid through every documented elimination.
     ws = build_working_system(solvable_cone())
-    sd = strong_elementary_dual(
-        ws.augmented, LinearExpr.from_terms({0: 1, 1: 1}), sigma=2
-    )
-    lam = multipliers_from_primal_solution(
-        ws.augmented, sd, Point.of({0: 1, 1: 1})
-    )
+    augmented, ones = capped_cone_reference(solvable_cone())
+    sd = strong_elementary_dual(augmented, ones, sigma=2)
+    lam = multipliers_from_primal_solution(augmented, sd, Point.of({0: 1, 1: 1}))
     assert check_multiplier_certificate(ws.system, lam)
     assert lam.get(ws.extension_id) == 1
     system = ws.system
@@ -710,8 +721,9 @@ def test_scaled_rows_print_as_their_fraction_system(data):
 
 def assert_texts_match_the_fraction_replay(trace):
     # The texts, read before any Fraction system, against print_system of
-    # the moves replayed by the reference formula; then the trace's own
-    # Fraction systems against the same replay.
+    # the moves replayed by the reference formula, which substitute_through
+    # matches; then the trace's own Fraction systems against the same
+    # replay, provenance included.
     texts = [trace.working_text] + [step.text for step in trace.steps] + [trace.terminal_text]
     system = trace.working.system
     systems = [system]
@@ -719,7 +731,9 @@ def assert_texts_match_the_fraction_replay(trace):
         if step.pivot_id is None:
             system = _fraction_fallback(system, step.var)
         else:
+            through = substitute_through(system, step.var, step.pivot_id)
             system = substitute_fraction(system, step.var, step.pivot_id)
+            assert through == system
         systems.append(system)
     systems.append(system)
     assert texts == [print_system(s, orientation="ge") for s in systems]
@@ -745,6 +759,32 @@ def test_texts_are_the_printed_fraction_replay(system, pick):
     assert_texts_match_the_fraction_replay(trace)
 
 
+def ends_at_a_closed_one(interval):
+    """The interval holds 1 and ends there: [lo, 1] or (lo, 1], lo < 1, or {1}."""
+    if interval.empty or interval.hi != 1 or interval.hi_open:
+        return False
+    return interval.lo is None or interval.lo < 1 or (interval.lo == 1 and not interval.lo_open)
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=traced_inputs())
+@example(system=pinched_cone())  # pivot-sensitive: explore meets both verdicts
+def test_an_unsolvable_verdict_is_never_wrong(system):
+    # The one-sided error the pipeline docstring proves: every terminal
+    # interval, of run and of each explore outcome, holds 1 and ends at a
+    # closed 1, and a primal with an unsolvable verdict is unsolvable.
+    trace = run(system)
+    outcomes = [(trace.interval, trace.verdict)]
+    if len(trace.working.variables) <= 7:
+        try:
+            outcomes += [(o.interval, o.verdict) for o in explore(system).outcomes]
+        except ExploreBudgetExceeded:
+            pass
+    assert all(ends_at_a_closed_one(interval) for interval, _ in outcomes)
+    if any(verdict == "unsolvable" for _, verdict in outcomes):
+        assert not oracle_verdict(system)
+
+
 def test_the_zero_move_example_takes_the_zero_move():
     trace = run(ZERO_MOVE_CONE)
     assert [(s.var_name, s.kind) for s in trace.steps if s.pivot_id is None] == [("l3", "fallback-zero")]
@@ -754,16 +794,22 @@ BASELINE = Path(__file__).resolve().parent.parent / "baseline" / "difftest-seed4
 
 
 def test_run_steps_match_the_fraction_formula_on_the_baseline():
-    # Every step system of the default rule on the 500 seed-42 baseline
-    # systems, against the Fraction formula applied to the step before.
+    # The working system and every step system of the default rule on the
+    # 500 seed-42 baseline systems, against the Fraction dual of the capped
+    # cone and the Fraction formula and substitute_through applied to the
+    # step before, provenance included.
     for trial in json.loads(BASELINE.read_text())["trials"]:
-        trace = run(parse(trial["system"]))
+        primal = parse(trial["system"])
+        trace = run(primal)
+        augmented, ones = capped_cone_reference(primal)
         system = trace.working.system
+        assert system == strong_elementary_dual(augmented, ones, sigma=2).system
         for step in trace.steps:
             if step.pivot_id is None:
                 expected = _fraction_fallback(system, step.var)
             else:
                 expected = substitute_fraction(system, step.var, step.pivot_id)
+                assert substitute_through(system, step.var, step.pivot_id) == expected
             assert step.system == expected
             system = step.system
         assert trace.terminal == system
