@@ -41,13 +41,7 @@ from .dual import elementary_dual, strong_elementary_dual
 from .fourier import feasibility, project
 from .harness import GenParams, run_difftest
 from .implicit import implicit_set
-from .pipeline import (
-    MAIN_ROWS_FIRST,
-    PivotRuleError,
-    explore,
-    pivot_sequence,
-    run,
-)
+from .pipeline import explore, format_sequence, parse_rule, run
 from .sysfile import (
     ParseError,
     parse_expr,
@@ -244,27 +238,10 @@ def cmd_cone(args) -> int:
     return 0
 
 
-def _parse_rule(text: str):
-    if text == "main-first":
-        return MAIN_ROWS_FIRST
-    if text.startswith("paper-seq:"):
-        body = text[len("paper-seq:"):]
-        pairs = []
-        for entry in body.split(","):
-            entry = entry.strip()
-            if "@" not in entry:
-                raise PivotRuleError(f"bad pivot entry {entry!r}; expected lvar@row-label")
-            lvar, label = entry.split("@", 1)
-            pairs.append((lvar.strip(), label.strip()))
-        return pivot_sequence(pairs)
-    raise PivotRuleError(f"unknown rule {text!r}; use main-first or paper-seq:SPEC")
-
-
 def cmd_solve9(args) -> int:
     out = Output(args)
     primal = _read_system(args.file)
-    rule = _parse_rule(args.rule)
-    trace = run(primal, rule)
+    trace = run(primal, parse_rule(args.rule))
     payload = {
         "kind": "solve9-report",
         "version": 1,
@@ -272,15 +249,7 @@ def cmd_solve9(args) -> int:
         "interval": _interval_json(trace.interval),
         "working_system": trace.working_text if out.json else None,
         "labels": {str(cid): label for cid, label in trace.working.labels},
-        "steps": [
-            {
-                "eliminated": s.var_name,
-                "pivot": s.pivot_label,
-                "kind": s.kind,
-                "system": s.text if args.trace else None,
-            }
-            for s in trace.steps
-        ],
+        "steps": [s.report(with_text=args.trace) for s in trace.steps],
         "terminal_system": trace.terminal_text,
         "explore": None,
     }
@@ -310,8 +279,7 @@ def cmd_solve9(args) -> int:
         }
         lines.append(f"explore: {len(result.outcomes)} distinct outcomes over {result.sequence_count} sequences")
         for o in result.outcomes:
-            seq = ", ".join(f"{v}@{lab}" for v, lab in o.sequence)
-            lines.append(f"  {o.verdict} {o.interval.describe()} via {seq}")
+            lines.append(f"  {o.verdict} {o.interval.describe()} via {format_sequence(o.sequence)}")
         lines.append(f"pivot-sensitive: {result.pivot_sensitive}")
     out.emit(payload, "\n".join(lines) + "\n")
     if sensitive:
@@ -384,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve9", help="bounded-solvability verdict via dual elimination")
     p.add_argument("file")
-    p.add_argument("--rule", default="main-first", help="main-first | paper-seq:l3@row-x,...")
+    p.add_argument("--rule", default="main-first", help="main-first | paper-seq:l3@row-x,l4@zero,... (row label or zero)")
     p.add_argument("--explore", action="store_true", help="enumerate all pivot sequences")
     p.add_argument("--trace", action="store_true", help="include intermediate systems")
     common(p)

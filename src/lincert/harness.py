@@ -212,15 +212,7 @@ def run_trial(index: int, system: System) -> TrialReport:
         detail = None
         if not agreement:
             detail = {
-                "steps": [
-                    {
-                        "eliminated": s.var_name,
-                        "pivot": s.pivot_label,
-                        "kind": s.kind,
-                        "system": s.text,
-                    }
-                    for s in trace.steps
-                ],
+                "steps": [s.report() for s in trace.steps],
                 "working_system": trace.working_text,
                 "terminal_system": trace.terminal_text,
             }
@@ -243,6 +235,8 @@ def run_trial(index: int, system: System) -> TrialReport:
 
 def run_difftest(params: GenParams, trials: int) -> AggregateReport:
     """Generate, decide both ways, aggregate.  Deterministic up to wall clock."""
+    if trials < 0:
+        raise LincertError(f"trials must be at least 0, not {trials}")
     start = time.monotonic()
     reports = []
     for i in range(trials):

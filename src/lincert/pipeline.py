@@ -18,20 +18,28 @@ the dual's coprime integer rows, transposed straight from the capped
 cone's rows, each with the scale that turns it into its `Fraction` row,
 and the dual's row labels.
 
+Every move is a pivot on coprime integer rows, through
+`gauss.pivot_integer_rows`, without fractions (as in Bareiss 1968).  The
+admissible rows for a variable (`_moves`) are the pivotable rows that
+mention it or, when there is none, its own sign row -l_v <= 0: the zero
+move, which sets l_v = 0 and, as no other row may then mention l_v, only
+drops that row.  A move is named by its row's label, or `zero` when its row
+is not pivotable; `parse_rule` and `format_sequence` read and write such
+names as `--rule paper-seq:` text, so every sequence `explore` prints
+replays through `run`.
+
 Pivot choice is not canonical: different admissible sequences can end in
 different terminal intervals and even different verdicts.  The rule object
-makes the choice explicit and reproducible: the default takes original main
-rows first, a pivot sequence names every pivot.  `explore` enumerates the
-whole pivot tree to quantify the sensitivity.  Both take the same rows as
-eligible pivots and make each move on coprime integer rows through
-`gauss.pivot_integer_rows`, without fractions (as in Bareiss 1968).  `run`
-makes each move once and keeps the integer state (rows, scales) after it
-in its step.  Every text and `Fraction` system of the trace is read off
-those states the first time it is read: the texts are printed from the
-integers, and the systems are built by `gauss.fraction_row`.  `explore`
-only needs the verdicts, and names each child before computing it by the
-remaining variables and the set of pivot rows taken, which fix its rows,
-so it pivots once per distinct pivot set.
+makes the choice explicit and reproducible: the default takes the
+admissible row of lowest id, an original main row first, and a pivot
+sequence names every move.  `explore` enumerates the whole pivot tree to
+quantify the sensitivity.  `run` makes each move once and keeps the integer
+state (rows, scales) after it in its step.  Every text and `Fraction`
+system of the trace is read off those states the first time it is read:
+the texts are printed from the integers, and the systems are built by
+`gauss.fraction_row`.  `explore` only needs the verdicts, and names each
+child before computing it by the remaining variables and the set of pivot
+rows taken, which fix its rows, so it pivots once per distinct pivot set.
 
 The route errs on one side only: an `unsolvable` verdict is never wrong.
 Let e1 be the point l1 = 1, every other l = 0.
@@ -39,10 +47,10 @@ Let e1 be the point l1 = 1, every other l = 0.
   l1's sign row -l1 <= 0: each main row reads
   l1 + (column j of the cone's rows) . l' >= 1, the extension 2*l1 <= 2,
   and the other sign rows -l_i <= 0.
-- No move touches l1's sign row, as l1 is never eliminated.  A pivot
-  sets a pivotable row, tight at e1, to equality, and each row it
-  rewrites combines two rows tight at e1; the zero move only drops a
-  sign row.  So every face the moves restrict the dual to contains e1,
+- No move touches l1's sign row, as l1 is never eliminated.  A move
+  sets a row tight at e1 to equality, a pivotable row or another
+  variable's sign row, and each row it rewrites combines two rows tight
+  at e1.  So every face the moves restrict the dual to contains e1,
   and the terminal interval, that face's projection onto l1, contains 1.
   The extension survives every run, so the interval ends at a closed 1.
 - If the primal is solvable, its cone has a point x != 0, scaled to
@@ -90,15 +98,39 @@ class ExploreBudgetExceeded(LincertError):
 
 @dataclass(frozen=True)
 class PivotRule:
-    kind: str  # "main-first" (the default rule) | "paper-seq" (every pivot named)
-    sequence: tuple[tuple[str, str], ...] = ()  # (lambda name, row label) pairs
+    """A pivot sequence naming every move, as (lambda name, row label or
+    "zero") pairs; the empty sequence is the default rule."""
+
+    sequence: tuple[tuple[str, str], ...] = ()
 
 
-MAIN_ROWS_FIRST = PivotRule("main-first")
+MAIN_ROWS_FIRST = PivotRule()
 
 
 def pivot_sequence(pairs) -> PivotRule:
-    return PivotRule("paper-seq", sequence=tuple((str(a), str(b)) for a, b in pairs))
+    return PivotRule(tuple((str(a), str(b)) for a, b in pairs))
+
+
+def parse_rule(text: str) -> PivotRule:
+    """The rule `solve9 --rule` names: `main-first`, or `paper-seq:` and
+    comma-separated moves lvar@label, each label a row label or `zero`."""
+    if text == "main-first":
+        return MAIN_ROWS_FIRST
+    if not text.startswith("paper-seq:"):
+        raise PivotRuleError(f"unknown rule {text!r}; use main-first or paper-seq:SPEC")
+    pairs = []
+    for entry in text[len("paper-seq:"):].split(","):
+        lvar, at, label = entry.strip().partition("@")
+        if not at:
+            raise PivotRuleError(f"bad pivot entry {entry.strip()!r}; expected lvar@row-label")
+        pairs.append((lvar.strip(), label.strip()))
+    return pivot_sequence(pairs)
+
+
+def format_sequence(sequence) -> str:
+    """A sequence of (lambda name, label) moves as `parse_rule` reads it
+    after `paper-seq:`, and as `solve9 --explore` prints it."""
+    return ", ".join(f"{v}@{label}" for v, label in sequence)
 
 
 LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
@@ -144,9 +176,11 @@ class PipelineStep:
     read; `system` keeps each row the move left as it was, with its
     `Constraint` from `before`, and gives each row the move rewrote the
     provenance derived((its id, the pivot's id)), as
-    `gauss.substitute_through` does.  Equality and the hash compare the
-    move alone (variable, pivot and kind): steps of two traces that make
-    the same move compare equal whatever their states."""
+    `gauss.substitute_through` does.  A zero move, the pivot on a sign
+    row, reports no pivot (pivot_id and pivot_label None) and the kind
+    "fallback-zero".  Equality and the hash compare the move alone
+    (variable, pivot and kind): steps of two traces that make the same
+    move compare equal whatever their states."""
 
     var: int
     var_name: str
@@ -161,6 +195,16 @@ class PipelineStep:
     @cached_property
     def text(self) -> str:
         return _print_scaled_rows(self.working.variables, self.rows, self.scales, self.working.extension_id)
+
+    def report(self, with_text: bool = True) -> dict:
+        """The step as `solve9 --json` and a difftest trial's detail report
+        it; `system` is its text, or None unless `with_text`."""
+        return {
+            "eliminated": self.var_name,
+            "pivot": self.pivot_label,
+            "kind": self.kind,
+            "system": self.text if with_text else None,
+        }
 
     @cached_property
     def system(self) -> System:
@@ -290,48 +334,54 @@ def _build_working_system(primal: System) -> WorkingSystem:
     return WorkingSystem(tuple(rows), tuple(scales), variables, tuple(labels), ext_id)
 
 
-def _pivots(rows: tuple, var: int) -> list[int]:
-    """Indices of the rows eligible to pivot var out: the pivotable rows
-    that mention it."""
-    return [i for i, row in enumerate(rows) if row[3] and row[1][var]]
+def _moves(rows: tuple, var: int) -> list[int]:
+    """Indices of the admissible pivot rows for var, in id order: the
+    pivotable rows that mention it or, when there is none, its own sign
+    row -var <= 0 (the zero move), which no other row may mention."""
+    moves = [i for i, row in enumerate(rows) if row[3] and row[1][var]]
+    if moves:
+        return moves
+    moves = [i for i, row in enumerate(rows) if row[1][var]]
+    sign = tuple(-(v == var) for v in range(len(rows[0][1])))
+    if len(moves) != 1 or rows[moves[0]][1] != sign:
+        raise InvariantError("zero move hit a row that still mentions the variable")
+    return moves
 
 
-def _main_first(rows: tuple, labels: dict[int, str], var: int) -> int | None:
-    """Index of the pivot the default rule takes: among the eligible rows,
-    the original main rows first, then the lowest id."""
-    candidates = _pivots(rows, var)
-    if not candidates:
-        return None
-    originals = [i for i in candidates if labels[rows[i][0]].startswith("row-")]
-    return min(originals or candidates, key=lambda i: rows[i][0])
-
-
-def _plan(rule: PivotRule, variables: tuple[str, ...], remaining: list[int]):
-    """The rule as (variable index, row label or None) moves; None lets
-    `_main_first` pick the pivot."""
-    if rule.kind == "main-first":
+def _plan(rule: PivotRule, variables: tuple[str, ...]):
+    """The rule as (variable index, move name or None) pairs; None takes
+    the first admissible row."""
+    remaining = [v for v in range(len(variables)) if v != LAMBDA_ONE]
+    if not rule.sequence:
         return [(var, None) for var in remaining]
-    if rule.kind != "paper-seq":
-        raise PivotRuleError(f"unknown pivot rule kind {rule.kind!r}")
     plan = []
-    for lname, row_label in rule.sequence:
+    for lname, name in rule.sequence:
         if lname not in variables:
             raise PivotRuleError(f"no multiplier variable named {lname!r}")
-        plan.append((variables.index(lname), row_label))
+        plan.append((variables.index(lname), name))
     if sorted(var for var, _ in plan) != remaining:
         raise PivotRuleError("pivot sequence must eliminate every multiplier except l1 exactly once")
     return plan
 
 
-def _labeled_pivot(rows: tuple, labels: dict[int, str], var: int, row_label: str, names) -> int:
+def _move_name(row: tuple, labels: dict[int, str]) -> str:
+    """The name of the move that pivots on row: its label, or "zero" for a
+    row that is not pivotable (a sign row, in the zero move)."""
+    return labels[row[0]] if row[3] else "zero"
+
+
+def _named_move(rows: tuple, labels: dict[int, str], var: int, name: str, names) -> int:
+    """Index of the admissible row for var that the move name names."""
+    for i in _moves(rows, var):
+        if _move_name(rows[i], labels) == name:
+            return i
+    if name == "zero":
+        raise PivotRuleError(f"{names[var]} cannot take the zero move: a pivotable row mentions it")
     by_label = {labels[row[0]]: i for i, row in enumerate(rows)}
-    if row_label not in by_label:
-        raise PivotRuleError(f"no row labeled {row_label!r} at this step")
-    p = by_label[row_label]
-    if p not in _pivots(rows, var):
-        reason = f"does not mention {names[var]}" if rows[p][3] else "is not an admissible pivot"
-        raise PivotRuleError(f"row {row_label!r} {reason}")
-    return p
+    if name not in by_label:
+        raise PivotRuleError(f"no row labeled {name!r} at this step")
+    reason = f"does not mention {names[var]}" if rows[by_label[name]][3] else "is not an admissible pivot"
+    raise PivotRuleError(f"row {name!r} {reason}")
 
 
 def _outcome(rows: tuple) -> tuple[Interval, str]:
@@ -351,24 +401,20 @@ def run(primal: System, rule: PivotRule = MAIN_ROWS_FIRST) -> PipelineTrace:
     ws = build_working_system(primal)
     names = ws.variables
     labels = dict(ws.labels)
-    remaining = [v for v in range(len(names)) if v != LAMBDA_ONE]
     steps = []
     state = ws
-    for var, row_label in _plan(rule, names, remaining):
+    for var, name in _plan(rule, names):
         rows = state.rows
-        if row_label is None:
-            p = _main_first(rows, labels, var)
+        p = _moves(rows, var)[0] if name is None else _named_move(rows, labels, var, name, names)
+        cid, _, _, pivotable = rows[p]
+        if pivotable:
+            kind = "original-main" if cid < ws.extension_id else "converted-sign"
+            pivot_id, label = cid, labels[cid]
         else:
-            p = _labeled_pivot(rows, labels, var, row_label, names)
-        if p is None:
-            pivot_id = label = None
-            kind = "fallback-zero"
-        else:
-            pivot_id = rows[p][0]
-            label = labels[pivot_id]
-            kind = "original-main" if label.startswith("row-") else "converted-sign"
+            kind, pivot_id, label = "fallback-zero", None, None
         scales = list(state.scales)
-        state = PipelineStep(var, names[var], pivot_id, label, kind, _move(rows, var, p, scales), scales, state, ws)
+        rows = pivot_integer_rows(rows, p, var, scales)
+        state = PipelineStep(var, names[var], pivot_id, label, kind, rows, scales, state, ws)
         steps.append(state)
     interval, verdict = _outcome(state.rows)
     return PipelineTrace(ws, tuple(steps), interval, verdict)
@@ -390,8 +436,9 @@ class ExploreResult:
 
 
 def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
-    """Walk every admissible pivot sequence (all lambda orders, all eligible
-    rows; the zero fallback only when no row is eligible).
+    """Walk every admissible pivot sequence (all lambda orders, all
+    admissible rows of `_moves`; the zero move only when no pivotable row
+    mentions the variable).
 
     States reached by different paths are merged, so the walk is a DAG
     traversal; `state_budget` caps the number of distinct states and a
@@ -431,14 +478,15 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     - Zero move.  The zero move on v needs every content to be 0 on v.
       By the invariant that holds exactly when v's original column is
       zero, that is when v's cone row is 0 <= 0: at every state on every
-      path.  It drops v's sign row, id extension_id + 1 + v, and changes
-      no other row.  So the zero moves, hence the pivoted variables, are
-      fixed by the remaining variables.
+      path.  It pivots on v's sign row, id extension_id + 1 + v, which no
+      other row mentions, so it drops that row and changes no other.  So
+      the zero moves, hence the pivoted variables, are fixed by the
+      remaining variables, and so are the sign-row ids they add to the
+      name: the name still fixes the rows.
     The rows keep constraint-id order, so the child's rows tuple is fixed
     too.  And the surviving ids are the original ones minus the pivot
-    rows taken and the dropped sign rows, so two names with the same
-    remaining variables leave different rows: each name is one distinct
-    (remaining, rows) state.
+    rows taken, so two names with the same remaining variables leave
+    different rows: each name is one distinct (remaining, rows) state.
 
     The rows' id order is the order candidates are tried in.  Each distinct
     terminal (interval, verdict) gets a small int, and outcomes are merged
@@ -468,18 +516,14 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
         count = 0
         for var in sorted(remaining):
             rest = remaining - {var}
-            for p in _pivots(rows, var) or [None]:
-                if p is None:
-                    label, signature = "zero", (rest, taken)
-                else:
-                    cid = rows[p][0]
-                    label, signature = labels[cid], (rest, taken | 1 << cid)
+            for p in _moves(rows, var):
+                signature = (rest, taken | 1 << rows[p][0])
                 found = named.get(signature)
                 if found is None:
-                    found = named[signature] = visit(_move(rows, var, p), *signature)
+                    found = named[signature] = visit(pivot_integer_rows(rows, p, var), *signature)
                 sub_outcomes, sub_count = found
                 count += sub_count
-                head = (names[var], label)
+                head = (names[var], _move_name(rows[p], labels))
                 for terminal, suffix in sub_outcomes.items():
                     if terminal not in outcomes:
                         outcomes[terminal] = (head,) + suffix
@@ -497,30 +541,3 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     )
     verdicts = {o.verdict for o in ordered}
     return ExploreResult(tuple(ordered), count, len(verdicts) > 1, states)
-
-
-def _move(rows: tuple, var: int, p: int | None, scales: list | None = None) -> tuple:
-    """The rows after one move: the pivot on row p, or the zero move when p
-    is None.  `scales`, when given, is updated in place to the new rows'
-    scales, as `gauss.pivot_integer_rows` does."""
-    if p is None:
-        return _drop_sign_row(rows, var, scales)
-    return pivot_integer_rows(rows, p, var, scales)
-
-
-def _drop_sign_row(rows: tuple, var: int, scales: list | None = None) -> tuple:
-    """The zero fallback on integer rows: drop the sign row -var <= 0, and
-    its scale from `scales` when given; no other row may mention var."""
-    sign = tuple(-1 if v == var else 0 for v in range(len(rows[0][1])))
-    out = []
-    dropped = None
-    for i, row in enumerate(rows):
-        if row[1][var]:
-            if dropped is None and not row[3] and row[1] == sign:
-                dropped = i
-                continue
-            raise InvariantError("fallback hit a row that still mentions the variable")
-        out.append(row)
-    if scales is not None:
-        del scales[dropped]
-    return tuple(out)

@@ -23,6 +23,8 @@ PINCHED_CONE = "vars: x y\ncone\nx + y <= 0\n-x - y <= 0\nnonneg: all\n"
 UNCAPPED_BOUNDED = "vars: x y\n2*x - y <= 2\n-x + y <= 1\nnonneg: all\n"
 # Bounded by x + y <= 4, a row with no negative coefficient: no probe.
 CAPPED = "vars: x y\nx - y <= 1\nx + y <= 4\nnonneg: all\n"
+# No row mentions l3, the 0 <= 0 row's multiplier: it takes the zero move.
+ZERO_MOVE_CONE = "vars: x1 x2\ncone\nx1 - x2 <= 0\n0*x1 <= 0\nnonneg: all\n"
 
 
 @pytest.fixture
@@ -35,6 +37,7 @@ def files(tmp_path):
         ("pinched", PINCHED_CONE),
         ("uncapped", UNCAPPED_BOUNDED),
         ("capped", CAPPED),
+        ("zero_move", ZERO_MOVE_CONE),
     ]:
         p = tmp_path / f"{name}.sys"
         p.write_text(text)
@@ -285,6 +288,18 @@ def test_solve9_final_example_documented_sequence(files, capsys):
     assert data["interval"]["text"] == "[0, 1]"
 
 
+def test_solve9_replays_an_explore_witness_with_a_zero_move(files, capsys):
+    code, data = run_json(capsys, ["solve9", files["zero_move"], "--explore"])
+    assert code == 0
+    assert [o["sequence"] for o in data["explore"]["outcomes"]] == [[["l2", "row-x1"], ["l3", "zero"]]]
+    code, data = run_json(capsys, ["solve9", files["zero_move"], "--rule", "paper-seq:l2@row-x1,l3@zero"])
+    assert code == 0
+    assert data["verdict"] == "solvable"
+    assert [(s["pivot"], s["kind"]) for s in data["steps"]] == [("row-x1", "original-main"), (None, "fallback-zero")]
+    assert main(["solve9", files["zero_move"], "--rule", "paper-seq:l2@zero,l3@zero"]) == 2
+    assert capsys.readouterr().err == "error: l2 cannot take the zero move: a pivotable row mentions it\n"
+
+
 def test_solve9_explore_flags_sensitivity(files, capsys):
     code, data = run_json(capsys, ["solve9", files["pinched"], "--explore"])
     assert code == 3
@@ -368,6 +383,11 @@ def test_difftest_json_deterministic(capsys):
 def test_difftest_rejects_an_empty_size_range(capsys, flag):
     assert main(["difftest", "--seed", "1", "--trials", "1", flag, "0"]) == 2
     assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be at least 1\n"
+
+
+def test_difftest_rejects_a_negative_trial_count(capsys):
+    assert main(["difftest", "--seed", "1", "--trials", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: trials must be at least 0, not -1\n")
 
 
 def test_difftest_human_summary(capsys):

@@ -136,6 +136,11 @@ def test_difftest_zero_trials():
     assert data["trials"] == []
 
 
+def test_difftest_rejects_a_negative_trial_count():
+    with pytest.raises(LincertError, match="trials must be at least 0"):
+        run_difftest(GenParams(seed=1), -1)
+
+
 def test_difftest_reports_are_deterministic():
     params = GenParams(seed=42)
     a = run_difftest(params, 12)

@@ -32,12 +32,13 @@ from lincert.pipeline import (
     Interval,
     LAMBDA_ONE,
     MAIN_ROWS_FIRST,
-    PivotRule,
     PivotRuleError,
     UnboundedInputError,
-    _drop_sign_row,
+    _moves,
     build_working_system,
     explore,
+    format_sequence,
+    parse_rule,
     pivot_sequence,
     run,
 )
@@ -203,13 +204,14 @@ def test_run_builds_step_systems_only_when_read(monkeypatch):
 
 
 def test_each_move_is_pivoted_once(monkeypatch):
-    # run pivots each move once and keeps the state after it, so reading
-    # every text and every Fraction system pivots nothing again.
+    # run pivots each move once, the zero move on its sign row included,
+    # and keeps the state after it, so reading every text and every
+    # Fraction system pivots nothing again.
     pivots = _counting(monkeypatch, lincert.pipeline, "pivot_integer_rows")
     for system, rule in [(solvable_cone(), MAIN_SEQUENCE), (pinched_cone(), MAIN_ROWS_FIRST), (ZERO_MOVE_CONE, MAIN_ROWS_FIRST)]:
         pivots.clear()
         trace = run(system, rule)
-        assert len(pivots) == sum(s.pivot_id is not None for s in trace.steps)
+        assert len(pivots) == len(trace.steps)
         pivots.clear()
         assert_texts_match_the_fraction_replay(trace)  # reads every text and system
         assert pivots == []
@@ -383,7 +385,7 @@ def test_paper_sequence_validation():
         (solvable_cone(), pivot_sequence([("l3", "sign-l3"), ("l2", "row-y"), ("l4", "row-x")]), "'sign-l3' is not an admissible pivot"),
         (solvable_cone(), pivot_sequence([("l3", "extension"), ("l2", "row-y"), ("l4", "row-x")]), "'extension' is not an admissible pivot"),
         (pinched_cone(), pivot_sequence([("l3", "row-x"), ("l2", "row-y")]), "'row-y' does not mention l2"),
-        (solvable_cone(), PivotRule("tallest-first"), "unknown pivot rule kind 'tallest-first'"),
+        (solvable_cone(), pivot_sequence([("l3", "zero"), ("l2", "row-y"), ("l4", "sign-l3")]), "l3 cannot take the zero move: a pivotable row mentions it"),
     ],
 )
 def test_run_rejects_bad_rules(primal, rule, message):
@@ -411,18 +413,20 @@ def test_fallback_zero_refuses_a_row_that_still_mentions_the_variable():
         ),
     )
     with pytest.raises(InvariantError, match="still mentions"):
-        _drop_sign_row(integer_rows(system), 1)
+        _moves(integer_rows(system), 1)
 
 
 def test_drop_sign_row_refuses_a_row_that_still_mentions_the_variable():
+    # The zero move pivots on the sign row, which drops it alone.
     rows = (
         ("extension", (2, 1), 2, False),
         ("sign-l1", (-1, 0), 0, False),
         ("sign-l2", (0, -1), 0, False),
     )
-    assert _drop_sign_row(rows[1:], 1) == rows[1:2]
+    assert _moves(rows[1:], 1) == [1]
+    assert pivot_integer_rows(rows[1:], 1, 1) == rows[1:2]
     with pytest.raises(InvariantError, match="still mentions"):
-        _drop_sign_row(rows, 1)
+        _moves(rows, 1)
 
 
 def test_explore_finds_pivot_sensitivity_of_pinched_cone():
@@ -491,14 +495,11 @@ def test_explore_leaves_no_cyclic_garbage(budget, draws):
 
 
 def test_explore_witness_sequences_replay():
-    result = explore(pinched_cone())
-    for outcome in result.outcomes:
-        seq = [(n, lab) for n, lab in outcome.sequence]
-        if any(lab == "zero" for _, lab in seq):
-            continue
-        trace = run(pinched_cone(), pivot_sequence(seq))
-        assert trace.interval == outcome.interval
-        assert trace.verdict == outcome.verdict
+    for system in (pinched_cone(), ZERO_MOVE_CONE):
+        for outcome in explore(system).outcomes:
+            trace = run(system, pivot_sequence(outcome.sequence))
+            assert trace.interval == outcome.interval
+            assert trace.verdict == outcome.verdict
 
 
 def reference_explore(primal):
@@ -603,11 +604,20 @@ def signature_walk(primal):
             for p in pivots:
                 walk(pivot_integer_rows(rows, p, var), rest, taken | {rows[p][0]})
             if not pivots:
-                walk(_drop_sign_row(rows, var), rest, taken)
+                walk(_drop_reference(rows, var), rest, taken)
 
     remaining = frozenset(v for v in range(len(ws.variables)) if v != LAMBDA_ONE)
     walk(ws.rows, remaining, frozenset())
     return rows_by_signature, states
+
+
+def _drop_reference(rows, var):
+    """The zero move written out: drop var's sign row -var <= 0, which must
+    be the one row that mentions var."""
+    mentions = [row for row in rows if row[1][var]]
+    assert len(mentions) == 1 and not mentions[0][3]
+    assert mentions[0][1] == tuple(-(v == var) for v in range(len(mentions[0][1])))
+    return tuple(row for row in rows if not row[1][var])
 
 
 def assert_names_are_states(system):
@@ -749,14 +759,26 @@ ZERO_MOVE_CONE = parse("vars: x1 x2\ncone\nx1 - x2 <= 0\n0*x1 <= 0\nnonneg: all\
 @example(system=ZERO_MOVE_CONE, pick=0)  # l3, the 0 <= 0 row's multiplier, takes the zero move
 @example(system=pinched_cone(), pick=1)  # a paper-seq witness
 def test_texts_are_the_printed_fraction_replay(system, pick):
-    # The default rule, or an explore witness without zero moves as a
-    # paper-seq rule (a pivot sequence cannot name a zero move).
+    # The default rule, or an explore witness as a paper-seq rule.
     trace = run(system)
     if pick and len(trace.working.variables) <= 6:
-        witnesses = [o.sequence for o in explore(system).outcomes if all(lab != "zero" for _, lab in o.sequence)]
-        if witnesses:
-            trace = run(system, pivot_sequence(witnesses[pick % len(witnesses)]))
+        witnesses = [o.sequence for o in explore(system).outcomes]
+        trace = run(system, pivot_sequence(witnesses[pick % len(witnesses)]))
     assert_texts_match_the_fraction_replay(trace)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=traced_inputs())
+@example(system=ZERO_MOVE_CONE)  # l3, the 0 <= 0 row's multiplier, takes the zero move
+def test_every_printed_sequence_replays(system):
+    # Each explore witness, printed as solve9 --explore prints it and read
+    # back as --rule paper-seq: text, ends where explore says it does.
+    if len(build_working_system(system).variables) > 6:
+        return
+    for outcome in explore(system).outcomes:
+        trace = run(system, parse_rule("paper-seq:" + format_sequence(outcome.sequence)))
+        assert (trace.interval, trace.verdict) == (outcome.interval, outcome.verdict)
+        assert [(s.var_name, s.pivot_label or "zero") for s in trace.steps] == list(outcome.sequence)
 
 
 def ends_at_a_closed_one(interval):
