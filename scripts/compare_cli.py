@@ -24,10 +24,14 @@ The `Fraction` side of the Gaussian route, which no CLI output shows, is
 compared too: for every corpus system that `pipeline.run` accepts under
 the default rule, the `repr` of its working system, of each step's system
 and of its terminal system, provenance included; a system that `run`
-refuses in both trees counts as identical.
+refuses in both trees counts as identical.  So is `pipeline.explore`
+itself, whose `states` count no CLI output shows: for every such system,
+the `repr` of `explore(system, state_budget=b)`, or the message of the
+budget hit, at each b in EXPLORE_BUDGETS.
 Prints, per command line and corpus, per corpus's `Fraction` systems and
-per report, how many outputs are identical, and the first difference as a
-unified diff.  Exits 0 when every output is identical, 1 otherwise.
+explore results, and per report, how many outputs are identical, and the
+first difference as a unified diff.  Exits 0 when every output is
+identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -58,12 +62,15 @@ MODES = [
 ]
 DIFFTESTS = [(7, "box"), (7, "filter"), (9, "box"), (9, "filter")]
 DIFFTEST_TRIALS = 200
+EXPLORE_BUDGETS = [50, 300, 4000]
 
 # Runs in the child: reads [system text, ...] on stdin, writes
 # {"cli": [[[exit code, stdout, stderr], ...] per mode],
 #  "difftest": [report JSON, ...] per (seed, mode),
 #  "systems": [[repr, ...] per working, step and terminal system, or
-#              None where run refuses the system, ...] per text} on stdout.
+#              None where run refuses the system, ...] per text,
+#  "explore": [[repr or budget message, ...] per budget, or None where
+#              run refuses the system, ...] per text} on stdout.
 CHILD = r"""
 import io, json, sys, tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -72,11 +79,12 @@ import lincert
 from lincert.cli import main
 from lincert.core import LincertError
 from lincert.harness import GenParams, run_difftest
-from lincert.pipeline import run
+from lincert.pipeline import ExploreBudgetExceeded, explore, run
 from lincert.sysfile import parse
 
 src, modes = Path(sys.argv[1]).resolve(), json.loads(sys.argv[2])
 difftests, trials = json.loads(sys.argv[3]), int(sys.argv[4])
+budgets = json.loads(sys.argv[5])
 if Path(lincert.__file__).resolve().parent != src / "lincert":
     sys.exit(f"lincert was imported from {lincert.__file__}, not from {src}")
 texts = json.load(sys.stdin)
@@ -102,8 +110,18 @@ def fraction_systems(text):
         return None
     return [repr(trace.working.system)] + [repr(s.system) for s in trace.steps] + [repr(trace.terminal)]
 
+def explored(system, budget):
+    try:
+        return repr(explore(system, state_budget=budget))
+    except ExploreBudgetExceeded as hit:
+        return f"budget hit: {hit}"
+
 systems = [fraction_systems(text) for text in texts]
-json.dump({"cli": results, "difftest": reports, "systems": systems}, sys.stdout)
+walks = [
+    None if reprs is None else [explored(parse(text), budget) for budget in budgets]
+    for text, reprs in zip(texts, systems)
+]
+json.dump({"cli": results, "difftest": reports, "systems": systems, "explore": walks}, sys.stdout)
 """
 
 
@@ -165,7 +183,16 @@ def start(tree: Path, texts: list[str]) -> subprocess.Popen:
     src = tree / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(src), json.dumps(MODES), json.dumps(DIFFTESTS), str(DIFFTEST_TRIALS)],
+        [
+            sys.executable,
+            "-c",
+            CHILD,
+            str(src),
+            json.dumps(MODES),
+            json.dumps(DIFFTESTS),
+            str(DIFFTEST_TRIALS),
+            json.dumps(EXPLORE_BUDGETS),
+        ],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         env=env,
@@ -230,6 +257,13 @@ def main() -> int:
     for mode, a, b in zip(MODES, parent["cli"], change["cli"]):
         same_everywhere &= compare_corpora(f"lincert {' '.join(mode)}", a, b, corpora, render)
     same_everywhere &= compare_corpora("run's Fraction systems", parent["systems"], change["systems"], corpora, render_systems)
+    same_everywhere &= compare_corpora(
+        f"explore at budgets {', '.join(map(str, EXPLORE_BUDGETS))}",
+        parent["explore"],
+        change["explore"],
+        corpora,
+        render_systems,
+    )
     for (seed, mode), a, b in zip(DIFFTESTS, parent["difftest"], change["difftest"]):
         print(f"difftest seed {seed} {mode}, {DIFFTEST_TRIALS} trials: {'byte-identical' if a == b else 'different'}")
         if a != b:

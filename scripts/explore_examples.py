@@ -8,9 +8,10 @@ the interval [0, 1], another pins l1 = 1.  The third example is the pinched
 cone with an all-zero row 0 <= 0 between its rows: that row's multiplier l3
 is mentioned by no row, so every sequence eliminates it by the zero move.
 
-Every printed witness is also replayed as `--rule paper-seq:` text, through
-`pipeline.parse_rule` and `pipeline.run`; a replay that ends in another
-interval or verdict is reported on stderr and the script exits 1.
+Every printed witness is also replayed as its `--rule` text
+(`pipeline.rule_text`), through `pipeline.parse_rule` and `pipeline.run`;
+a replay that ends in another interval or verdict is reported on stderr
+and the script exits 1.
 
 scripts/explore_examples.expected holds its output; CI diffs against it.
 """
@@ -21,7 +22,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from lincert.core import make_system
-from lincert.pipeline import explore, format_sequence, parse_rule, run
+from lincert.pipeline import explore, format_sequence, parse_rule, rule_text, run
 
 EXAMPLES = {
     "solvable cone (three half-planes)": make_system(
@@ -60,11 +61,12 @@ def main() -> int:
         for outcome in result.outcomes:
             seq = format_sequence(outcome.sequence)
             print(f"  {outcome.verdict:10s} {outcome.interval.describe():10s} via {seq}")
-            trace = run(system, parse_rule("paper-seq:" + seq))
+            rule = rule_text(outcome.sequence)
+            trace = run(system, parse_rule(rule))
             if (trace.interval, trace.verdict) != (outcome.interval, outcome.verdict):
                 mismatches += 1
                 print(
-                    f"{name}: paper-seq:{seq} replays to {trace.verdict} {trace.interval.describe()}",
+                    f"{name}: {rule} replays to {trace.verdict} {trace.interval.describe()}",
                     file=sys.stderr,
                 )
         print()

@@ -41,7 +41,7 @@ from .dual import elementary_dual, strong_elementary_dual
 from .fourier import feasibility, project
 from .harness import GenParams, run_difftest
 from .implicit import implicit_set
-from .pipeline import explore, format_sequence, parse_rule, run
+from .pipeline import explore, parse_rule, rule_text, run
 from .sysfile import (
     ParseError,
     parse_expr,
@@ -279,7 +279,9 @@ def cmd_solve9(args) -> int:
         }
         lines.append(f"explore: {len(result.outcomes)} distinct outcomes over {result.sequence_count} sequences")
         for o in result.outcomes:
-            lines.append(f"  {o.verdict} {o.interval.describe()} via {format_sequence(o.sequence)}")
+            # the moves as paper-seq: lists them, or main-first when there is none
+            via = rule_text(o.sequence).removeprefix("paper-seq:")
+            lines.append(f"  {o.verdict} {o.interval.describe()} via {via}")
         lines.append(f"pivot-sensitive: {result.pivot_sensitive}")
     out.emit(payload, "\n".join(lines) + "\n")
     if sensitive:

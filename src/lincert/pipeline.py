@@ -133,6 +133,13 @@ def format_sequence(sequence) -> str:
     return ", ".join(f"{v}@{label}" for v, label in sequence)
 
 
+def rule_text(sequence) -> str:
+    """The `--rule` text that replays sequence: `main-first` when it is
+    empty, as the empty sequence is the default rule, and otherwise
+    `paper-seq:` and its moves."""
+    return f"paper-seq:{format_sequence(sequence)}" if sequence else "main-first"
+
+
 LAMBDA_ONE = 0  # the cap row's multiplier l1, the one variable left at the end
 
 
@@ -454,9 +461,10 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     bound rhs/a.
 
     A child is named before it is computed, by the remaining variables and
-    the ids of the pivot rows taken.  One memo keyed by that name holds
-    each child's result; a child is pivoted and visited only on a miss, and
-    `states` counts the visits.  The name fixes the rows:
+    the ids of the pivot rows taken, both bitmasks, in one int: taken <<
+    nlam | remaining.  One memo keyed by that name holds each child's
+    result; a child is pivoted and visited only on a miss, and `states`
+    counts the visits.  The name fixes the rows:
     - Let C be the pivot rows taken.  Their original forms, restricted to
       the pivoted variables, form a nonsingular matrix, because every
       pivot element was nonzero (elimination in any order is an LU
@@ -488,12 +496,26 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     rows taken, so two names with the same remaining variables leave
     different rows: each name is one distinct (remaining, rows) state.
 
-    The rows' id order is the order candidates are tried in.  Each distinct
-    terminal (interval, verdict) gets a small int, and outcomes are merged
-    by those ints; Fractions are built only for the terminal intervals.
+    The variables are tried in ascending index, lowest remaining bit
+    first (the order sorted() gives), and each one's admissible rows in id
+    order.  A move's (lambda name, move name) head is built once per
+    (variable, row id): an admissible row is pivotable unless it is the
+    variable's own sign row, which no pivot rewrites while the variable
+    remains, so the pair fixes the move name.
+
+    A terminal is keyed by its rows' (l1 coefficient, rhs) pairs, in row
+    order, with the coefficient's sign: (2, 2) is the upper bound l1 <= 1
+    and (-2, -2) the lower bound l1 >= 1.  Each pair is already divided by
+    its gcd: a rewritten row is divided by the gcd of all its entries,
+    which at a terminal are 0 off l1, and a row no pivot rewrote (the
+    extension, l1's sign row, a main row that mentions only l1) starts
+    coprime.  The key fixes the interval, so `_outcome` (`interval_of`
+    and the interval's Fractions) runs once per distinct key, not once per
+    terminal visit.  Each distinct terminal (interval, verdict) gets a
+    small int, and outcomes are merged by those ints.
 
     `visit` calls itself, so its closure cell refers to the function that
-    holds it: a reference cycle through which the memo and every rows
+    holds it: a reference cycle through which the memos and every rows
     tuple would wait for the cycle collector.  `visit` is cleared once the
     walk returns or raises (ExploreBudgetExceeded included), which breaks
     the cycle, and reference counting frees them at once.
@@ -501,35 +523,49 @@ def explore(primal: System, state_budget: int = 4000) -> ExploreResult:
     ws = build_working_system(primal)
     names = ws.variables
     labels = dict(ws.labels)
-    named: dict = {}  # (remaining, pivot-row bits) -> (outcomes, count)
+    nlam = len(names)
+    named: dict[int, tuple] = {}  # taken << nlam | remaining -> (outcomes, count)
+    heads: dict[int, tuple[str, str]] = {}  # cid * nlam + var -> (lambda name, move name)
+    ends: dict[tuple, tuple] = {}  # terminal bound key -> ({terminal: ()}, 1)
     terminals: dict[tuple[Interval, str], int] = {}
     states = 0
 
-    def visit(rows: tuple, remaining: frozenset[int], taken: int):
+    def visit(rows: tuple, remaining: int, taken: int):
         nonlocal states
         states += 1
         if states > state_budget:
             raise ExploreBudgetExceeded(f"pivot tree exceeds {state_budget} distinct states")
         if not remaining:
-            return {terminals.setdefault(_outcome(rows), len(terminals)): ()}, 1
+            key = tuple([(coeffs[LAMBDA_ONE], rhs) for _, coeffs, rhs, _ in rows])
+            end = ends.get(key)
+            if end is None:
+                end = ends[key] = {terminals.setdefault(_outcome(rows), len(terminals)): ()}, 1
+            return end
         outcomes: dict[int, tuple] = {}
         count = 0
-        for var in sorted(remaining):
-            rest = remaining - {var}
+        left = remaining
+        while left:
+            bit = left & -left
+            left ^= bit
+            var = bit.bit_length() - 1
+            rest = remaining ^ bit
             for p in _moves(rows, var):
-                signature = (rest, taken | 1 << rows[p][0])
-                found = named.get(signature)
+                cid = rows[p][0]
+                pivots = taken | 1 << cid
+                found = named.get(name := pivots << nlam | rest)
                 if found is None:
-                    found = named[signature] = visit(pivot_integer_rows(rows, p, var), *signature)
+                    found = named[name] = visit(pivot_integer_rows(rows, p, var), rest, pivots)
                 sub_outcomes, sub_count = found
                 count += sub_count
-                head = (names[var], _move_name(rows[p], labels))
+                head = heads.get(move := cid * nlam + var)
+                if head is None:
+                    head = heads[move] = (names[var], _move_name(rows[p], labels))
                 for terminal, suffix in sub_outcomes.items():
                     if terminal not in outcomes:
                         outcomes[terminal] = (head,) + suffix
         return outcomes, count
 
-    remaining = frozenset(v for v in range(len(names)) if v != LAMBDA_ONE)
+    remaining = ((1 << nlam) - 1) & ~(1 << LAMBDA_ONE)
     try:
         outcomes, count = visit(ws.rows, remaining, 0)
     finally:

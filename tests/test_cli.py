@@ -25,6 +25,8 @@ UNCAPPED_BOUNDED = "vars: x y\n2*x - y <= 2\n-x + y <= 1\nnonneg: all\n"
 CAPPED = "vars: x y\nx - y <= 1\nx + y <= 4\nnonneg: all\n"
 # No row mentions l3, the 0 <= 0 row's multiplier: it takes the zero move.
 ZERO_MOVE_CONE = "vars: x1 x2\ncone\nx1 - x2 <= 0\n0*x1 <= 0\nnonneg: all\n"
+# No main rows: the working system has only l1, so no move is made.
+NO_MAIN_ROWS_CONE = "vars: x\ncone\nnonneg: all\n"
 
 
 @pytest.fixture
@@ -38,6 +40,7 @@ def files(tmp_path):
         ("uncapped", UNCAPPED_BOUNDED),
         ("capped", CAPPED),
         ("zero_move", ZERO_MOVE_CONE),
+        ("no_main_rows", NO_MAIN_ROWS_CONE),
     ]:
         p = tmp_path / f"{name}.sys"
         p.write_text(text)
@@ -298,6 +301,23 @@ def test_solve9_replays_an_explore_witness_with_a_zero_move(files, capsys):
     assert [(s["pivot"], s["kind"]) for s in data["steps"]] == [("row-x1", "original-main"), (None, "fallback-zero")]
     assert main(["solve9", files["zero_move"], "--rule", "paper-seq:l2@zero,l3@zero"]) == 2
     assert capsys.readouterr().err == "error: l2 cannot take the zero move: a pivotable row mentions it\n"
+
+
+@pytest.mark.parametrize("name", ["no_main_rows", "zero_move", "pinched"])
+def test_solve9_explore_witnesses_replay_from_their_printed_text(files, capsys, name):
+    # Each witness prints its moves as paper-seq: lists them, or main-first
+    # when it makes none (the empty sequence is the default rule).
+    main(["solve9", files[name], "--explore"])
+    lines = capsys.readouterr().out.splitlines()
+    witnesses = [line.split(" ", 3)[3].split(" via ") for line in lines if line.startswith("  ")]
+    assert witnesses
+    for interval, via in witnesses:
+        main(["solve9", files[name], "--rule", via if via == "main-first" else f"paper-seq:{via}"])
+        assert f"terminal interval for l1: {interval}" in capsys.readouterr().out.splitlines()
+    if name == "no_main_rows":
+        assert witnesses == [["[1, 1]", "main-first"]]
+        _, data = run_json(capsys, ["solve9", files[name], "--explore"])
+        assert [o["sequence"] for o in data["explore"]["outcomes"]] == [[]]
 
 
 def test_solve9_explore_flags_sensitivity(files, capsys):

@@ -781,6 +781,26 @@ def test_every_printed_sequence_replays(system):
         assert [(s.var_name, s.pivot_label or "zero") for s in trace.steps] == list(outcome.sequence)
 
 
+@settings(max_examples=150, deadline=None)
+@given(system=traced_inputs())
+@example(system=ZERO_MOVE_CONE)  # l3, the 0 <= 0 row's multiplier, takes the zero move
+@example(system=parse("vars: x\ncone\nnonneg: all\n"))  # only l1: no move, one state
+def test_the_state_count_is_the_budget_boundary(system):
+    # states counts each distinct state once, on its first visit: it is
+    # the reference walk's number of distinct states, a budget of exactly
+    # that many returns the same result, and one fewer stops the walk.  A
+    # walk that also counts memo hits fails the first check, and the last
+    # too unless its budget check sees those hits.
+    if len(build_working_system(system).variables) > 6:
+        return
+    result = explore(system)
+    assert result.states == len(signature_walk(system)[1])
+    assert explore(system, state_budget=result.states) == result
+    with pytest.raises(ExploreBudgetExceeded) as hit:
+        explore(system, state_budget=result.states - 1)
+    assert str(hit.value) == f"pivot tree exceeds {result.states - 1} distinct states"
+
+
 def ends_at_a_closed_one(interval):
     """The interval holds 1 and ends there: [lo, 1] or (lo, 1], lo < 1, or {1}."""
     if interval.empty or interval.hi != 1 or interval.hi_open:
