@@ -13,7 +13,8 @@ a fixed seeded draw of systems with what the baseline lacks: strict and
 Fourier meets strict and one-sided fibers and rows with denominators.
 The cone corpus (cone_corpus) is a fixed seeded draw of sparse
 `cone`-flagged systems, some with all-zero rows, so solve9 and explore
-take the zero move, which the other corpora hardly reach.
+take the zero move, which the other corpora hardly reach, and one cone
+with no main rows, whose `solve9 --explore` witness takes no move.
 Exit code, stdout and stderr of every call are compared byte for byte.
 Each tree also writes the difftest report of every (seed, mode) in
 DIFFTESTS, `run_difftest(GenParams(seed=seed, mode=mode), 200)` without
@@ -52,6 +53,7 @@ MODES = [
     ["solve9", "FILE", "--trace", "--json"],
     ["solve9", "FILE", "--trace"],
     ["solve9", "FILE", "--explore", "--json"],
+    ["solve9", "FILE", "--explore"],
     ["check", "FILE", "--json"],
     ["implicit", "FILE", "--json"],
     ["cone", "FILE", "--analyze", "--json"],
@@ -162,7 +164,8 @@ def cone_corpus() -> list[str]:
     Each coefficient is a nonzero integer in -3..3 with probability 2/5,
     so some rows come out all zero, and every other system also gets a
     `0*x1 <= 0` row.  The multiplier of an all-zero cone row takes the
-    zero move on every pivot path."""
+    zero move on every pivot path.  Last comes the cone over x with no
+    main rows at all, whose witness has no move to print."""
     rng = random.Random(24)
     texts = []
     for i in range(150):
@@ -176,6 +179,7 @@ def cone_corpus() -> list[str]:
             lines.insert(rng.randint(2, len(lines)), "0*x1 <= 0")
         lines.append("nonneg: all")
         texts.append("\n".join(lines) + "\n")
+    texts.append("vars: x\ncone\nnonneg: all\n")
     return texts
 
 

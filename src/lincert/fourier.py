@@ -37,13 +37,15 @@ a = A/den_P and -b = -B/den_N, and
 
 so the derived row, a coprime integer vector, is (B*P + A*N)/g with g the
 gcd of its entries and right side, and its derivation weights are
-B*den_P/g and A*den_N/g.  The chain's state is integers only (_History):
+B*den_P/g and A*den_N/g, kept as reduced integer pairs (numerator,
+denominator).  The chain's state is integers only (_History):
 each row is one tuple (cid, coefficients, rhs, den, strict), an input
 row's made when the chain starts and a kept row's by the pair step, and
 each history is a bitmask over the input positions.  The pair split, the
 duplicate-merge keys, the choice of the next variable, the contradiction
 check, the fibers, back-substitution and the witness check, which also
-finds the tight rows, read only these tuples.  Each step still returns a
+finds the tight rows, read only these tuples, and the pair step records
+its weights without building a Fraction.  Each step still returns a
 Fraction System: a kept row's Constraint takes its Fractions from a memo
 that lives as long as the chain, so each distinct integer becomes one
 Fraction per chain.  A chain that stops at a contradiction (feasibility,
@@ -54,8 +56,9 @@ through were checked before the step and ids follow creation order.
 The back half builds Fractions only for what it returns:
 back-substitution compares each fiber's bounds as integer pairs
 (core.interval_of) and builds its two winning bounds and its midpoint;
-both replays carry unreduced integer (numerator, denominator) weights and
-build one Fraction per input row; and the certificate checks,
+both replays read the trace's weight pairs, carry unreduced integer
+(numerator, denominator) weights and build one Fraction per input row;
+and the certificate checks,
 is_infeasibility_certificate here and core.check_multiplier_certificate,
 read core._combination's integer sums.  feasibility checks every witness
 it makes and every Farkas certificate it replays.
@@ -91,8 +94,9 @@ from .core import (
     interval_of,
 )
 
-# One derivation: ((parent_id, coefficient > 0), ...) whose weighted sum is the row.
-Derivation = tuple[tuple[int, Fraction], ...]
+# One derivation: ((parent_id, (num, den)), ...) whose sum of parents, each
+# weighted num/den, is the row; (num, den) is reduced, both > 0.
+Derivation = tuple[tuple[int, tuple[int, int]], ...]
 # A chain row (cid, coefficients, rhs, den, strict): the row times den, the
 # lcm of its denominators (core.integer_row), strict for a < row.
 ChainRow = tuple[int, tuple[int, ...], int, int, bool]
@@ -174,7 +178,12 @@ class _History:
     inputs its multipliers are positive on, as a bitmask over the inputs'
     positions.  After k eliminations a pair is skipped before it is
     combined when every union of its parents' histories has more than
-    k + 1 bits.  Imbert's 1990 refinement is not used.
+    k + 1 bits.  Imbert's 1990 rank bound, |H| <= 1 + the number of
+    eliminated variables that H's inputs mention, is not used.  Counted
+    along this rule's chains on the benchmark's seed-42 items, it skips 0
+    more pairs on oracle (of 50 808 pairs, 400 items) and on analyze (of
+    18 098, 500 items), and 38 more of 29 873 on difftest (630 items): it
+    pays only where rows are sparse.
 
     Why the solution set stays exact.  A chain row combines the inputs by a
     lambda in C_k = {lambda >= 0 : lambda A = 0}, A being the input columns
@@ -191,11 +200,14 @@ class _History:
     t > 0) only lower the sum's right side.  So an infeasible chain still
     reaches a contradiction row, and every fiber stays exact.
 
-    A merged duplicate keeps every history it arrived with.  One row can
-    have several lambdas and only one may be extreme; extreme rays built on
-    the row later need that one's support.  Keeping only the first or the
-    smallest history can skip them and leave back-substitution an empty
-    interval.
+    A merged duplicate keeps every subset-minimal history it arrived with.
+    One row can have several lambdas and only one may be extreme; extreme
+    rays built on the row later need that one's support.  Keeping only the
+    first or the smallest history can skip them and leave back-substitution
+    an empty interval.  A history that strictly holds another one can go,
+    from a merged row as from the unions a pair keeps: if h holds h', then
+    h | g holds h' | g, so a union with h' fits the limit whenever one with
+    h does, and every skip decision stays the same (_minimal).
 
     The history also holds the rest of the chain state, all of it integers
     but the trace.  `rows` holds the current chain system's rows as
@@ -230,17 +242,24 @@ class _History:
         self.fibers: list[list[ChainRow]] = []
 
 
+def _minimal(histories: set[int]) -> set[int]:
+    """The histories that hold no other one of the set (_History)."""
+    return {h for h in histories if not any(g != h and g & h == g for g in histories)}
+
+
 def eliminate_var(system: System, var: int, *, history: _History | None = None) -> tuple[System, EliminationTrace]:
     """Project the system onto the remaining variables.
 
     Rows without the variable pass through unchanged (same ids).  Each
     positive/negative pair contributes one derived row, normalized to a
     coprime integer vector: (B*P + A*N)/g on the pair's integer rows, with
-    derivation weights B*den_P/g and A*den_N/g (module docstring).  A pair
+    derivation weights B*den_P/g and A*den_N/g (module docstring), each
+    recorded as a reduced (numerator, denominator) pair.  A pair
     cancelling to [0] <= 0 or [0] < 0 has g = 0 and keeps the weights
     den_P/A and den_N/B.  Derived tautologies are dropped, exact
-    duplicates merge (all parent combinations kept in the trace), and pairs
-    redundant by Chernikov's rule are skipped (see _History).  None of this
+    duplicates merge (all parent combinations kept in the trace, the
+    subset-minimal histories kept for the rule), and pairs redundant by
+    Chernikov's rule are skipped (see _History).  None of this
     changes the solution set, and every derived row keeps its full
     derivation, so certificates are unaffected.  The step also records dropped
     [0] <= 0 rows and duplicates of pass-through rows (equality_certificate).
@@ -285,6 +304,8 @@ def eliminate_var(system: System, var: int, *, history: _History | None = None) 
         fits = {u for h in of[p_cid] for g in of[n_cid] if (u := h | g).bit_count() <= limit}
         if not fits:
             continue  # redundant by Chernikov's rule
+        if len(fits) > 1:
+            fits = _minimal(fits)
         a = p[var]
         b = -n[var]
         row = [b * x + a * y for x, y in zip(p, n)]
@@ -293,16 +314,22 @@ def eliminate_var(system: System, var: int, *, history: _History | None = None) 
         var_free = not any(row)
         if var_free and (rhs > 0 or rhs == 0 and not strict):
             if rhs == 0:
-                zero_rows.append(((p_cid, Fraction(den_p, a)), (n_cid, Fraction(den_n, b))))
+                gp = gcd(den_p, a)
+                gn = gcd(den_n, b)
+                zero_rows.append(((p_cid, (den_p // gp, a // gp)), (n_cid, (den_n // gn, b // gn))))
             continue  # derived tautology: var-free, never binds
         g = gcd(*row, rhs) or a * b  # a strict pair cancelling to [0] < 0: weights as above
-        derivation: Derivation = ((p_cid, Fraction(b * den_p, g)), (n_cid, Fraction(a * den_n, g)))
+        wp = b * den_p
+        wn = a * den_n
+        gp = gcd(wp, g)
+        gn = gcd(wn, g)
+        derivation: Derivation = ((p_cid, (wp // gp, g // gp)), (n_cid, (wn // gn, g // gn)))
         coeffs = tuple(x // g for x in row)
         rhs //= g
         key = (coeffs, rhs, 1, strict)
         cid = by_key.get(key)
         if cid is not None:
-            histories[cid] = histories[cid] | fits
+            histories[cid] = _minimal(histories[cid] | fits)
             if cid in derivations_of:
                 derivations_of[cid] += (derivation,)
             else:
@@ -489,11 +516,12 @@ def project(system: System, keep: set[int] | frozenset[int]) -> System:
 
 def _spread(weights: dict[int, tuple[int, int]], derivation: Derivation, num: int, den: int) -> None:
     """Pass weight num/den on a row down one of its derivations to its
-    parents.  Weights are unreduced (numerator, denominator) pairs of ints;
-    the replays make one Fraction per input row at the end."""
-    for parent, coeff in derivation:
-        n = num * coeff.numerator
-        d = den * coeff.denominator
+    parents, times each parent's (numerator, denominator) pair.  Weights
+    are unreduced (numerator, denominator) pairs of ints; the replays make
+    one Fraction per input row at the end."""
+    for parent, (coeff_num, coeff_den) in derivation:
+        n = num * coeff_num
+        d = den * coeff_den
         old = weights.get(parent)
         if old is None:
             weights[parent] = (n, d)

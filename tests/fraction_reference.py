@@ -137,6 +137,17 @@ def normalized_key(constraint):
     return (expr.terms, constraint.relation, rhs)
 
 
+def as_pair(weight):
+    """A Fraction derivation weight as the trace records it: its reduced
+    (numerator, denominator) pair."""
+    return (weight.numerator, weight.denominator)
+
+
+def derivation_weights(derivation):
+    """{parent id: Fraction weight} of one trace derivation."""
+    return {parent: Fraction(*pair) for parent, pair in derivation}
+
+
 def eliminate_var_fraction(system, var):
     """One Fourier step, as a lone `eliminate_var` call makes it.
 
@@ -145,8 +156,9 @@ def eliminate_var_fraction(system, var):
     var-free tautology is dropped, and recorded with weights (1/a, 1/b) in
     zero_rows when it reads [0] <= 0.  Any other row is divided by its
     factor to a coprime integer vector, with weights (1/a, 1/b)/factor; a
-    row equal entry for entry to a kept row merges into it.  Returns the new
-    System and its EliminationStep."""
+    row equal entry for entry to a kept row merges into it.  Each weight is
+    computed as a Fraction and recorded as its pair (as_pair).  Returns the
+    new System and its EliminationStep."""
     rows = [c for c in system.constraints if c.expr.coeff(var) == 0]
     by_key = {c.key(): c.cid for c in rows}
     produced, zero_rows, merged = {}, [], []
@@ -164,10 +176,10 @@ def eliminate_var_fraction(system, var):
             rel = Relation.LT if Relation.LT in (pos.relation, neg.relation) else Relation.LE
             if expr.is_zero and rel.holds(0, rhs):
                 if rhs == 0:
-                    zero_rows.append(((pos.cid, 1 / a), (neg.cid, 1 / b)))
+                    zero_rows.append(((pos.cid, as_pair(1 / a)), (neg.cid, as_pair(1 / b))))
                 continue
             expr, rhs, factor = _coprime(expr, rhs)
-            derivation = ((pos.cid, 1 / a / factor), (neg.cid, 1 / b / factor))
+            derivation = ((pos.cid, as_pair(1 / a / factor)), (neg.cid, as_pair(1 / b / factor)))
             key = (expr.terms, rel, rhs)
             if key in by_key:
                 cid = by_key[key]
@@ -225,7 +237,7 @@ def farkas_reference(trace, cid):
     for current in sorted(derivations, reverse=True):
         w = weights.pop(current, None)
         if w is not None:
-            for parent, coeff in derivations[current]:
+            for parent, coeff in derivation_weights(derivations[current]).items():
                 weights[parent] = weights.get(parent, ZERO) + w * coeff
     assert set(weights) <= trace.input_ids
     return MultiplierVector.of(weights)
@@ -245,7 +257,7 @@ def equality_certificate_reference(system, trace):
     weights = {}
 
     def spread(derivation, w):
-        for parent, coeff in derivation:
+        for parent, coeff in derivation_weights(derivation).items():
             weights[parent] = weights.get(parent, ZERO) + w * coeff
 
     for c in system.constraints:

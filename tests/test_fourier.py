@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fraction_reference import (
     back_substitute_fraction,
+    derivation_weights,
     eliminate_var_fraction,
     equality_certificate_reference,
     farkas_reference,
@@ -121,7 +122,7 @@ def test_trace_replays_exactly():
     for produced in trace.steps[0].produced:
         row = out.constraint(produced.cid)
         for derivation in produced.derivations:
-            combined = combine(sys, MultiplierVector.of(dict(derivation)))
+            combined = combine(sys, MultiplierVector.of(derivation_weights(derivation)))
             assert combined.expr == row.expr
             assert combined.rhs == row.rhs
             assert combined.relation == row.relation
@@ -567,6 +568,77 @@ def test_chernikov_limit_bounds_every_history():
             assert all(h.bit_count() <= k + 1 for hs in history.of.values() for h in hs), (seed, k)
 
 
+def _draw_duplicated_rows(data, max_vars=4, max_rows=6):
+    """Fractional, partly strict rows, then copies of some of them: scaled
+    by k (k = 1 with no shift is an exact duplicate, k = -1 with no shift
+    a pair that cancels) with the right side shifted by 0 or +-1; some
+    variables signed."""
+    nvars = data.draw(st.integers(1, max_vars))
+    names = [f"x{i}" for i in range(nvars)]
+    row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), le_or_lt, small_fractions)
+    rows = data.draw(st.lists(row, min_size=1, max_size=max_rows))
+    for a, _, r in data.draw(st.lists(st.sampled_from(rows), max_size=4)):
+        k = data.draw(st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-1, 2)]))
+        shift = data.draw(st.sampled_from([0, 0, 1, -1]))
+        rows.append(([k * x for x in a], data.draw(le_or_lt), k * r + shift))
+    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
+    return make_system(names, mains=[(dict(zip(names, a)), rel, r) for a, rel, r in rows], nonneg=nonneg)
+
+
+def _chain_steps(system, stop_at_contradiction=True):
+    """The steps of `_chain` on every variable, made again by lone
+    eliminate_var calls over one history in the order the chain chose:
+    yields (system before, system after, history) per step, and checks at
+    the end that the steps equal the chain's."""
+    _, trace, _, _ = _chain(system, set(range(len(system.variables))), stop_at_contradiction)
+    history = _History(system, stop_at_contradiction)
+    for step in trace.steps:
+        before = system
+        system, _ = eliminate_var(system, step.var, history=history)
+        yield before, system, history
+    assert tuple(history.steps) == trace.steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_histories_stay_subset_minimal_within_the_chernikov_limit(data):
+    # After step k no row holds two histories one of which contains the
+    # other, and none has more than k + 1 input ids (_History).
+    for _, _, history in _chain_steps(_draw_duplicated_rows(data), data.draw(st.booleans())):
+        k = len(history.steps)
+        for hs in history.of.values():
+            assert all(h.bit_count() <= k + 1 for h in hs)
+            assert not any(g != h and g & h == g for g in hs for h in hs)
+
+
+def _combined(system, derivation):
+    """core.combine of one trace derivation, whose weights must be reduced
+    (numerator, denominator) pairs, both positive."""
+    for _, (num, den) in derivation:
+        assert num > 0 and den > 0 and gcd(num, den) == 1
+    combined = combine(system, MultiplierVector.of(derivation_weights(derivation)))
+    return combined.expr, combined.relation, combined.rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_derivation_weights_its_parents_into_its_row(data):
+    # At every step of a whole chain, each produced row's derivations and
+    # each merged derivation combine the rows before the step into the row
+    # they derive, and each dropped zero row combines them into [0] <= 0.
+    for before, after, history in _chain_steps(_draw_duplicated_rows(data), data.draw(st.booleans())):
+        step = history.steps[-1]
+        for produced in step.produced:
+            row = after.constraint(produced.cid)
+            for derivation in produced.derivations:
+                assert _combined(before, derivation) == (row.expr, row.relation, row.rhs)
+        for cid, derivation in step.merged:
+            row = before.constraint(cid)
+            assert _combined(before, derivation) == (row.expr, row.relation, row.rhs)
+        for derivation in step.zero_rows:
+            assert _combined(before, derivation) == (LinearExpr(), Relation.LE, 0)
+
+
 def matches_fraction_reference(system, var):
     """A lone eliminate_var call equals the Fraction formula exactly, types
     included: rows, ids, provenance, derivations, zero_rows and merged."""
@@ -583,20 +655,8 @@ le_or_lt = st.sampled_from(["<=", "<"])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_pair_step_matches_the_fraction_formula(data):
-    # Fractional, partly strict rows, then copies of some of them: scaled
-    # by k (k = 1 with no shift is an exact duplicate, k = -1 with no shift
-    # a pair that cancels) with the right side shifted by 0 or +-1.
-    nvars = data.draw(st.integers(1, 3))
-    names = [f"x{i}" for i in range(nvars)]
-    row = st.tuples(st.lists(small_fractions, min_size=nvars, max_size=nvars), le_or_lt, small_fractions)
-    rows = data.draw(st.lists(row, min_size=1, max_size=5))
-    for a, _, r in data.draw(st.lists(st.sampled_from(rows), max_size=4)):
-        k = data.draw(st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-1, 2)]))
-        shift = data.draw(st.sampled_from([0, 0, 1, -1]))
-        rows.append(([k * x for x in a], data.draw(le_or_lt), k * r + shift))
-    nonneg = data.draw(st.lists(st.sampled_from(names), unique=True))
-    system = make_system(names, mains=[(dict(zip(names, a)), rel, r) for a, rel, r in rows], nonneg=nonneg)
-    matches_fraction_reference(system, data.draw(st.integers(0, nvars - 1)))
+    system = _draw_duplicated_rows(data, max_vars=3, max_rows=5)
+    matches_fraction_reference(system, data.draw(st.integers(0, len(system.variables) - 1)))
 
 
 def test_strict_pair_cancelling_to_zero_keeps_unscaled_weights():
@@ -604,7 +664,7 @@ def test_strict_pair_cancelling_to_zero_keeps_unscaled_weights():
     out, step = matches_fraction_reference(system, 0)
     (row,) = out.constraints
     assert (row.expr.is_zero, row.relation, row.rhs) == (True, Relation.LT, 0)
-    assert step.produced == (ProducedRow(row.cid, (((0, Fraction(1, 2)), (1, Fraction(1, 3))),)),)
+    assert step.produced == (ProducedRow(row.cid, (((0, (1, 2)), (1, (1, 3))),)),)
     assert step.zero_rows == ()
 
 
@@ -612,7 +672,7 @@ def test_pair_cancelling_to_zero_le_row_is_recorded_unscaled():
     system = make_system(["x"], mains=[({"x": 1}, "<=", 1), ({"x": -2}, "<=", -2)])
     out, step = matches_fraction_reference(system, 0)
     assert out.constraints == ()
-    assert step.zero_rows == (((0, Fraction(1)), (1, Fraction(1, 2))),)
+    assert step.zero_rows == (((0, (1, 1)), (1, (1, 2))),)
     assert step.produced == ()
 
 
@@ -626,7 +686,7 @@ def test_pass_through_row_merges_only_with_an_equal_derived_row():
     rows[0] = ({"x": 1}, "<=", 2)
     out, step = matches_fraction_reference(make_system(["x", "y"], mains=rows), 1)
     assert [c.cid for c in out.constraints] == [0]
-    assert step.merged == ((0, ((1, Fraction(1)), (2, Fraction(1)))),)
+    assert step.merged == ((0, ((1, (1, 1)), (2, (1, 1)))),)
 
 
 def test_pair_with_denominators():
@@ -635,7 +695,7 @@ def test_pair_with_denominators():
     out, step = matches_fraction_reference(make_system(["x", "y"], mains=rows), 0)
     (row,) = out.constraints
     assert (row.expr.terms, row.relation, row.rhs) == (((1, Fraction(5)),), Relation.LE, Fraction(8))
-    assert step.produced == (ProducedRow(row.cid, (((0, Fraction(6)), (1, Fraction(3))),)),)
+    assert step.produced == (ProducedRow(row.cid, (((0, (6, 1)), (1, (3, 1))),)),)
 
 def _pinned(system, values):
     """The system plus rows fixing each variable in `values`."""
